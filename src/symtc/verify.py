@@ -58,7 +58,7 @@ def projection_of_name(x, depth, j, base_le):
             else:
                 if all(base_le(a, b) for a, b in zip(best, t)):
                     best = t
-                elif not all(base_le(b, a) for b, a in zip(best, t)):
+                elif not all(base_le(b, a) for a, b in zip(best, t)):
                     raise ValueError(f"chain {chain!r} is not totally ordered")
         x = best
     if not isinstance(x, tuple) or len(x) < j:

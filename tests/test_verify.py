@@ -123,6 +123,20 @@ def test_projection_recompute_depth2(chain2):
     assert projection_of_name(name, 2, 2, le) == 1
 
 
+def test_projection_order_against_label_order():
+    """1 < 0: a chain listed in label order runs downward in the poset."""
+    from symtc.complexity import cc_plain, cc_sigma
+    from symtc.posets import poset_from_relations
+
+    P = poset_from_relations([0, 1], [(1, 0)])
+    assert projection_of_name(((0, 0), (0, 1)), 1, 2, P.le) == 0
+    for fn in (cc_sigma, cc_plain):
+        res = fn(P, 2, 1)
+        assert res.cover
+        for piece in res.cover:
+            assert validate(piece.witness)
+
+
 def test_validator_catches_projection_lie(v_poset):
     H = make_homotopy(v_poset)
     bad = copy.deepcopy(H)
