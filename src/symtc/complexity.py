@@ -27,7 +27,12 @@ from .actions import (
 from .complexes import base_of, restrict_map, subcomplex_from_simplices
 from .constructions import build_tower, poset_tower, projection_pi, projection_rho
 from .covers import min_cover
-from .errors import BudgetExceeded, DisconnectedPoset, MonotonicityViolation
+from .errors import (
+    BudgetExceeded,
+    DisconnectedPoset,
+    MonotonicityViolation,
+    UnsupportedMode,
+)
 from .io import complex_to_doc, poset_to_doc
 from .posets import MonotoneMap
 from .search import (
@@ -470,8 +475,16 @@ def _maximal_good_sets(problem, decide, all_units, stats):
 # ---------------------------------------------------------------------------
 
 
+def _check_mode(mode):
+    if mode not in ("exact", "upper"):
+        raise UnsupportedMode(
+            f"cover mode must be 'exact' or 'upper', not {mode!r}"
+        )
+
+
 def sc_sigma(K, n=2, r=0, mode="exact", budget=None):
     """Symmetric simplicial complexity at subdivision level r."""
+    _check_mode(mode)
     budgets = budgets_with(budget)
     tower = build_tower(K, n, r, budget=budgets["simplices"])
     problem = _ComplexProblem(tower, symmetric=True, budgets=budgets)
@@ -480,6 +493,7 @@ def sc_sigma(K, n=2, r=0, mode="exact", budget=None):
 
 def sc_plain(K, n=2, r=0, mode="exact", budget=None):
     """Plain simplicial complexity at subdivision level r."""
+    _check_mode(mode)
     budgets = budgets_with(budget)
     tower = build_tower(K, n, r, budget=budgets["simplices"])
     problem = _ComplexProblem(tower, symmetric=False, budgets=budgets)
@@ -495,6 +509,7 @@ def _check_connected(P):
 
 def cc_sigma(P, n=2, r=0, mode="exact", budget=None):
     """Symmetric combinatorial complexity at subdivision level r (stable m)."""
+    _check_mode(mode)
     _check_connected(P)
     budgets = budgets_with(budget)
     tower = poset_tower(P, n, r, budget=budgets["simplices"])
@@ -504,6 +519,7 @@ def cc_sigma(P, n=2, r=0, mode="exact", budget=None):
 
 def cc_plain(P, n=2, r=0, mode="exact", budget=None):
     """Plain combinatorial complexity at subdivision level r."""
+    _check_mode(mode)
     _check_connected(P)
     budgets = budgets_with(budget)
     tower = poset_tower(P, n, r, budget=budgets["simplices"])
@@ -556,6 +572,7 @@ def stabilize_over_r(invariant, instance, n=2, max_r=1, mode="exact",
     A strict increase between consecutive exact values is a hard error: the
     per-level values form a non-increasing sequence.
     """
+    _check_mode(mode)
     fn = STABILIZE_INVARIANTS[invariant]
     rows = []
     running = INFINITY

@@ -81,5 +81,9 @@ class ParseError(SymtcError):
     pass
 
 
+class UnsupportedMode(SymtcError):
+    """A cover computation was asked for a mode other than exact or upper."""
+
+
 class ValidationError(SymtcError):
     pass

@@ -190,6 +190,22 @@ def test_parse_error_exit_code(docs, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("mode", ["auto", "bounded"])
+@pytest.mark.parametrize("command", [
+    ["sc", "--input", "d1.json"],
+    ["cc", "--input", "v.json"],
+    ["stabilize", "--input", "d1.json", "--invariant", "sc-sigma"],
+])
+def test_cover_rejects_search_modes(docs, capsys, command, mode):
+    """sc, cc and stabilize compute covers: only exact and upper apply."""
+    command = [str(docs / a) if a.endswith(".json") else a for a in command]
+    code = main(command + ["--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and mode in captured.err
+
+
 def test_budget_exit_code(docs, capsys):
     code = main(
         ["sc", "--input", str(docs / "d1.json"), "--r", "3", "--budget", "50"]
