@@ -17,11 +17,15 @@ components differ by precomposition with a bijection of the invariant
 source), and the goal is any node invariant under the full symmetric group,
 which expands to a diagonal tuple.
 
-Modes: "exact" enumerates the whole node space (budgeted) and is complete,
-so a "no" carries an exhaustion record.  "bounded" explores single-orbit
-value moves from the start; it yields sound "yes" answers and "unknown"
-otherwise, never "no".  "auto" tries cheap distance <= 2 connections first
-and falls back to exact.
+Modes: every mode answers "yes" at once when the start is already a goal.
+"exact" then runs ``_class_bfs`` from the start: moves that change the
+value of one orbit class at a time, until a goal turns up or the start's
+component is exhausted.  That component is the start's whole component in
+the graph above, so a "no" carries an exhaustion record, and the budget
+bounds the explored nodes, never the size of the map space.  "auto" first
+tries connections of length <= 2 through constant and invariant maps, then
+runs the exact search.  "bounded" runs the same two stages but reports
+"unknown" where exact would report "no"; it never answers "no".
 """
 
 from collections import deque
@@ -81,26 +85,60 @@ def _check_tuple_inputs(maps, n):
     return src, tgt
 
 
-def _bfs(neighbors, start, stop_when, budget):
-    """Deterministic BFS.  Returns (parents, visit order, hit or None)."""
+def _class_bfs(classes, start, allowed, stop, budget):
+    """Deterministic BFS over moves that change the value of one class.
+
+    Nodes are value tuples constant on each class; ``allowed(ci, cur)`` is
+    the int bitmask of the values class ``ci`` may move to from ``cur``.
+    Returns (parents, hit), where hit is the first node with ``stop(node)``,
+    or None once the start's component is exhausted.  ``budget`` bounds the
+    explored nodes.
+
+    Exhausting these moves visits the start's whole component in the full
+    graph (any two adjacent maps), so a miss proves that no goal is
+    reachable:
+
+    * simplicial side: if phi and psi are 1-contiguous, set their classes
+      from phi to psi one at a time.  Every intermediate map sends each
+      simplex s into phi(s) | psi(s), which is a simplex, so each step is
+      simplicial and 1-contiguous with the one before.
+    * finite-space side: if phi <= psi, take a class holding a point that is
+      maximal where they differ.  A class is an orbit of a group acting by
+      automorphisms, hence an antichain: g.x < x would give the cycle
+      x = g^k.x < ... < g.x < x.  So every member is maximal where they
+      differ, and lifting the class to psi keeps the map monotone (points
+      below keep phi <= psi, points above already agree with psi), giving
+      phi <= phi' <= psi with one class fewer to change (cf. Barmak,
+      Algebraic Topology of Finite Topological Spaces and Applications,
+      LNM 2032, ch. 1).  Swap the roles when psi <= phi.
+    """
     parents = {start: None}
-    order = [start]
-    if stop_when(start):
-        return parents, order, start
+    if stop(start):
+        return parents, start
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for nxt in neighbors(cur):
-            if nxt in parents:
-                continue
-            parents[nxt] = cur
-            order.append(nxt)
-            if budget is not None and len(order) > budget:
-                raise BudgetExceeded(f"search explored more than {budget} nodes")
-            if stop_when(nxt):
-                return parents, order, nxt
-            queue.append(nxt)
-    return parents, order, None
+        for ci, cls in enumerate(classes):
+            mask = allowed(ci, cur) & ~(1 << cur[cls[0]])
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                w = low.bit_length() - 1
+                nxt = list(cur)
+                for i in cls:
+                    nxt[i] = w
+                nxt = tuple(nxt)
+                if nxt in parents:
+                    continue
+                parents[nxt] = cur
+                if budget is not None and len(parents) > budget:
+                    raise BudgetExceeded(
+                        f"search explored more than {budget} nodes"
+                    )
+                if stop(nxt):
+                    return parents, nxt
+                queue.append(nxt)
+    return parents, None
 
 
 def _path_to(parents, end):
@@ -122,12 +160,106 @@ def _constant_on(values, classes):
     return all(all(values[i] == values[cls[0]] for i in cls) for cls in classes)
 
 
-def _invariant_rows(arr, classes):
-    ok = np.ones(arr.shape[0], dtype=bool)
-    for cls in classes:
-        for i in cls[1:]:
-            ok &= arr[:, i] == arr[:, cls[0]]
-    return ok
+def _shortcut(path, directions):
+    """The subsequence of path, from its first node to its last, with the
+    shortest alternating form (a DP over the path's own nodes).
+
+    ``directions(a, b)`` is a bitmask of the ways a may step to b: 1 when
+    a <= b, 2 when a >= b, 0 when they are not adjacent.  A step keeps the
+    form 0 <= 1 >= 2 <= ... when it goes the needed way and costs a repeat
+    otherwise; contiguity steps go both ways, so there the DP counts hops.
+    """
+    links = [[directions(path[j], path[k]) for j in range(k)]
+             for k in range(len(path))]
+    best = [{0: (0, None)}]  # per node: length parity -> (length, previous)
+    for k in range(1, len(path)):
+        here = {}
+        for j, dirs in enumerate(links[k]):
+            if not dirs:
+                continue
+            for parity, (length, _) in best[j].items():
+                new = length + (1 if dirs & (1 << parity) else 2)
+                if new % 2 not in here or new < here[new % 2][0]:
+                    here[new % 2] = (new, (j, parity))
+        best.append(here)
+    k = len(path) - 1
+    state = (k, min(best[k], key=lambda parity: best[k][parity][0]))
+    out = []
+    while state is not None:
+        out.append(path[state[0]])
+        state = best[state[0]][state[1]][1]
+    return out[::-1]
+
+
+def _sees_all(targets):
+    """A stop predicate for _class_bfs: true once every target was seen."""
+    remaining = set(targets)
+
+    def stop(vals):
+        remaining.discard(vals)
+        return not remaining
+
+    return stop
+
+
+def _component_stage(space, start, stop, budget, mode):
+    """Run _class_bfs for a decider; returns (status, parents, hit, record).
+
+    Exact mode answers "no" on an exhausted component; bounded mode keeps
+    its contract and answers "unknown" instead.
+    """
+    parents, hit = _class_bfs(
+        space.classes, start, space.moves(), stop, budget
+    )
+    explored = len(parents)
+    if mode == "bounded":
+        status = "yes" if hit is not None else "unknown"
+        return status, parents, hit, {"stage": "bounded", "explored": explored}
+    record = {"total_nodes": explored, "explored": explored, "stage": "exact"}
+    if hit is None:
+        record["exhausted_component"] = True
+    return ("yes" if hit is not None else "no"), parents, hit, record
+
+
+def _enumerate_classes(classes, nvalues, size, fits, budget, first_only,
+                       what):
+    """Value tuples constant on classes, in lex order, built class by class.
+
+    ``fits(ci, values)`` judges the value just written into class ci against
+    the classes before it; later classes still hold -1.  An explicit stack
+    of next values replaces recursion, whose depth would be the number of
+    classes.
+    """
+    values = [-1] * size
+    trial = [0] * len(classes)
+    out = []
+    ci = 0
+    while ci >= 0:
+        if ci == len(classes):
+            out.append(tuple(values))
+            if budget is not None and len(out) > budget:
+                raise BudgetExceeded(f"more than {budget} {what}")
+            if first_only:
+                break
+            ci -= 1
+            continue
+        cls = classes[ci]
+        v = trial[ci]
+        while v < nvalues:
+            for i in cls:
+                values[i] = v
+            v += 1
+            if fits(ci, values):
+                break
+        else:
+            for i in cls:
+                values[i] = -1
+            trial[ci] = 0
+            ci -= 1
+            continue
+        trial[ci] = v
+        ci += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,45 +305,27 @@ class _SimplicialSpace:
                        first_only=False):
         """Valid maps constant on classes, as value tuples in lex order."""
         classes = self.classes if classes is None else classes
-        nv, nt = len(self.sverts), len(self.tverts)
-        values = [-1] * nv
-        fmasks = [0] * len(self.facets)
-        out = []
+        touched = [self._touched(cls) for cls in classes]
 
-        def rec(ci):
-            if ci == len(classes):
-                out.append(tuple(values))
-                if budget is not None and len(out) > budget:
-                    raise BudgetExceeded(f"more than {budget} simplicial maps")
-                return first_only
-            touched = sorted(
-                {fi for i in classes[ci] for fi in self._facets_of_vertex[i]}
-            )
-            for w in range(nt):
-                old = [fmasks[fi] for fi in touched]
-                for i in classes[ci]:
-                    values[i] = w
-                ok = True
-                for fi in touched:
-                    mask = 0
-                    for i in self.facets[fi]:
-                        if values[i] >= 0:
-                            mask |= 1 << values[i]
-                    if not self.lut[mask]:
-                        ok = False
-                    fmasks[fi] = mask
-                if ok and extra_ok is not None:
-                    ok = extra_ok(values, touched, fmasks)
-                if ok and rec(ci + 1):
-                    return True
-                for i in classes[ci]:
-                    values[i] = -1
-                for fi, m in zip(touched, old):
-                    fmasks[fi] = m
-            return False
+        def fits(ci, values):
+            masks = {}
+            for fi in touched[ci]:
+                mask = 0
+                for i in self.facets[fi]:
+                    if values[i] >= 0:
+                        mask |= 1 << values[i]
+                if not self.lut[mask]:
+                    return False
+                masks[fi] = mask
+            return extra_ok is None or extra_ok(values, touched[ci], masks)
 
-        rec(0)
-        return out
+        return _enumerate_classes(
+            classes, len(self.tverts), len(self.sverts), fits, budget,
+            first_only, "simplicial maps",
+        )
+
+    def _touched(self, cls):
+        return sorted({fi for i in cls for fi in self._facets_of_vertex[i]})
 
     def full_masks(self, values):
         out = []
@@ -222,20 +336,31 @@ class _SimplicialSpace:
             out.append(mask)
         return out
 
-    def facet_mask_array(self, arr):
-        """(N, F) int64 facet image masks for an (N, |V|) value array."""
-        n = arr.shape[0]
-        out = np.zeros((n, len(self.facets)), dtype=np.int64)
-        for fi, f in enumerate(self.facets):
-            m = np.zeros(n, dtype=np.int64)
-            for i in f:
-                m |= np.int64(1) << arr[:, i].astype(np.int64)
-            out[:, fi] = m
-        return out
+    def moves(self):
+        """``allowed`` for _class_bfs over self.classes.
 
-    def contiguous_rows(self, fmask_arr, i):
-        union = fmask_arr | fmask_arr[i]
-        return self.lut[union].all(axis=1)
+        Class ci may move to w when every touched facet's image plus w is a
+        simplex: the new map is then simplicial and 1-contiguous with cur.
+        """
+        ext = {}
+        for m in np.flatnonzero(self.lut).tolist():
+            ext[m] = sum(
+                1 << w for w in range(len(self.tverts))
+                if self.lut[m | (1 << w)]
+            )
+        touched = [self._touched(cls) for cls in self.classes]
+        every = (1 << len(self.tverts)) - 1
+        last = [None, None]  # cur and its facet masks
+
+        def allowed(ci, cur):
+            if last[0] is not cur:
+                last[0], last[1] = cur, self.full_masks(cur)
+            out = every
+            for fi in touched[ci]:
+                out &= ext[last[1][fi]]
+            return out
+
+        return allowed
 
     def pair_contiguous(self, a, b):
         for f in self.facets:
@@ -245,6 +370,10 @@ class _SimplicialSpace:
             if not self.lut[mask]:
                 return False
         return True
+
+    def directions(self, a, b):
+        """Contiguity is symmetric: both ways or neither (see _shortcut)."""
+        return 3 if self.pair_contiguous(a, b) else 0
 
     def values_of(self, vertex_map):
         return tuple(self.tvi[vertex_map[v]] for v in self.sverts)
@@ -303,39 +432,6 @@ def _simplicial_quick(space, sigma_classes, start, budget):
     return None
 
 
-def _simplicial_bounded(space, start, is_goal, budget):
-    """Single-class move BFS; sound yes only."""
-
-    def neighbors(cur):
-        out = []
-        for cls in space.classes:
-            for w in range(len(space.tverts)):
-                if w == cur[cls[0]]:
-                    continue
-                nxt = list(cur)
-                for i in cls:
-                    nxt[i] = w
-                nxt = tuple(nxt)
-                ok = True
-                for f in space.facets:
-                    mask_new = 0
-                    mask_union = 0
-                    for i in f:
-                        mask_new |= 1 << nxt[i]
-                        mask_union |= (1 << nxt[i]) | (1 << cur[i])
-                    if not (space.lut[mask_new] and space.lut[mask_union]):
-                        ok = False
-                        break
-                if ok:
-                    out.append(nxt)
-        return out
-
-    parents, order, hit = _bfs(neighbors, start, is_goal, budget)
-    if hit is None:
-        return None, len(order)
-    return _path_to(parents, hit), len(order)
-
-
 # ---------------------------------------------------------------------------
 # symmetric / plain contiguity deciders
 # ---------------------------------------------------------------------------
@@ -390,43 +486,16 @@ def sym_contiguous(maps, n, depth, mode="exact", budget=50_000,
         quick = _simplicial_quick(space, sigma_classes, start, budget)
         if quick is not None:
             return SearchResult("yes", chain_of(quick), {"stage": "quick"})
-        if mode == "bounded":
-            path, explored = _simplicial_bounded(space, start, is_diag, budget)
-            if path is not None:
-                return SearchResult(
-                    "yes", chain_of(list(reversed(path))),
-                    {"stage": "bounded", "explored": explored},
-                )
-            return SearchResult(
-                "unknown", record={"stage": "bounded", "explored": explored}
-            )
 
-    nodes = space.enumerate_maps(budget=budget)
-    index = {v: i for i, v in enumerate(nodes)}
-    if start not in index:
+    if not _constant_on(start, g_classes):
         raise NotEquivariant("tuple's first map is not constraint-invariant")
-    arr = np.array(nodes, dtype=np.int64).reshape(len(nodes), -1)
-    fmask_arr = space.facet_mask_array(arr)
-    diag = _invariant_rows(arr, sigma_classes)
-
-    def neighbors(i):
-        row = space.contiguous_rows(fmask_arr, i)
-        return [int(j) for j in np.flatnonzero(row) if j != i]
-
-    parents, order, hit = _bfs(
-        neighbors, index[start], lambda i: bool(diag[i]), budget
+    status, parents, hit, record = _component_stage(
+        space, start, is_diag, budget, mode
     )
-    record = {
-        "total_nodes": len(nodes),
-        "explored": len(order),
-        "diagonal_nodes": int(diag.sum()),
-        "stage": "exact",
-    }
-    if hit is None:
-        record["exhausted_component"] = True
-        return SearchResult("no", record=record)
-    path = [nodes[i] for i in _path_to(parents, hit)]
-    return SearchResult("yes", chain_of(list(reversed(path))), record)
+    if status != "yes":
+        return SearchResult(status, record=record)
+    path = _shortcut(_path_to(parents, hit)[::-1], space.directions)
+    return SearchResult("yes", chain_of(path), record)
 
 
 def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
@@ -460,35 +529,14 @@ def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
         quick = _plain_quick_simplicial(space, starts, budget)
         if quick is not None:
             return SearchResult("yes", chain_of(quick), {"stage": "quick"})
-        if mode == "bounded":
-            return SearchResult("unknown", record={"stage": "bounded"})
 
-    nodes = space.enumerate_maps(budget=budget)
-    index = {v: i for i, v in enumerate(nodes)}
-    arr = np.array(nodes, dtype=np.int64).reshape(len(nodes), -1)
-    fmask_arr = space.facet_mask_array(arr)
-
-    def neighbors(i):
-        row = space.contiguous_rows(fmask_arr, i)
-        return [int(j) for j in np.flatnonzero(row) if j != i]
-
-    remaining = {index[s] for s in starts}
-
-    def stop(i):
-        remaining.discard(i)
-        return not remaining
-
-    parents, order, hit = _bfs(neighbors, index[starts[0]], stop, budget)
-    record = {
-        "total_nodes": len(nodes),
-        "explored": len(order),
-        "stage": "exact",
-    }
-    if hit is None:
-        record["exhausted_component"] = True
-        return SearchResult("no", record=record)
+    status, parents, _, record = _component_stage(
+        space, starts[0], _sees_all(starts), budget, mode
+    )
+    if status != "yes":
+        return SearchResult(status, record=record)
     branch_paths = [
-        [nodes[i] for i in _path_to(parents, index[s])] for s in starts
+        _shortcut(_path_to(parents, s), space.directions) for s in starts
     ]
     return SearchResult("yes", chain_of(branch_paths), record)
 
@@ -533,12 +581,11 @@ class _MonotoneSpace:
         """Monotone maps constant on classes; ``allowed[i]`` restricts values."""
         classes = self.classes if classes is None else classes
         leq_q, leq_p = self.Q.leq, self.P.leq
-        nq, npp = len(self.els), len(self.tels)
-        values = [-1] * nq
-        out = []
+        nq = len(self.els)
 
-        def ok(cls, v):
-            for i in cls:
+        def fits(ci, values):
+            v = values[classes[ci][0]]
+            for i in classes[ci]:
                 if allowed is not None and v not in allowed[i]:
                     return False
                 for j in range(nq):
@@ -551,31 +598,48 @@ class _MonotoneSpace:
                         return False
             return True
 
-        def rec(ci):
-            if ci == len(classes):
-                out.append(tuple(values))
-                if budget is not None and len(out) > budget:
-                    raise BudgetExceeded(f"more than {budget} monotone maps")
-                return first_only
-            for v in range(npp):
-                if ok(classes[ci], v):
-                    for i in classes[ci]:
-                        values[i] = v
-                    if rec(ci + 1):
-                        return True
-                    for i in classes[ci]:
-                        values[i] = -1
-            return False
+        return _enumerate_classes(
+            classes, len(self.tels), nq, fits, budget, first_only,
+            "monotone maps",
+        )
 
-        rec(0)
-        return out
+    def moves(self):
+        """``allowed`` for _class_bfs over self.classes.
 
-    def le_rows(self, arr, i, reverse=False):
-        """Boolean rows: node i <= node j pointwise (or >= with reverse)."""
-        row = np.broadcast_to(arr[i], arr.shape)
-        if reverse:
-            return self.P.leq[arr, row].all(axis=1)
-        return self.P.leq[row, arr].all(axis=1)
+        Class ci may move to a value comparable with its current one that
+        stays below the values of the points above the class and above those
+        of the points below it: the new map is then monotone and comparable
+        with cur.
+        """
+        leq_q, leq_p = self.Q.leq, self.P.leq
+        npp = len(self.tels)
+        up = [sum(1 << w for w in range(npp) if leq_p[v, w])
+              for v in range(npp)]
+        down = [sum(1 << w for w in range(npp) if leq_p[w, v])
+                for v in range(npp)]
+        below, above = [], []
+        for cls in self.classes:
+            members = set(cls)
+            for rel, out in ((leq_q[:, cls].any(axis=1), below),
+                             (leq_q[cls].any(axis=0), above)):
+                out.append([j for j in np.flatnonzero(rel).tolist()
+                            if j not in members])
+        heads = [cls[0] for cls in self.classes]
+
+        def allowed(ci, cur):
+            v = cur[heads[ci]]
+            out = up[v] | down[v]
+            for j in below[ci]:
+                out &= up[cur[j]]
+            for j in above[ci]:
+                out &= down[cur[j]]
+            return out
+
+        return allowed
+
+    def directions(self, a, b):
+        """1 when a <= b, plus 2 when a >= b (see _shortcut)."""
+        return self.pair_le(a, b) | (self.pair_le(b, a) << 1)
 
     def pair_le(self, a, b):
         return all(self.P.leq[x, y] for x, y in zip(a, b))
@@ -655,50 +719,6 @@ def _monotone_quick(space, sigma_classes, start, budget):
     return None
 
 
-def _monotone_bounded(space, start, is_goal, budget):
-    """Single-class move BFS along comparabilities; sound yes only."""
-    leq_p = space.P.leq
-    npp = len(space.tels)
-
-    def neighbors(cur):
-        out = []
-        for cls in space.classes:
-            for w in range(npp):
-                if w == cur[cls[0]]:
-                    continue
-                if not (leq_p[cur[cls[0]], w] or leq_p[w, cur[cls[0]]]):
-                    continue
-                nxt = list(cur)
-                for i in cls:
-                    nxt[i] = w
-                nxt = tuple(nxt)
-                ok = True
-                for i in cls:
-                    for j in range(len(space.els)):
-                        if space.Q.leq[i, j] and not leq_p[nxt[i], nxt[j]]:
-                            ok = False
-                            break
-                        if space.Q.leq[j, i] and not leq_p[nxt[j], nxt[i]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                # the move must itself be a comparability step
-                if ok and not (
-                    all(leq_p[a, b] for a, b in zip(cur, nxt))
-                    or all(leq_p[b, a] for a, b in zip(cur, nxt))
-                ):
-                    ok = False
-                if ok:
-                    out.append(nxt)
-        return out
-
-    parents, order, hit = _bfs(neighbors, start, is_goal, budget)
-    if hit is None:
-        return None, len(order)
-    return _path_to(parents, hit), len(order)
-
-
 # ---------------------------------------------------------------------------
 # symmetric / plain combinatorial homotopy deciders
 # ---------------------------------------------------------------------------
@@ -729,7 +749,7 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
     start = space.values_of(tables[0])
 
     def homotopy_of(path):
-        seq = _alternate(list(reversed(path)), space.pair_le)
+        seq = _alternate(path, space.pair_le)
         m = len(seq) - 1
         table = {}
         for x in Q.elements:
@@ -755,45 +775,19 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
         quick = _monotone_quick(space, sigma_classes, start, budget)
         if quick is not None:
             return SearchResult(
-                "yes", homotopy_of(list(reversed(quick))), {"stage": "quick"}
-            )
-        if mode == "bounded":
-            path, explored = _monotone_bounded(space, start, is_diag, budget)
-            if path is not None:
-                return SearchResult(
-                    "yes", homotopy_of(path),
-                    {"stage": "bounded", "explored": explored},
-                )
-            return SearchResult(
-                "unknown", record={"stage": "bounded", "explored": explored}
+                "yes", homotopy_of(quick), {"stage": "quick"}
             )
 
-    nodes = space.enumerate_maps(budget=budget)
-    index = {v: i for i, v in enumerate(nodes)}
-    if start not in index:
+    if not _constant_on(start, g_classes):
         raise NotEquivariant("tuple's first map is not constraint-invariant")
-    arr = np.array(nodes, dtype=np.intp).reshape(len(nodes), -1)
-    diag = _invariant_rows(arr, sigma_classes)
-
-    def neighbors(i):
-        row = space.le_rows(arr, i) | space.le_rows(arr, i, reverse=True)
-        return [int(j) for j in np.flatnonzero(row) if j != i]
-
-    parents, order, hit = _bfs(
-        neighbors, index[start], lambda i: bool(diag[i]), budget
+    status, parents, hit, record = _component_stage(
+        space, start, is_diag, budget, mode
     )
-    record = {
-        "total_nodes": len(nodes),
-        "explored": len(order),
-        "diagonal_nodes": int(diag.sum()),
-        "stage": "exact",
-    }
-    if not Q.is_connected():
+    if mode != "bounded" and not Q.is_connected():
         record["disconnected_source"] = True
-    if hit is None:
-        record["exhausted_component"] = True
-        return SearchResult("no", record=record)
-    path = [nodes[i] for i in _path_to(parents, hit)]
+    if status != "yes":
+        return SearchResult(status, record=record)
+    path = _shortcut(_path_to(parents, hit)[::-1], space.directions)
     return SearchResult("yes", homotopy_of(path), record)
 
 
@@ -833,34 +827,14 @@ def plain_comb_homotopic(maps, depth=0, mode="exact", budget=50_000):
         quick = _plain_quick_monotone(space, starts, budget)
         if quick is not None:
             return SearchResult("yes", homotopy_of(quick), {"stage": "quick"})
-        if mode == "bounded":
-            return SearchResult("unknown", record={"stage": "bounded"})
 
-    nodes = space.enumerate_maps(budget=budget)
-    index = {v: i for i, v in enumerate(nodes)}
-    arr = np.array(nodes, dtype=np.intp).reshape(len(nodes), -1)
-
-    def neighbors(i):
-        row = space.le_rows(arr, i) | space.le_rows(arr, i, reverse=True)
-        return [int(j) for j in np.flatnonzero(row) if j != i]
-
-    remaining = {index[s] for s in starts}
-
-    def stop(i):
-        remaining.discard(i)
-        return not remaining
-
-    parents, order, hit = _bfs(neighbors, index[starts[0]], stop, budget)
-    record = {
-        "total_nodes": len(nodes),
-        "explored": len(order),
-        "stage": "exact",
-    }
-    if hit is None:
-        record["exhausted_component"] = True
-        return SearchResult("no", record=record)
+    status, parents, _, record = _component_stage(
+        space, starts[0], _sees_all(starts), budget, mode
+    )
+    if status != "yes":
+        return SearchResult(status, record=record)
     branch_paths = [
-        [nodes[i] for i in _path_to(parents, index[s])] for s in starts
+        _shortcut(_path_to(parents, s), space.directions) for s in starts
     ]
     return SearchResult("yes", homotopy_of(branch_paths), record)
 

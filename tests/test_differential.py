@@ -11,7 +11,7 @@ covered too.  Every "yes" witness must pass the independent checker.
 
 from itertools import permutations
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from symtc.complexes import from_facets, restrict_map, subcomplex_from_simplices
 from symtc.constructions import (
@@ -93,6 +93,7 @@ def complex_cases(draw):
         for s in chosen for p in _perms(n, False)
     }
     piece = subcomplex_from_simplices(top, orbits)
+    assume(size ** len(piece.vertices) <= 5_000)
     return n, tower, [restrict_map(f, piece) for f in maps]
 
 
@@ -117,6 +118,7 @@ def poset_cases(draw):
     Q = top.restrict(top.down_closure(
         {_permuted(x, p) for x in chosen for p in _perms(n, False)}
     ))
+    assume(size ** len(Q.elements) <= 5_000)
     return n, P, [
         MonotoneMap(Q, P, {y: f.mapping[y] for y in Q.elements}) for f in maps
     ]

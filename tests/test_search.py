@@ -319,3 +319,32 @@ def test_single_point_moves_connect_comparable_pairs():
                     steps += 1
                     assert steps <= size
                 assert steps >= 1
+
+
+def test_enumeration_depth_is_not_recursion_depth():
+    """Enumeration and the quick stage's bridge and bound maps walk one
+    class after another; a source with more classes than the recursion
+    limit allows frames must not hit it."""
+    import inspect
+    import sys
+
+    from symtc.complexes import from_facets
+    from symtc.search import _MonotoneSpace, _SimplicialSpace
+
+    size = 300
+    path = from_facets(range(size), [(i, i + 1) for i in range(size - 1)])
+    edge = from_facets("ab", [("a", "b")])
+    chain = poset_from_relations(range(size), [(i, i + 1) for i in range(size - 1)])
+    two = poset_from_relations([0, 1], [(0, 1)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        simplicial = _SimplicialSpace(path, edge)
+        first = simplicial.enumerate_maps(first_only=True)
+        assert first == [(0,) * size]
+        assert simplicial.bridge((0,) * size, (1,) * size) == (0,) * size
+        monotone = _MonotoneSpace(chain, two)
+        assert monotone.enumerate_maps(first_only=True) == [(0,) * size]
+        assert monotone.bound_map((0,) * size, (1,) * size) == (1,) * size
+    finally:
+        sys.setrecursionlimit(limit)
