@@ -572,7 +572,6 @@ def stabilize_over_r(invariant, instance, n=2, max_r=1, mode="exact",
     A strict increase between consecutive exact values is a hard error: the
     per-level values form a non-increasing sequence.
     """
-    _check_mode(mode)
     fn = STABILIZE_INVARIANTS[invariant]
     rows = []
     running = INFINITY

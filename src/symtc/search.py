@@ -226,9 +226,9 @@ def _enumerate_classes(classes, nvalues, size, fits, budget, first_only,
     """Value tuples constant on classes, in lex order, built class by class.
 
     ``fits(ci, values)`` judges the value just written into class ci against
-    the classes before it; later classes still hold -1.  An explicit stack
-    of next values replaces recursion, whose depth would be the number of
-    classes.
+    the classes before it; later classes still hold -1.  ``trial`` keeps the
+    next value to try for each class, so the walk needs no recursion: one
+    frame per class would overflow Python's stack on large sources.
     """
     values = [-1] * size
     trial = [0] * len(classes)
