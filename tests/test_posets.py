@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symtc.errors import BadArity, CycleDetected, SizeLimitExceeded, UnknownElement
 from symtc.io import poset_from_doc, poset_to_doc
@@ -8,6 +11,7 @@ from symtc.posets import (
     fence,
     fence_map_check,
     mapping_poset,
+    monotone_value_tuples,
     multi_fence,
     order_complex,
     poset_from_relations,
@@ -230,3 +234,64 @@ def test_connectivity(v_poset):
     assert v_poset.is_connected()
     two = poset_from_relations("ab", [])
     assert not two.is_connected()
+
+
+@st.composite
+def _small_poset(draw, size):
+    pairs = list(combinations(range(size), 2))
+    rel = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return poset_from_relations(range(size), rel)
+
+
+@st.composite
+def enumeration_cases(draw):
+    nq = draw(st.integers(min_value=1, max_value=5))
+    npp = draw(st.integers(min_value=1, max_value=4))
+    Q, P = draw(_small_poset(nq)), draw(_small_poset(npp))
+    classes = None
+    if draw(st.booleans()):
+        label = draw(st.lists(st.integers(0, nq - 1), min_size=nq, max_size=nq))
+        groups = {}
+        for i in draw(st.permutations(range(nq))):
+            groups.setdefault(label[i], []).append(i)
+        classes = [groups[c] for c in draw(st.permutations(sorted(groups)))]
+    allowed = None
+    if draw(st.booleans()):
+        allowed = [
+            draw(st.sets(st.integers(0, npp - 1), max_size=npp))
+            for _ in range(nq)
+        ]
+    return Q, P, classes, allowed
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(enumeration_cases())
+def test_value_tuples_against_oracle(case):
+    """Class-constant allowed maps from the oracle, in lex order of the
+    class values; first_only gives the first and the budget is exact."""
+    Q, P, classes, allowed = case
+    order = classes or [[i] for i in range(len(Q.elements))]
+    expected = []
+    for m in brute_monotone_maps(Q.elements, Q.le, P.elements, P.le):
+        t = tuple(P.index[m[x]] for x in Q.elements)
+        if any(len({t[i] for i in cls}) > 1 for cls in order):
+            continue
+        if allowed is not None and any(
+            t[i] not in allowed[i] for i in range(len(t))
+        ):
+            continue
+        expected.append(t)
+    expected.sort(key=lambda t: [t[cls[0]] for cls in order])
+
+    def run(**kw):
+        return monotone_value_tuples(
+            Q, P, classes=classes, allowed=allowed, **kw
+        )
+
+    assert run() == expected
+    assert run(first_only=True) == expected[:1]
+    assert run(budget=len(expected)) == expected
+    if expected:
+        with pytest.raises(SizeLimitExceeded):
+            run(budget=len(expected) - 1)
