@@ -263,47 +263,67 @@ def monotone_value_tuples(Q, P, budget=None, classes=None, allowed=None,
     to be constant on each class (used for group-invariant enumeration).
     ``allowed[i]`` restricts the values element i may take.  Raises
     SizeLimitExceeded when more than ``budget`` maps exist.
+
+    Classes are filled in order, each with its admissible values ascending,
+    so the tuples come out in lexicographic order of the class values.  The
+    admissible values of a class form a bitmask over P: the values allowed
+    to all its elements, ANDed with ``up[values[j]]`` for every element j of
+    an earlier class below one of its elements and with ``down[values[j]]``
+    for every such j above one (``bounds`` lists these pairs per class).  ``untried[ci]`` holds the values class ci
+    has still to try, so the walk needs no recursion: one frame per class
+    would overflow Python's stack on large sources.
     """
     nq, npp = len(Q.elements), len(P.elements)
     if classes is None:
         classes = [[i] for i in range(nq)]
-    leq_q, leq_p = Q.leq, P.leq
+    leq_q, leq_p = Q.leq.tolist(), P.leq.tolist()
+    up = [sum(1 << w for w in range(npp) if leq_p[v][w]) for v in range(npp)]
+    down = [sum(1 << w for w in range(npp) if leq_p[w][v]) for v in range(npp)]
+    base, bounds = [], []
+    earlier = []
+    for cls in classes:
+        mask = (1 << npp) - 1
+        if allowed is not None:
+            for i in cls:
+                mask &= sum(1 << v for v in range(npp) if v in allowed[i])
+        base.append(mask)
+        bounds.append(
+            [(j, up) for j in earlier if any(leq_q[j][i] for i in cls)]
+            + [(j, down) for j in earlier if any(leq_q[i][j] for i in cls)]
+        )
+        earlier.extend(cls)
+
+    nc = len(classes)
     out = []
     values = [-1] * nq
-
-    def ok(cls, v):
-        for i in cls:
-            if allowed is not None and v not in allowed[i]:
-                return False
-            for j in range(nq):
-                w = values[j]
-                if w < 0:
-                    continue
-                if leq_q[i, j] and not leq_p[v, w]:
-                    return False
-                if leq_q[j, i] and not leq_p[w, v]:
-                    return False
-        return True
-
-    def rec(ci):
-        if ci == len(classes):
+    untried = base[:1] + [0] * (nc - 1)
+    ci = 0
+    while ci >= 0:
+        if ci == nc:
             out.append(tuple(values))
             if budget is not None and len(out) > budget:
                 raise SizeLimitExceeded(
                     f"more than {budget} monotone maps"
                 )
-            return first_only
-        for v in range(npp):
-            if ok(classes[ci], v):
-                for i in classes[ci]:
-                    values[i] = v
-                if rec(ci + 1):
-                    return True
-                for i in classes[ci]:
-                    values[i] = -1
-        return False
-
-    rec(0)
+            if first_only:
+                break
+            ci -= 1
+            continue
+        rest = untried[ci]
+        if not rest:
+            ci -= 1
+            continue
+        low = rest & -rest
+        untried[ci] = rest ^ low
+        v = low.bit_length() - 1
+        for i in classes[ci]:
+            values[i] = v
+        ci += 1
+        if ci < nc:
+            mask = base[ci]
+            for j, table in bounds[ci]:
+                mask &= table[values[j]]
+            untried[ci] = mask
     return out
 
 

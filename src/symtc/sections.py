@@ -7,10 +7,27 @@ its layer maps h^0, h^1, ..., h^m (h^l sends x to the path value at l on the
 first fence; the other branches are forced by equivariance), which form an
 alternating zigzag in the poset of constraint-invariant monotone maps ending
 at the projection.  For each m the set of feasible h^0 is computed by a
-backward closure sweep; the sweep's layer sets grow monotonically every two
-steps, so once two consecutive layers repeat, no larger m can help and a
-"no" is proven.  Small m values (0, 1, 2) are checked by targeted
-constructions first, so well-behaved instances never enumerate the map space.
+backward closure sweep; the sweep's layer sets only grow with m, so once
+two consecutive layers repeat, no larger m can help and a "no" is proven.
+Small m values (0, 1, 2) are checked by targeted constructions first, so
+well-behaved instances never enumerate the map space.
+
+The sweep works on bitsets.  The N enumerated maps are numbered in
+enumeration order and a set of them is a Python int, bit i for map i.
+``le_bits[k][v]`` marks the maps whose k-th value is <= v and
+``ge_bits[k][v]`` those whose k-th value is >= v, so the cone {h <= g} of a
+map g is the AND of one bitset per element of Q, and no N x N relation is
+built (N reaches 32,148 on the power of the 4-point circle).  The layers
+are A_0 = B_0 = {projection}, A_m = {h <= some member of B_{m-1}} and
+B_m = {h >= some member of A_{m-1}}.  They grow: A_1 and B_1 contain the
+projection because the order is reflexive, and B_{m-1} containing B_{m-2}
+makes A_m contain A_{m-1} (likewise for B).  A cone of a union is the union
+of the cones, so A_m is A_{m-1} together with the cones of the maps new to
+B_{m-1}: the closure is incremental and takes each map's cone at most once
+per direction.  Growth also gives A_m containing A_{m-2}, so the stopping
+test A_m = A_{m-2}, B_m = B_{m-2} means the layers no longer change.  The
+first hit is the lowest set bit, the first invariant map in enumeration
+order.
 """
 
 from dataclasses import dataclass, field
@@ -111,11 +128,12 @@ def section_search(Q, P, n, depth, budget=50_000):
     invariants = [
         tuple([v] * len(Q.elements)) for v in range(len(P.elements))
     ]
+    constants = set(invariants)
     try:
         invariants += [
             t for t in monotone_value_tuples(
                 Q, P, budget=2_000, classes=sigma_classes
-            ) if t not in set(invariants)
+            ) if t not in constants
         ]
     except BudgetExceeded:
         pass
@@ -147,40 +165,38 @@ def section_search(Q, P, n, depth, budget=50_000):
 
     # full sweep over the constraint-invariant map space
     nodes = monotone_value_tuples(Q, P, budget=budget, classes=g_classes)
-    index = {v: i for i, v in enumerate(nodes)}
     arr = np.array(nodes, dtype=np.intp).reshape(len(nodes), -1)
     inv_rows = np.ones(len(nodes), dtype=bool)
     for cls in sigma_classes:
         for i in cls[1:]:
             inv_rows &= arr[:, i] == arr[:, cls[0]]
+    inv_bits = _bits(inv_rows)
+    down_cone, up_cone = _cones(nodes, arr, leq)
 
-    def closure(mask, upward):
-        """Nodes comparable from some member of the mask, one fence step."""
-        out = np.zeros(len(nodes), dtype=bool)
-        for i in np.flatnonzero(mask):
-            row = np.broadcast_to(arr[i], arr.shape)
-            if upward:
-                out |= leq[arr, row].all(axis=1)  # h <= member
-            else:
-                out |= leq[row, arr].all(axis=1)  # h >= member
+    def closure(new, cone):
+        """Union of the cones of the nodes in the bitset ``new``."""
+        out = 0
+        for i in _members(new, len(nodes)):
+            out |= cone(i)
         return out
 
-    start_idx = index[start]
-    a_layers = [np.zeros(len(nodes), dtype=bool)]
-    b_layers = [np.zeros(len(nodes), dtype=bool)]
-    a_layers[0][start_idx] = True
-    b_layers[0][start_idx] = True
+    start_bit = 1 << nodes.index(start)
+    a_layers = [start_bit]
+    b_layers = [start_bit]
+    fresh_a = fresh_b = start_bit  # the maps new to A_{m-1} and B_{m-1}
     m = 0
     while True:
         m += 1
-        a_next = closure(b_layers[m - 1], upward=True)
-        b_next = closure(a_layers[m - 1], upward=False)
+        a_next = a_layers[-1] | closure(fresh_b, down_cone)
+        b_next = b_layers[-1] | closure(fresh_a, up_cone)
+        fresh_a, fresh_b = a_next & ~a_layers[-1], b_next & ~b_layers[-1]
         a_layers.append(a_next)
         b_layers.append(b_next)
-        hit = np.flatnonzero(a_next & inv_rows)
-        if hit.size:
+        hit = a_next & inv_bits
+        if hit:
             layers = _reconstruct(
-                nodes, arr, leq, a_layers, b_layers, int(hit[0]), m
+                nodes, down_cone, up_cone, a_layers, b_layers,
+                _lowest(hit), m,
             )
             return SectionOutcome(
                 "yes",
@@ -190,34 +206,67 @@ def section_search(Q, P, n, depth, budget=50_000):
                 {"m": m, "stage": "sweep", "nodes": len(nodes)},
             )
         if m >= 2 and (
-            (a_next == a_layers[m - 2]).all()
-            and (b_next == b_layers[m - 2]).all()
+            a_next == a_layers[m - 2] and b_next == b_layers[m - 2]
         ):
             return SectionOutcome(
                 "no",
                 record={
                     "stabilized_at": m,
                     "nodes": len(nodes),
-                    "invariant_nodes": int(inv_rows.sum()),
+                    "invariant_nodes": inv_bits.bit_count(),
                 },
             )
 
 
-def _reconstruct(nodes, arr, leq, a_layers, b_layers, h0_idx, m):
+def _bits(mask):
+    """A boolean vector over the nodes as an int: bit i is node i."""
+    packed = np.packbits(mask, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _members(bits, size):
+    """The node indices set in ``bits``, ascending."""
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+
+
+def _lowest(bits):
+    return (bits & -bits).bit_length() - 1
+
+
+def _cones(nodes, arr, leq):
+    """Cone functions over the nodes: down(i) = {h <= h_i}, up(i) = {h >= h_i}.
+
+    ``le_bits[k][v]`` marks the nodes whose k-th value is <= v and
+    ``ge_bits[k][v]`` those whose k-th value is >= v, so a cone is the AND
+    of one bitset per source element.
+    """
+    le_bits, ge_bits = [], []
+    for k in range(arr.shape[1]):
+        col = arr[:, k]
+        le_bits.append([_bits(leq[col, v]) for v in range(leq.shape[0])])
+        ge_bits.append([_bits(leq[v, col]) for v in range(leq.shape[0])])
+
+    def cone(bits, i):
+        out = -1
+        for k, v in enumerate(nodes[i]):
+            out &= bits[k][v]
+        return out
+
+    return (lambda i: cone(le_bits, i)), (lambda i: cone(ge_bits, i))
+
+
+def _reconstruct(nodes, down_cone, up_cone, a_layers, b_layers, h0_idx, m):
     """Greedy layer extraction: h^0 in A_m, alternating down the sweep."""
     seq = [h0_idx]
     cur = h0_idx
     for l in range(1, m + 1):
-        want_up = l % 2 == 1
-        layer = b_layers[m - l] if want_up else a_layers[m - l]
-        row = np.broadcast_to(arr[cur], arr.shape)
-        if want_up:
-            ok = leq[row, arr].all(axis=1)  # cur <= next
+        if l % 2 == 1:
+            cand = up_cone(cur) & b_layers[m - l]  # cur <= next
         else:
-            ok = leq[arr, row].all(axis=1)
-        cand = np.flatnonzero(ok & layer)
-        assert cand.size, "sweep reconstruction lost the path"
-        cur = int(cand[0])
+            cand = down_cone(cur) & a_layers[m - l]
+        assert cand, "sweep reconstruction lost the path"
+        cur = _lowest(cand)
         seq.append(cur)
     return [nodes[i] for i in seq]
 

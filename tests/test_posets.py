@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import pytest
@@ -234,6 +235,20 @@ def test_connectivity(v_poset):
     assert v_poset.is_connected()
     two = poset_from_relations("ab", [])
     assert not two.is_connected()
+
+
+def test_value_tuples_depth_is_not_recursion_depth():
+    """The enumerator walks one class after another without recursion, so a
+    source with more classes than the recursion limit allows frames works."""
+    anti = poset_from_relations(range(300), [])
+    two = poset_from_relations([0, 1], [(0, 1)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        first = monotone_value_tuples(anti, two, first_only=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first == [(0,) * 300]
 
 
 @st.composite

@@ -198,3 +198,27 @@ def test_section_search_circle_outcomes_pinned(labelling):
             got.append((key, "no", rec["nodes"], rec["invariant_nodes"],
                         rec["stabilized_at"]))
     assert got == CIRCLE_OUTCOMES[labelling]
+
+
+def test_section_search_sweep_yes_pinned():
+    """A piece of the 5-point fence 3 > 1 < 2 > 0 < 4 whose section needs a
+    fence of length 3: the sweep finds it and the layers are reconstructed
+    greedily, lowest node first."""
+    P = poset_from_relations(range(5), [(0, 2), (0, 4), (1, 2), (1, 3)])
+    L = power_poset(P, 2)
+    Q = L.restrict([(0, 1), (0, 3), (1, 0), (1, 4), (3, 0), (4, 1)])
+    out = section_search(Q, P, 2, 0)
+    assert out.record == {"m": 3, "stage": "sweep", "nodes": 441}
+    w = out.witness
+    layers = [
+        tuple(w.paths[x][(l, 1) if l else (0, 0)] for x in Q.elements)
+        for l in range(w.m + 1)
+    ]
+    assert layers == [
+        (0, 0, 0, 0, 0, 0),
+        (0, 0, 2, 2, 2, 0),
+        (0, 0, 1, 1, 1, 0),
+        (0, 0, 1, 1, 3, 4),
+    ]
+    rep = validate(w)
+    assert rep.ok, rep.failures
