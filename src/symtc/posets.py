@@ -269,9 +269,10 @@ def monotone_value_tuples(Q, P, budget=None, classes=None, allowed=None,
     admissible values of a class form a bitmask over P: the values allowed
     to all its elements, ANDed with ``up[values[j]]`` for every element j of
     an earlier class below one of its elements and with ``down[values[j]]``
-    for every such j above one (``bounds`` lists these pairs per class).  ``untried[ci]`` holds the values class ci
-    has still to try, so the walk needs no recursion: one frame per class
-    would overflow Python's stack on large sources.
+    for every such j above one (``bounds`` lists these pairs per class).
+    ``untried[ci]`` holds the values class ci has still to try, so the walk
+    needs no recursion: one frame per class would overflow Python's stack
+    on large sources.
     """
     nq, npp = len(Q.elements), len(P.elements)
     if classes is None:

@@ -171,13 +171,13 @@ def section_search(Q, P, n, depth, budget=50_000):
         for i in cls[1:]:
             inv_rows &= arr[:, i] == arr[:, cls[0]]
     inv_bits = _bits(inv_rows)
-    down_cone, up_cone = _cones(nodes, arr, leq)
+    le_bits, ge_bits = _order_bits(arr, leq)
 
-    def closure(new, cone):
+    def closure(new, bits):
         """Union of the cones of the nodes in the bitset ``new``."""
         out = 0
         for i in _members(new, len(nodes)):
-            out |= cone(i)
+            out |= _cone(bits, nodes[i])
         return out
 
     start_bit = 1 << nodes.index(start)
@@ -187,15 +187,15 @@ def section_search(Q, P, n, depth, budget=50_000):
     m = 0
     while True:
         m += 1
-        a_next = a_layers[-1] | closure(fresh_b, down_cone)
-        b_next = b_layers[-1] | closure(fresh_a, up_cone)
+        a_next = a_layers[-1] | closure(fresh_b, le_bits)
+        b_next = b_layers[-1] | closure(fresh_a, ge_bits)
         fresh_a, fresh_b = a_next & ~a_layers[-1], b_next & ~b_layers[-1]
         a_layers.append(a_next)
         b_layers.append(b_next)
         hit = a_next & inv_bits
         if hit:
             layers = _reconstruct(
-                nodes, down_cone, up_cone, a_layers, b_layers,
+                nodes, le_bits, ge_bits, a_layers, b_layers,
                 _lowest(hit), m,
             )
             return SectionOutcome(
@@ -234,37 +234,34 @@ def _lowest(bits):
     return (bits & -bits).bit_length() - 1
 
 
-def _cones(nodes, arr, leq):
-    """Cone functions over the nodes: down(i) = {h <= h_i}, up(i) = {h >= h_i}.
-
-    ``le_bits[k][v]`` marks the nodes whose k-th value is <= v and
-    ``ge_bits[k][v]`` those whose k-th value is >= v, so a cone is the AND
-    of one bitset per source element.
-    """
+def _order_bits(arr, leq):
+    """``le_bits[k][v]``: the nodes whose k-th value is <= v; ``ge_bits``
+    likewise for >= v."""
     le_bits, ge_bits = [], []
     for k in range(arr.shape[1]):
         col = arr[:, k]
         le_bits.append([_bits(leq[col, v]) for v in range(leq.shape[0])])
         ge_bits.append([_bits(leq[v, col]) for v in range(leq.shape[0])])
-
-    def cone(bits, i):
-        out = -1
-        for k, v in enumerate(nodes[i]):
-            out &= bits[k][v]
-        return out
-
-    return (lambda i: cone(le_bits, i)), (lambda i: cone(ge_bits, i))
+    return le_bits, ge_bits
 
 
-def _reconstruct(nodes, down_cone, up_cone, a_layers, b_layers, h0_idx, m):
+def _cone(bits, g):
+    """The nodes h <= g (with ``le_bits``) or h >= g (with ``ge_bits``)."""
+    out = -1
+    for k, v in enumerate(g):
+        out &= bits[k][v]
+    return out
+
+
+def _reconstruct(nodes, le_bits, ge_bits, a_layers, b_layers, h0_idx, m):
     """Greedy layer extraction: h^0 in A_m, alternating down the sweep."""
     seq = [h0_idx]
     cur = h0_idx
     for l in range(1, m + 1):
-        if l % 2 == 1:
-            cand = up_cone(cur) & b_layers[m - l]  # cur <= next
+        if l % 2 == 1:  # cur <= next
+            cand = _cone(ge_bits, nodes[cur]) & b_layers[m - l]
         else:
-            cand = down_cone(cur) & a_layers[m - l]
+            cand = _cone(le_bits, nodes[cur]) & a_layers[m - l]
         assert cand, "sweep reconstruction lost the path"
         cur = _lowest(cand)
         seq.append(cur)

@@ -265,7 +265,9 @@ def enumeration_cases(draw):
     Q, P = draw(_small_poset(nq)), draw(_small_poset(npp))
     classes = None
     if draw(st.booleans()):
-        label = draw(st.lists(st.integers(0, nq - 1), min_size=nq, max_size=nq))
+        label = draw(
+            st.lists(st.integers(0, nq - 1), min_size=nq, max_size=nq)
+        )
         groups = {}
         for i in draw(st.permutations(range(nq))):
             groups.setdefault(label[i], []).append(i)
