@@ -175,37 +175,86 @@ def symmetrize_open(P, S, group, depth):
 def orbit_partition(group, names, depth):
     """Orbits of a family of names, canonically ordered by their least member."""
     names = list(names)
+    nameset = set(names)
+    tables = action_tables(group, nameset, depth)
     seen = set()
     parts = []
     for x in csorted(names):
         if x in seen:
             continue
-        orb = orbit(group, x, depth) & set(names)
+        orb = {t[x] for t in tables} & nameset
         seen |= orb
         parts.append(tuple(csorted(orb)))
     return parts
 
 
+def action_tables(group, names, depth):
+    """One table ``{x: g . x}`` over the names per group element.
+
+    The tables are built level by level: the members of the names one
+    naming level down are acted on first, and a name's image is its
+    members' images in canonical order.  Every sub-name is thus acted on
+    and keyed once per group element, not once per name containing it,
+    and acting on a family of simplices costs one lookup per member.
+    """
+    levels = [set(names)]
+    for d in range(depth, 0, -1):
+        below = set()
+        for x in levels[-1]:
+            if not isinstance(x, tuple):
+                raise LevelMismatch(
+                    f"expected a chain name at depth {d}, got {x!r}"
+                )
+            below.update(x)
+        levels.append(below)
+    tables = []
+    for g in group:
+        act = {x: act_name(g, x, 0) for x in levels[-1]}
+        for level in reversed(levels[:-1]):
+            rank = {y: i for i, y in enumerate(csorted(set(act.values())))}
+            act = {
+                x: tuple(sorted([act[m] for m in x], key=rank.__getitem__))
+                for x in level
+            }
+        tables.append(act)
+    return tables
+
+
 def orbit_partition_simplices(group, simplices, depth):
-    """Orbits of a family of simplices (frozensets of names)."""
+    """Orbits of a family of simplices (frozensets of names).
+
+    Orbits come in canonical order of their least member, members in
+    canonical order: simplices compare by the sorted tuples of their
+    vertices' ranks in the canonical order of the vertices and their images.
+    """
     simplices = set(simplices)
+    verts = set().union(*simplices)
+    tables = action_tables(group, verts, depth)
+    names = set(verts)
+    for t in tables:
+        names.update(t.values())
+    rank = {x: i for i, x in enumerate(csorted(names))}
+
+    def key(s):
+        return sorted([rank[v] for v in s])
+
     seen = set()
     parts = []
-    for s in sorted(simplices, key=name_of):
+    for s in sorted(simplices, key=key):
         if s in seen:
             continue
-        orb = frozenset(act_simplex(g, s, depth) for g in group)
+        orb = {frozenset([t[v] for v in s]) for t in tables}
         seen |= orb
-        parts.append(tuple(sorted(orb, key=name_of)))
+        parts.append(tuple(sorted(orb, key=key)))
     return parts
 
 
 def is_invariant_simplices(simplices, group, depth):
     """Is a set of simplices closed under the action?"""
     simplices = set(simplices)
-    for g in group:
+    for t in action_tables(group, set().union(*simplices), depth):
         for s in simplices:
-            if act_simplex(g, s, depth) not in simplices:
+            if frozenset([t[v] for v in s]) not in simplices:
                 return False
     return True
 
@@ -270,12 +319,11 @@ def check_equivariant_tuple(maps, n, depth, domain=None, exhaustive=True):
         group = [transposition(n, 1, j) for j in range(2, n + 1)]
         if n >= 3:
             group.append(Permutation([2, 3, 1] + list(range(4, n + 1))))
-    for g in group:
+    for g, act in zip(group, action_tables(group, domain, depth)):
         for j in range(1, n + 1):
             fj, fgj = maps[j - 1], maps[g(j) - 1]
             for x in domain:
-                gx = act_name(g, x, depth)
-                if fj[gx] != fgj[x]:
+                if fj[act[x]] != fgj[x]:
                     return False, (g, x, j)
     return True, None
 

@@ -13,9 +13,15 @@ from .util import ckey, csorted, name_of
 
 
 def closure_of(facets):
-    """Downward closure: every nonempty subset of every facet."""
+    """Downward closure: every nonempty subset of every facet.
+
+    Larger sets go first, so a set already reached as a face of another
+    adds nothing and is skipped.
+    """
     out = set()
-    for f in facets:
+    for f in sorted(map(frozenset, facets), key=len, reverse=True):
+        if f in out:
+            continue
         f = tuple(f)
         for k in range(1, len(f) + 1):
             for sub in combinations(f, k):
@@ -24,9 +30,14 @@ def closure_of(facets):
 
 
 class SimplicialComplex:
-    """Vertex set plus a family of nonempty subsets closed under subsets."""
+    """Vertex set plus a family of nonempty subsets closed under subsets.
 
-    __slots__ = ("vertices", "simplices", "_facets", "_key")
+    ``rank`` numbers the canonically sorted vertices; simplices are ordered
+    by the sorted tuples of their vertex ranks, which is the canonical order
+    of their names (see ``util``) without keying a name per simplex.
+    """
+
+    __slots__ = ("vertices", "rank", "simplices", "_facets", "_key")
 
     def __init__(self, vertices, facets=(), simplices=None):
         vertices = tuple(csorted(set(vertices)))
@@ -36,24 +47,35 @@ class SimplicialComplex:
             frozenset([v]) for v in vertices
         )
         self.vertices = vertices
+        self.rank = {v: i for i, v in enumerate(vertices)}
         self.simplices = simplices
         self._facets = None
-        self._key = (vertices, tuple(csorted(name_of(s) for s in simplices)))
+        self._key = (vertices, tuple(self._ranked(simplices)))
+
+    def _ranked(self, simplices):
+        """Sorted rank tuples of a family of simplices."""
+        rank = self.rank
+        return sorted(tuple(sorted([rank[v] for v in s])) for s in simplices)
+
+    def _names(self, ranked):
+        vs = self.vertices
+        return [tuple([vs[i] for i in t]) for t in ranked]
 
     @property
     def facets(self):
         """Maximal simplices.  Computed lazily.
 
-        Because the simplex set is downward closed, a simplex is maximal
-        iff no single-vertex extension of it is a simplex.
+        A simplex is maximal iff no single-vertex extension of it is a
+        simplex, so striking every codimension-1 face of every simplex
+        leaves exactly the facets.
         """
         if self._facets is None:
-            vs = self.vertices
-            self._facets = frozenset(
-                s
-                for s in self.simplices
-                if not any(v not in s and (s | {v}) in self.simplices for v in vs)
-            )
+            struck = set()
+            for s in self.simplices:
+                if len(s) > 1:
+                    for v in s:
+                        struck.add(s - {v})
+            self._facets = self.simplices - struck
         return self._facets
 
     def is_simplex(self, s):
@@ -64,14 +86,14 @@ class SimplicialComplex:
 
     def simplex_names(self):
         """All simplices as canonical sorted tuples, canonically ordered."""
-        return csorted(name_of(s) for s in self.simplices)
+        return self._names(self._key[1])
 
     def facet_names(self):
-        return csorted(name_of(s) for s in self.facets)
+        return self._names(self._ranked(self.facets))
 
     def star(self, v):
         """Combinatorial star: the simplices containing vertex v."""
-        if v not in set(self.vertices):
+        if v not in self.rank:
             raise UnknownVertex(f"vertex {v!r} not in complex")
         return frozenset(s for s in self.simplices if v in s)
 

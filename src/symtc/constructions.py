@@ -37,9 +37,13 @@ def totalize(K):
     return OrderedComplex(K, FinitePoset(els, leq))
 
 
-def barycentric_subdivide(K):
-    """sd(K) = K(X(K)): vertices are the simplices of K, ordered by inclusion."""
-    return order_complex(face_poset(base_of(K)))
+def barycentric_subdivide(K, budget=None):
+    """sd(K) = K(X(K)): vertices are the simplices of K, ordered by inclusion.
+
+    Raises BudgetExceeded as soon as more than ``budget`` simplices (chains
+    of faces) have been found.
+    """
+    return order_complex(face_poset(base_of(K)), budget=budget)
 
 
 @dataclass(frozen=True)
@@ -145,9 +149,12 @@ def build_tower(K, n, r, budget=200_000):
     levels = [power.result]
     maps = []
     for _ in range(r):
-        sd = barycentric_subdivide(levels[-1])
-        if budget is not None and len(sd.simplices) > budget:
-            raise BudgetExceeded(f"subdivision exceeds {budget} simplices")
+        try:
+            sd = barycentric_subdivide(levels[-1], budget=budget)
+        except BudgetExceeded:
+            raise BudgetExceeded(
+                f"subdivision exceeds {budget} simplices"
+            ) from None
         levels.append(sd)
         maps.append(iota(levels[-2], sd=sd))
     return SubdivisionTower(
@@ -176,9 +183,12 @@ def poset_tower(P, n, r, budget=200_000):
     levels = [power]
     maps = []
     for _ in range(r):
-        sd = sd_poset(levels[-1])
-        if budget is not None and len(sd) > budget:
-            raise BudgetExceeded(f"subdivision exceeds {budget} elements")
+        try:
+            sd = sd_poset(levels[-1], budget=budget)
+        except BudgetExceeded:
+            raise BudgetExceeded(
+                f"subdivision exceeds {budget} elements"
+            ) from None
         levels.append(sd)
         maps.append(tau(levels[-2], sd=sd))
     return SubdivisionTower(kind="poset", factor=P, n=n, levels=levels, maps=maps)

@@ -6,18 +6,19 @@ set containing x is ``U_x = {y : y <= x}``.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import numpy as np
 
 from .complexes import OrderedComplex, SimplicialComplex
 from .errors import (
     BadArity,
+    BudgetExceeded,
     CycleDetected,
     SizeLimitExceeded,
     UnknownElement,
 )
-from .util import csorted, name_of
+from .util import csorted
 
 
 class FinitePoset:
@@ -356,27 +357,35 @@ def mapping_poset(Q, P, budget=None):
 # -- chains, order complex, face poset --------------------------------------
 
 
-def all_chains(P):
-    """Every nonempty chain of P, as frozensets."""
-    els = list(P.elements)
-    chains = []
+def all_chains(P, budget=None):
+    """Every nonempty chain of P, as frozensets, in depth-first order.
 
-    def extend(chain, last):
+    The walk extends a chain by the strict successors of its last element,
+    read once per element from ``leq``.  Raises BudgetExceeded as soon as
+    more than ``budget`` chains have been found.
+    """
+    els = P.elements
+    lt = P.leq & ~np.eye(len(els), dtype=bool)
+    succ = [np.flatnonzero(row).tolist() for row in lt]
+    chains, chain = [], []
+    stack = [iter(range(len(els)))]
+    while stack:
+        y = next(stack[-1], None)
+        if y is None:
+            stack.pop()
+            del chain[-1:]
+            continue
+        chain.append(els[y])
         chains.append(frozenset(chain))
-        for y in els:
-            if y != last and P.lt(last, y):
-                chain.append(y)
-                extend(chain, y)
-                chain.pop()
-
-    for x in els:
-        extend([x], x)
+        if budget is not None and len(chains) > budget:
+            raise BudgetExceeded(f"more than {budget} chains")
+        stack.append(iter(succ[y]))
     return chains
 
 
-def order_complex(P):
+def order_complex(P, budget=None):
     """K(P): simplices are the nonempty chains of P, ordered by P itself."""
-    chains = all_chains(P)
+    chains = all_chains(P, budget=budget)
     base = SimplicialComplex(P.elements, simplices=chains)
     return OrderedComplex(base, P)
 
@@ -384,24 +393,31 @@ def order_complex(P):
 def face_poset(K):
     """X(K): simplices of K ordered by face inclusion.
 
-    Elements are canonical sorted vertex tuples.
+    Elements are canonical sorted vertex tuples.  The relation is filled
+    from the subsets of each simplex, so it costs the number of faces, not
+    the square of the number of simplices.
     """
     if isinstance(K, OrderedComplex):
         K = K.base
-    named = {name_of(s): s for s in K.simplices}
-    elements = csorted(named)
+    elements = K.simplex_names()
+    index = {frozenset(e): i for i, e in enumerate(elements)}
+    rows, cols = [], []
+    for j, e in enumerate(elements):
+        for k in range(1, len(e) + 1):
+            for sub in combinations(e, k):
+                i = index.get(frozenset(sub))
+                if i is not None:
+                    rows.append(i)
+                    cols.append(j)
     n = len(elements)
-    sets = [named[e] for e in elements]
     leq = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            leq[i, j] = sets[i] <= sets[j]
+    leq[rows, cols] = True
     return FinitePoset(elements, leq)
 
 
-def sd_poset(P):
+def sd_poset(P, budget=None):
     """Barycentric subdivision of a finite space: X(K(P))."""
-    return face_poset(order_complex(P))
+    return face_poset(order_complex(P, budget=budget))
 
 
 # -- fences ------------------------------------------------------------------

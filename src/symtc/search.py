@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import (
-    act_name,
+    action_tables,
     check_equivariant_tuple,
     is_invariant_elements,
     is_invariant_simplices,
@@ -45,7 +45,6 @@ from .actions import (
 )
 from .complexes import base_of
 from .errors import BudgetExceeded, NotEquivariant, SourceMismatch
-from .util import csorted
 from .witnesses import CombinatorialHomotopy, ContiguityChain
 
 
@@ -279,8 +278,7 @@ class _SimplicialSpace:
         self.tverts = list(target.vertices)
         self.tvi = {v: i for i, v in enumerate(self.tverts)}
         self.facets = [
-            tuple(sorted(self.svi[v] for v in f))
-            for f in sorted(source.facets, key=lambda s: csorted(s))
+            tuple(self.svi[v] for v in f) for f in source.facet_names()
         ]
         if len(self.tverts) > 20:
             raise BudgetExceeded(
@@ -461,14 +459,16 @@ def sym_contiguous(maps, n, depth, mode="exact", budget=50_000,
     space.classes = g_classes
     start = space.values_of(tables[0])
 
+    swaps = action_tables(
+        [transposition(n, 1, j) for j in range(1, n + 1)], space.sverts, depth
+    )
+
     def chain_of(path_values):
         levels = []
         for vals in path_values:
             f1 = space.map_of(vals)
             levels.append([
-                {v: f1[act_name(transposition(n, 1, j), v, depth)]
-                 for v in space.sverts}
-                for j in range(1, n + 1)
+                {v: f1[act[v]] for v in space.sverts} for act in swaps
             ])
         return ContiguityChain(
             n=n, depth=depth, symmetric=True, source=source,
@@ -747,6 +747,9 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
     sigma_classes = _index_classes(space.els, space.ei, symmetric_group(n), depth)
     space.classes = g_classes
     start = space.values_of(tables[0])
+    swaps = action_tables(
+        [transposition(n, 1, j) for j in range(1, n + 1)], Q.elements, depth
+    )
 
     def homotopy_of(path):
         seq = _alternate(path, space.pair_le)
@@ -756,10 +759,9 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
             table[(x, (0, 0))] = space.map_of(seq[0])[x]
         for l in range(1, m + 1):
             fl = space.map_of(seq[l])
-            for j in range(1, n + 1):
-                t = transposition(n, 1, j)
+            for j, act in enumerate(swaps, start=1):
                 for x in Q.elements:
-                    table[(x, (l, j))] = fl[act_name(t, x, depth)]
+                    table[(x, (l, j))] = fl[act[x]]
         return CombinatorialHomotopy(
             n=n, m=m, depth=depth, symmetric=True,
             source=Q, target=P, table=table,

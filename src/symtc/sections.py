@@ -44,7 +44,6 @@ from .actions import (
 )
 from .errors import BudgetExceeded, DisconnectedPoset
 from .posets import monotone_value_tuples, multi_fence, power_poset
-from .util import csorted
 from .verify import projection_of_name
 from .witnesses import SectionWitness
 
@@ -153,7 +152,7 @@ def section_search(Q, P, n, depth, budget=50_000):
 
     # m = 2: an invariant map with a common upper bound with the projection
     for phi in invariants:
-        mid = _bounded_map(Q, P, g_classes, phi, start, upper=True)
+        mid = _bounded_map(Q, P, g_classes, phi, start)
         if mid is not None:
             return SectionOutcome(
                 "yes",
@@ -268,15 +267,12 @@ def _reconstruct(nodes, le_bits, ge_bits, a_layers, b_layers, h0_idx, m):
     return [nodes[i] for i in seq]
 
 
-def _bounded_map(Q, P, classes, a, b, upper=True):
-    """A class-constant monotone map above (below) both a and b, or None."""
+def _bounded_map(Q, P, classes, a, b):
+    """A class-constant monotone map above both a and b, or None."""
     npp = len(P.elements)
     allowed = []
     for i in range(len(Q.elements)):
-        if upper:
-            s = {v for v in range(npp) if P.leq[a[i], v] and P.leq[b[i], v]}
-        else:
-            s = {v for v in range(npp) if P.leq[v, a[i]] and P.leq[v, b[i]]}
+        s = {v for v in range(npp) if P.leq[a[i], v] and P.leq[b[i], v]}
         if not s:
             return None
         allowed.append(s)
@@ -308,7 +304,9 @@ def invariant_open_pieces(L, n, depth):
         rec(i + 1, current | down[i])
 
     rec(0, frozenset())
-    return sorted(pieces, key=lambda s: (len(s), csorted(s)))
+    return sorted(
+        pieces, key=lambda s: (len(s), sorted(L.index[x] for x in s))
+    )
 
 
 def cc_by_sections(P, n, budget=50_000):

@@ -165,6 +165,20 @@ def test_sc_run(docs, capsys, tmp_path):
     assert doc["result"]["value"] == 1
 
 
+def test_sc_mixed_labels(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(
+        {"vertices": [0, 1, "a"], "facets": [[0, 1], [1, "a"], [0, "a"]]}
+    ))
+    code, doc = run(
+        ["sc", "--input", str(path), "--n", "2", "--r", "0",
+         "--mode", "upper", "--cert-dir", str(tmp_path / "sc")],
+        capsys,
+    )
+    assert code == 0
+    assert doc["result"]["upper"] == 3
+
+
 def test_tc_finite(docs, capsys):
     code, doc = run(["tc-finite", "--input", str(docs / "v.json")], capsys)
     assert code == 0

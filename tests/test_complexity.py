@@ -52,6 +52,24 @@ def test_hollow_triangle_sc_lower_bound(hollow_triangle):
     _check_cover(res)
 
 
+def test_mixed_labels_match_homogeneous_labels():
+    """Int and str labels in one complex sort canonically, not with <."""
+    from symtc.complexes import from_facets
+
+    mixed = from_facets([0, 1, "a"], [(0, 1), (1, "a"), (0, "a")])
+    plain = from_facets("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    for decide in (sc_sigma, sc_plain):
+        got = decide(mixed, 2, 0, mode="upper")
+        want = decide(plain, 2, 0, mode="upper")
+        assert (got.kind, got.lower, got.upper) == (
+            want.kind, want.lower, want.upper
+        )
+        _check_cover(got)
+    res = sc_sigma(from_facets([0, "a"], [(0, "a")]), 2, 2)
+    assert (res.kind, res.value) == ("exact", 1)
+    _check_cover(res)
+
+
 def test_hollow_triangle_sc_plain_bound(hollow_triangle):
     res = sc_plain(hollow_triangle, 2, 0, mode="upper")
     assert res.lower >= 2

@@ -128,6 +128,14 @@ def test_tower_budget(hollow_triangle):
         build_tower(hollow_triangle, 2, 2, budget=100)
 
 
+def test_tower_budget_messages(hollow_triangle, chain2):
+    with pytest.raises(BudgetExceeded,
+                       match="subdivision exceeds 100 simplices"):
+        build_tower(hollow_triangle, 2, 2, budget=100)
+    with pytest.raises(BudgetExceeded, match="subdivision exceeds 40 elements"):
+        poset_tower(chain2, 2, 2, budget=40)
+
+
 def test_poset_tower_spec_example(chain2):
     tower = poset_tower(chain2, 2, 1)
     rho1 = projection_rho(tower, 1)

@@ -4,9 +4,16 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from symtc.errors import BadArity, CycleDetected, SizeLimitExceeded, UnknownElement
+from symtc.errors import (
+    BadArity,
+    BudgetExceeded,
+    CycleDetected,
+    SizeLimitExceeded,
+    UnknownElement,
+)
 from symtc.io import poset_from_doc, poset_to_doc
 from symtc.posets import (
+    all_chains,
     enumerate_monotone_maps,
     face_poset,
     fence,
@@ -168,6 +175,17 @@ def test_chains_against_oracle(circle_poset):
     sd = sd_poset(circle_poset)
     oracle = brute_chains(circle_poset.elements, circle_poset.le)
     assert len(sd) == len(oracle)
+
+
+def test_chain_walk_stops_at_budget():
+    """The walk raises as soon as it finds one chain more than the budget."""
+    chain16 = poset_from_relations(range(16), [(i, i + 1) for i in range(15)])
+    total = 2**16 - 1
+    assert len(all_chains(chain16, budget=total)) == total
+    with pytest.raises(BudgetExceeded, match=f"more than {total - 1} chains"):
+        all_chains(chain16, budget=total - 1)
+    with pytest.raises(BudgetExceeded, match="more than 10 chains"):
+        all_chains(chain16, budget=10)
 
 
 def test_mapping_poset_is_poset(chain2):

@@ -4,8 +4,16 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from symtc.actions import act_name, symmetric_group
-from symtc.complexes import euler_characteristic, from_facets
+from symtc.actions import (
+    act_name,
+    act_simplex,
+    identity,
+    is_invariant_simplices,
+    orbit_partition_simplices,
+    symmetric_group,
+    tuple_constraint_group,
+)
+from symtc.complexes import SimplicialComplex, euler_characteristic, from_facets
 from symtc.constructions import barycentric_subdivide, totalize
 from symtc.errors import CycleDetected
 from symtc.io import (
@@ -15,12 +23,16 @@ from symtc.io import (
     poset_to_doc,
 )
 from symtc.posets import (
+    all_chains,
     enumerate_monotone_maps,
     face_poset,
     order_complex,
     poset_from_relations,
     sd_poset,
 )
+from symtc.util import ckey, csorted, name_of
+
+from helpers import brute_chains
 
 # -- strategies --------------------------------------------------------------
 
@@ -59,7 +71,88 @@ def small_posets(draw):
         return poset_from_relations(els, [])
 
 
+# labels mixing ints, strings and nested tuples of both
+MIXED = [0, 1, 2, "a", "b", (0, "a"), ("a", 0), (1,), ((0,), "b"), (("a",),)]
+
+
+@st.composite
+def mixed_complexes(draw):
+    verts = draw(st.lists(st.sampled_from(MIXED), min_size=1, max_size=6,
+                          unique=True))
+    facets = draw(st.lists(
+        st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True),
+        min_size=1, max_size=4,
+    ))
+    return from_facets(verts, facets)
+
+
+@st.composite
+def acted_families(draw):
+    """(group, simplices, depth): simplices over names of the given depth
+    (n-tuples, or chain names of n-tuples), closed under the group or not."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    depth = draw(st.integers(min_value=0, max_value=1))
+    tuples = st.tuples(*[st.sampled_from([0, 1, "a"])] * n)
+    if depth == 0:
+        names = tuples
+    else:
+        names = st.lists(tuples, min_size=1, max_size=3, unique=True).map(
+            name_of
+        )
+    group = draw(st.sampled_from([
+        symmetric_group(n),
+        [identity(n)],
+        list(tuple_constraint_group(n).elements),
+    ]))
+    facets = draw(st.lists(
+        st.lists(names, min_size=1, max_size=3, unique=True),
+        min_size=1, max_size=4,
+    ))
+    if draw(st.booleans()):
+        facets = [act_simplex(g, f, depth) for g in group for f in facets]
+    K = SimplicialComplex(set().union(*map(set, facets)), facets)
+    return group, K.simplices, depth
+
+
 # -- complexes ---------------------------------------------------------------
+
+
+@given(mixed_complexes())
+@settings(max_examples=60, deadline=None)
+def test_rank_order_is_canonical_name_order(K):
+    assert K.simplex_names() == csorted(name_of(s) for s in K.simplices)
+    assert K.facet_names() == csorted(name_of(s) for s in K.facets)
+    maximal = {
+        s for s in K.simplices if not any(s < t for t in K.simplices)
+    }
+    assert K.facets == maximal
+    fp = face_poset(K)
+    assert list(fp.elements) == K.simplex_names()
+    for a in fp.elements:
+        for b in fp.elements:
+            assert fp.le(a, b) == (set(a) <= set(b))
+
+
+@given(acted_families())
+@settings(max_examples=60, deadline=None)
+def test_action_tables_against_act_simplex(family):
+    group, simplices, depth = family
+
+    def key(s):
+        return ckey(name_of(s))
+
+    seen, parts = set(), []
+    for s in sorted(simplices, key=key):
+        if s not in seen:
+            orb = {act_simplex(g, s, depth) for g in group}
+            seen |= orb
+            parts.append(tuple(sorted(orb, key=key)))
+    assert orbit_partition_simplices(group, simplices, depth) == parts
+    invariant = all(
+        act_simplex(g, s, depth) in simplices for g in group for s in simplices
+    )
+    assert is_invariant_simplices(simplices, group, depth) == invariant
+
 
 
 @given(small_complexes())
@@ -161,6 +254,9 @@ def test_action_group_law(n, coords):
 @given(small_posets())
 @settings(max_examples=20, deadline=None)
 def test_order_complex_simplices_are_chains(P):
+    chains = all_chains(P)
+    assert len(chains) == len(set(chains))
+    assert set(chains) == set(brute_chains(P.elements, P.le))
     oc = order_complex(P)
     for s in oc.base.simplices:
         for a in s:
