@@ -183,6 +183,8 @@ class _ComplexProblem:
         )
 
     def piece_complex(self, unit_set):
+        if len(unit_set) == len(self.units):
+            return base_of(self.level)
         simplices = set()
         for ui in unit_set:
             simplices.update(self.units[ui])

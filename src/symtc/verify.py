@@ -7,14 +7,22 @@ at depth d is a tower of chains over base n-tuples, the last-element map
 descends it by taking the largest member (by inclusion above the base, by
 the componentwise target order at the base), and the j-th coordinate of the
 resulting tuple is the projection value.
+
+The checker acts on names with its own table (``_name_action``), built once
+per validation call, level by level, so each nested sub-name is acted on
+once per group element.  Order relations are compared through the posets'
+``leq`` matrices by element index, each label looked up once per call.
 """
 
 from dataclasses import dataclass, field
 
-from .actions import act_fence_point, act_name, symmetric_group
+import numpy as np
+
+from .actions import act_fence_point, symmetric_group
 from .complexes import OrderedComplex, base_of
+from .errors import LevelMismatch
 from .posets import multi_fence
-from .util import name_of
+from .util import csorted, name_of
 
 
 @dataclass
@@ -74,6 +82,49 @@ def _base_le_from_target(target):
     if hasattr(target, "le"):
         return lambda a, b: target.le(a, b)
     return None
+
+
+def _name_action(group, names, depth):
+    """Per group element, the table ``{x: g . x}`` over ``names``.
+
+    On base n-tuples ``(g . x)_j = x_{g(j)}``; a name one level up goes to
+    the canonically sorted tuple of its members' images.  The names are
+    split into levels first and acted on from the base up, so a sub-name
+    shared by many names is acted on once per group element.
+    """
+    levels = [set(names)]
+    for d in range(depth, 0, -1):
+        below = set()
+        for x in levels[-1]:
+            if not isinstance(x, tuple):
+                raise LevelMismatch(
+                    f"expected a chain name at depth {d}, got {x!r}"
+                )
+            below.update(x)
+        levels.append(below)
+    base = levels.pop()
+    n = group[0].n
+    for x in base:
+        if not isinstance(x, tuple) or len(x) != n:
+            raise LevelMismatch(f"expected an {n}-tuple at depth 0, got {x!r}")
+    tables = []
+    for g in group:
+        perm = [g(j) - 1 for j in range(1, n + 1)]
+        image = {x: tuple([x[i] for i in perm]) for x in base}
+        for level in reversed(levels):
+            order = {y: i for i, y in enumerate(csorted(image.values()))}
+            image = {
+                x: tuple(sorted([image[m] for m in x], key=order.__getitem__))
+                for x in level
+            }
+        tables.append(image)
+    return tables
+
+
+def _leq_pairs(poset):
+    """Index pairs (a, b) with a <= b, in row-major order of the elements."""
+    rows, cols = np.nonzero(poset.leq)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def validate(cert):
@@ -147,20 +198,26 @@ def _validate_chain(cert):
 
     if cert.symmetric:
         group = symmetric_group(n)
-        for g in group:
+        acts = _name_action(group, verts, cert.depth)
+        vset = set(verts)
+        for act in acts:
             for v in verts:
-                gv = act_name(g, v, cert.depth)
-                if first[0].get(gv) != first[0].get(v):
+                if act[v] not in vset:
+                    rep.fail(f"source is not invariant: {v!r} -> {act[v]!r}")
+                    return rep
+        for g, act in zip(group, acts):
+            for v in verts:
+                if first[0].get(act[v]) != first[0].get(v):
                     rep.fail(
                         f"first level is not invariant: g={g!r}, v={v!r}"
                     )
                     break
         for l, level in enumerate(cert.levels):
-            for g in group:
+            for g, act in zip(group, acts):
                 for j in range(1, n + 1):
                     fj, fgj = level[j - 1], level[g(j) - 1]
                     for v in verts:
-                        if fj[act_name(g, v, cert.depth)] != fgj[v]:
+                        if fj[act[v]] != fgj[v]:
                             rep.fail(
                                 f"level {l} violates equivariance at "
                                 f"(g={g!r}, v={v!r}, j={j})"
@@ -192,34 +249,65 @@ def _validate_chain(cert):
 
 
 def _fence_table_monotone(rep, table, Q, J, P, what):
+    """Check a table Q x J -> P; returns its values as P indices by
+    (Q index, J index), or None after a failure."""
+    points = J.poset.elements
+    index = P.index
+    vals = []
     for x in Q.elements:
-        for t in J.poset.elements:
+        row = []
+        for t in points:
             if (x, t) not in table:
                 rep.fail(f"{what} misses entry ({x!r}, {t!r})")
-                return False
-            if table[(x, t)] not in P:
+                return None
+            i = index.get(table[(x, t)])
+            if i is None:
                 rep.fail(f"{what} value at ({x!r}, {t!r}) outside the target")
+                return None
+            row.append(i)
+        vals.append(row)
+    ple = P.leq.tolist()
+    fence = _leq_pairs(J.poset)
+    for x, row in zip(Q.elements, vals):
+        for a, b in fence:
+            if not ple[row[a]][row[b]]:
+                rep.fail(
+                    f"{what} not monotone along the fence at {x!r}: "
+                    f"{points[a]!r} <= {points[b]!r}"
+                )
+                return None
+    below = _leq_pairs(Q)
+    for k, t in enumerate(points):
+        for a, b in below:
+            if not ple[vals[a][k]][vals[b][k]]:
+                rep.fail(
+                    f"{what} not monotone in the source at {t!r}: "
+                    f"{Q.elements[a]!r} <= {Q.elements[b]!r}"
+                )
+                return None
+    return vals
+
+
+def _symmetric_values(rep, vals, Q, J, depth, what):
+    """Check value(g.x, t) = value(x, g.t) for every g in Sigma_n.
+
+    ``vals`` holds the values by (Q index, J index).  Returns False, after
+    one failure, when the source is not closed under the action.
+    """
+    points = J.poset.elements
+    group = symmetric_group(J.n)
+    acts = _name_action(group, Q.elements, depth)
+    for g, act in zip(group, acts):
+        gt = [J.poset.index[act_fence_point(g, t)] for t in points]
+        for x, row in zip(Q.elements, vals):
+            gx = act[x]
+            if gx not in Q.index:
+                rep.fail(f"source is not invariant: {x!r} -> {gx!r}")
                 return False
-    for x in Q.elements:
-        for t1 in J.poset.elements:
-            for t2 in J.poset.elements:
-                if J.poset.le(t1, t2) and not P.le(
-                    table[(x, t1)], table[(x, t2)]
-                ):
-                    rep.fail(
-                        f"{what} not monotone along the fence at {x!r}: "
-                        f"{t1!r} <= {t2!r}"
-                    )
-                    return False
-    for t in J.poset.elements:
-        for x1 in Q.elements:
-            for x2 in Q.elements:
-                if Q.le(x1, x2) and not P.le(table[(x1, t)], table[(x2, t)]):
-                    rep.fail(
-                        f"{what} not monotone in the source at {t!r}: "
-                        f"{x1!r} <= {x2!r}"
-                    )
-                    return False
+            grow = vals[Q.index[gx]]
+            for k, t in enumerate(points):
+                if grow[k] != row[gt[k]]:
+                    rep.fail(f"{what} at (g={g!r}, x={x!r}, t={t!r})")
     return True
 
 
@@ -228,25 +316,14 @@ def _validate_homotopy(cert):
     Q, P = cert.source, cert.target
     n, m = cert.n, cert.m
     J = multi_fence(n, m)
-    if not _fence_table_monotone(rep, cert.table, Q, J, P, "homotopy table"):
+    vals = _fence_table_monotone(rep, cert.table, Q, J, P, "homotopy table")
+    if vals is None:
         return rep
 
-    if cert.symmetric:
-        group = symmetric_group(n)
-        for g in group:
-            for x in Q.elements:
-                gx = act_name(g, x, cert.depth)
-                if gx not in set(Q.elements):
-                    rep.fail(f"source is not invariant: {x!r} -> {gx!r}")
-                    return rep
-                for t in J.poset.elements:
-                    if cert.table[(gx, t)] != cert.table[
-                        (x, act_fence_point(g, t))
-                    ]:
-                        rep.fail(
-                            f"table violates symmetry at (g={g!r}, x={x!r}, "
-                            f"t={t!r})"
-                        )
+    if cert.symmetric and not _symmetric_values(
+        rep, vals, Q, J, cert.depth, "table violates symmetry"
+    ):
+        return rep
 
     if cert.projection_endpoints:
         base_le = _base_le_from_target(P)
@@ -274,44 +351,47 @@ def _validate_section(cert):
     n, m = cert.n, cert.m
     J = multi_fence(n, m)
     points = list(J.poset.elements)
+    index = P.index
+    ple = P.leq.tolist()
+    fence = _leq_pairs(J.poset)
+    vals = []
     for x in Q.elements:
         if x not in cert.paths:
             rep.fail(f"section misses a path for {x!r}")
             return rep
         gamma = cert.paths[x]
+        row = []
         for t in points:
             if t not in gamma:
                 rep.fail(f"path for {x!r} misses point {t!r}")
                 return rep
-            if gamma[t] not in P:
+            i = index.get(gamma[t])
+            if i is None:
                 rep.fail(f"path value at ({x!r}, {t!r}) outside the target")
                 return rep
-        for t1 in points:
-            for t2 in points:
-                if J.poset.le(t1, t2) and not P.le(gamma[t1], gamma[t2]):
-                    rep.fail(f"path for {x!r} is not monotone: {t1!r} <= {t2!r}")
-                    return rep
+            row.append(i)
+        for a, b in fence:
+            if not ple[row[a]][row[b]]:
+                rep.fail(
+                    f"path for {x!r} is not monotone: "
+                    f"{points[a]!r} <= {points[b]!r}"
+                )
+                return rep
+        vals.append(row)
 
-    for x1 in Q.elements:
-        for x2 in Q.elements:
-            if Q.le(x1, x2):
-                for t in points:
-                    if not P.le(cert.paths[x1][t], cert.paths[x2][t]):
-                        rep.fail(
-                            f"section not monotone: {x1!r} <= {x2!r} at {t!r}"
-                        )
+    for a, b in _leq_pairs(Q):
+        ra, rb = vals[a], vals[b]
+        for k, t in enumerate(points):
+            if not ple[ra[k]][rb[k]]:
+                rep.fail(
+                    f"section not monotone: {Q.elements[a]!r} <= "
+                    f"{Q.elements[b]!r} at {t!r}"
+                )
 
-    if cert.symmetric:
-        group = symmetric_group(n)
-        for g in group:
-            for x in Q.elements:
-                gx = act_name(g, x, cert.depth)
-                for t in points:
-                    if cert.paths[gx][t] != cert.paths[x][act_fence_point(g, t)]:
-                        rep.fail(
-                            f"section violates equivariance at (g={g!r}, "
-                            f"x={x!r}, t={t!r})"
-                        )
+    if cert.symmetric and not _symmetric_values(
+        rep, vals, Q, J, cert.depth, "section violates equivariance"
+    ):
+        return rep
 
     if cert.projection_endpoints:
         base_le = _base_le_from_target(P)

@@ -131,6 +131,24 @@ def test_replay_truncated_certificate(docs, capsys, tmp_path):
     assert code == 4
 
 
+def test_check_certificate_rejects_noninvariant_source(capsys, tmp_path):
+    """A symmetric chain over a source the swap moves is invalid, not a crash."""
+    f = [[[0, 1], 0], [[1, 1], 1]]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "type": "contiguity_chain", "n": 2, "depth": 0, "symmetric": True,
+        "source": {"vertices": [[0, 1], [1, 1]], "facets": [[[0, 1], [1, 1]]]},
+        "target": {"vertices": [0, 1], "facets": [[0, 1]]},
+        "levels": [[f, f]],
+    }))
+    code, doc = run(["check-certificate", "--input", str(path)], capsys)
+    assert code == 4
+    assert doc["result"]["valid"] is False
+    assert doc["result"]["failures"] == [
+        "source is not invariant: (0, 1) -> (1, 0)"
+    ]
+
+
 def test_cc_run_and_exit_codes(docs, capsys, tmp_path):
     code, doc = run(
         [
@@ -202,6 +220,16 @@ def test_parse_error_exit_code(docs, capsys):
     code = main(["sc", "--input", str(docs / "bad.json")])
     capsys.readouterr()
     assert code == 4
+
+
+def test_non_utf8_input_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00{}")
+    code = main(["sc", "--input", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "UTF-8" in captured.err
 
 
 @pytest.mark.parametrize("mode", ["auto", "bounded"])

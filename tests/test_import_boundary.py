@@ -2,7 +2,9 @@
 
 ``sections.py`` and the enumerator it uses in ``posets.py`` must not reach
 ``search``, ``complexity`` or ``covers`` through any chain of package
-imports, at module level or inside a function.
+imports, at module level or inside a function.  The checker in
+``verify.py`` acts on names with its own table, not with ``act_name`` or
+``action_tables`` from ``actions``.
 """
 
 import ast
@@ -48,3 +50,17 @@ def test_section_route_does_not_import_searchers():
     for module in ("sections", "posets"):
         reached = _reached(module)
         assert not reached & SEARCHERS, (module, sorted(reached & SEARCHERS))
+
+
+def test_checker_has_its_own_name_action():
+    """verify.py neither imports nor uses the searchers' name action."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert not used & {"act_name", "action_tables"}

@@ -1,5 +1,8 @@
 import copy
 
+from hypothesis import given, settings, strategies as st
+
+from symtc.actions import act_name, symmetric_group
 from symtc.constructions import (
     build_tower,
     poset_tower,
@@ -9,6 +12,7 @@ from symtc.constructions import (
 from symtc.io import canonical_json
 from symtc.search import sym_comb_homotopic, sym_contiguous
 from symtc.translate import section_from_homotopy
+from symtc.util import name_of
 from symtc.verify import projection_of_name, validate
 from symtc.witnesses import certificate_from_doc
 
@@ -146,3 +150,59 @@ def test_validator_catches_projection_lie(v_poset):
         bad.table[(x, J.end(1))] = "r"
     rep = validate(bad)
     assert not rep.ok
+
+
+def test_chain_with_noninvariant_source_is_rejected():
+    """The swap moves the source {(0,1),(1,1)} off itself."""
+    from symtc.complexes import from_facets
+    from symtc.witnesses import ContiguityChain
+
+    source = from_facets([(0, 1), (1, 1)], [[(0, 1), (1, 1)]])
+    target = from_facets([0, 1], [[0, 1]])
+    f = {(0, 1): 0, (1, 1): 1}
+    chain = ContiguityChain(
+        n=2, depth=0, symmetric=True, source=source, target=target,
+        levels=[[dict(f), dict(f)]],
+    )
+    rep = validate(chain)
+    assert not rep.ok
+    assert rep.failures == ["source is not invariant: (0, 1) -> (1, 0)"]
+
+
+def test_section_with_noninvariant_source_is_rejected(chain2):
+    from symtc.posets import multi_fence, poset_from_relations
+    from symtc.witnesses import SectionWitness
+
+    Q = poset_from_relations([(0, 1), (1, 1)], [((0, 1), (1, 1))])
+    basepoint, = multi_fence(2, 0).poset.elements
+    s = SectionWitness(
+        n=2, m=0, depth=0, symmetric=True, source=Q, target=chain2,
+        paths={(0, 1): {basepoint: 0}, (1, 1): {basepoint: 1}},
+    )
+    rep = validate(s)
+    assert not rep.ok
+    assert rep.failures == ["source is not invariant: (0, 1) -> (1, 0)"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checker_action_agrees_with_act_name(data):
+    """The checker's own memoized action is ``actions.act_name``."""
+    from symtc.verify import _name_action
+
+    n = data.draw(st.sampled_from([2, 3]))
+    depth = data.draw(st.integers(0, 2))
+    labels = st.sampled_from([0, 1, 2, "a", "b"])
+    names = st.tuples(*[labels] * n)
+    for _ in range(depth):
+        names = st.lists(names, min_size=1, max_size=3, unique=True).map(
+            name_of
+        )
+    family = data.draw(st.lists(names, min_size=1, max_size=6))
+    group = symmetric_group(n)
+    tables = _name_action(group, family, depth)
+    assert len(tables) == len(group)
+    for g, table in zip(group, tables):
+        assert set(table) == set(family)
+        for x in family:
+            assert table[x] == act_name(g, x, depth)
