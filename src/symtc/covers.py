@@ -75,16 +75,3 @@ def min_cover(universe, sets, budget=None):
     branch(set(universe), [])
     return best_k, best
 
-
-def brute_force_min_cover(universe, sets):
-    """Independent minimality check by subset enumeration (keep sets small)."""
-    from itertools import combinations
-
-    universe = frozenset(universe)
-    if not universe:
-        return 0
-    for k in range(1, len(sets) + 1):
-        for combo in combinations(range(len(sets)), k):
-            if frozenset().union(*(sets[i] for i in combo)) >= universe:
-                return k
-    return None

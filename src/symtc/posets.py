@@ -256,77 +256,108 @@ class MonotoneMap:
         )
 
 
-def monotone_value_tuples(Q, P, budget=None, classes=None, allowed=None,
-                          first_only=False):
-    """All monotone maps Q -> P as value-index tuples, in canonical order.
+class MonotoneWalk:
+    """The class-constant monotone maps Q -> P, prepared once per
+    (Q, P, classes) and walked under per-element value masks.
 
     ``classes`` optionally partitions Q's element indices; maps are required
     to be constant on each class (used for group-invariant enumeration).
-    ``allowed[i]`` restricts the values element i may take.  Raises
-    SizeLimitExceeded when more than ``budget`` maps exist.
+    ``up[v]`` and ``down[v]`` are the int bitmasks over P of the values
+    >= v and <= v.
 
     Classes are filled in order, each with its admissible values ascending,
     so the tuples come out in lexicographic order of the class values.  The
-    admissible values of a class form a bitmask over P: the values allowed
-    to all its elements, ANDed with ``up[values[j]]`` for every element j of
-    an earlier class below one of its elements and with ``down[values[j]]``
-    for every such j above one (``bounds`` lists these pairs per class).
+    admissible values of a class form a bitmask over P: the masks of all its
+    elements, ANDed with ``up[values[j]]`` for every element j of an earlier
+    class below one of its elements and with ``down[values[j]]`` for every
+    such j above one (``bounds`` lists these pairs per class).
     ``untried[ci]`` holds the values class ci has still to try, so the walk
     needs no recursion: one frame per class would overflow Python's stack
     on large sources.
     """
-    nq, npp = len(Q.elements), len(P.elements)
-    if classes is None:
-        classes = [[i] for i in range(nq)]
-    leq_q, leq_p = Q.leq.tolist(), P.leq.tolist()
-    up = [sum(1 << w for w in range(npp) if leq_p[v][w]) for v in range(npp)]
-    down = [sum(1 << w for w in range(npp) if leq_p[w][v]) for v in range(npp)]
-    base, bounds = [], []
-    earlier = []
-    for cls in classes:
-        mask = (1 << npp) - 1
-        if allowed is not None:
-            for i in cls:
-                mask &= sum(1 << v for v in range(npp) if v in allowed[i])
-        base.append(mask)
-        bounds.append(
-            [(j, up) for j in earlier if any(leq_q[j][i] for i in cls)]
-            + [(j, down) for j in earlier if any(leq_q[i][j] for i in cls)]
-        )
-        earlier.extend(cls)
 
-    nc = len(classes)
-    out = []
-    values = [-1] * nq
-    untried = base[:1] + [0] * (nc - 1)
-    ci = 0
-    while ci >= 0:
-        if ci == nc:
-            out.append(tuple(values))
-            if budget is not None and len(out) > budget:
-                raise SizeLimitExceeded(
-                    f"more than {budget} monotone maps"
-                )
-            if first_only:
-                break
-            ci -= 1
-            continue
-        rest = untried[ci]
-        if not rest:
-            ci -= 1
-            continue
-        low = rest & -rest
-        untried[ci] = rest ^ low
-        v = low.bit_length() - 1
-        for i in classes[ci]:
-            values[i] = v
-        ci += 1
-        if ci < nc:
-            mask = base[ci]
-            for j, table in bounds[ci]:
-                mask &= table[values[j]]
-            untried[ci] = mask
-    return out
+    __slots__ = ("nq", "full", "classes", "up", "down", "bounds")
+
+    def __init__(self, Q, P, classes=None):
+        nq, npp = len(Q.elements), len(P.elements)
+        if classes is None:
+            classes = [[i] for i in range(nq)]
+        leq_q, leq_p = Q.leq.tolist(), P.leq.tolist()
+        up = [sum(1 << w for w in range(npp) if leq_p[v][w])
+              for v in range(npp)]
+        down = [sum(1 << w for w in range(npp) if leq_p[w][v])
+                for v in range(npp)]
+        bounds, earlier = [], []
+        for cls in classes:
+            bounds.append(
+                [(j, up) for j in earlier if any(leq_q[j][i] for i in cls)]
+                + [(j, down) for j in earlier if any(leq_q[i][j] for i in cls)]
+            )
+            earlier.extend(cls)
+        self.nq, self.full = nq, (1 << npp) - 1
+        self.classes, self.up, self.down, self.bounds = classes, up, down, bounds
+
+    def tuples(self, masks=None, budget=None, first_only=False):
+        """The maps whose value at element i is in ``masks[i]`` (every value
+        when ``masks`` is None), as value-index tuples in canonical order.
+        Raises SizeLimitExceeded when more than ``budget`` maps exist."""
+        classes, bounds = self.classes, self.bounds
+        base = []
+        for cls in classes:
+            mask = self.full
+            if masks is not None:
+                for i in cls:
+                    mask &= masks[i]
+            base.append(mask)
+        out = []
+        if not all(base):
+            return out
+        nc = len(classes)
+        values = [-1] * self.nq
+        untried = base[:1] + [0] * (nc - 1)
+        ci = 0
+        while ci >= 0:
+            if ci == nc:
+                out.append(tuple(values))
+                if budget is not None and len(out) > budget:
+                    raise SizeLimitExceeded(
+                        f"more than {budget} monotone maps"
+                    )
+                if first_only:
+                    break
+                ci -= 1
+                continue
+            rest = untried[ci]
+            if not rest:
+                ci -= 1
+                continue
+            low = rest & -rest
+            untried[ci] = rest ^ low
+            v = low.bit_length() - 1
+            for i in classes[ci]:
+                values[i] = v
+            ci += 1
+            if ci < nc:
+                mask = base[ci]
+                for j, table in bounds[ci]:
+                    mask &= table[values[j]]
+                untried[ci] = mask
+        return out
+
+
+def monotone_value_tuples(Q, P, budget=None, classes=None, allowed=None,
+                          first_only=False):
+    """All monotone maps Q -> P as value-index tuples, in canonical order.
+
+    ``classes`` as in MonotoneWalk; ``allowed[i]`` restricts the values
+    element i may take.  Raises SizeLimitExceeded when more than ``budget``
+    maps exist.
+    """
+    masks = None
+    if allowed is not None:
+        values = range(len(P.elements))
+        masks = [sum(1 << v for v in values if v in a) for a in allowed]
+    return MonotoneWalk(Q, P, classes).tuples(masks, budget, first_only)
 
 
 def enumerate_monotone_maps(Q, P, budget=None):

@@ -6,34 +6,41 @@ at subdivision level 0.  A section over an invariant open Q is determined by
 its layer maps h^0, h^1, ..., h^m (h^l sends x to the path value at l on the
 first fence; the other branches are forced by equivariance), which form an
 alternating zigzag in the poset of constraint-invariant monotone maps ending
-at the projection.  For each m the set of feasible h^0 is computed by a
-backward closure sweep; the sweep's layer sets only grow with m, so once
-two consecutive layers repeat, no larger m can help and a "no" is proven.
-Small m values (0, 1, 2) are checked by targeted constructions first, so
-well-behaved instances never enumerate the map space.
+at the projection.  Small m values (0, 1, 2) are checked by targeted
+constructions first; the sweep decides the rest.
 
-The sweep works on bitsets.  The N enumerated maps are numbered in
-enumeration order and a set of them is a Python int, bit i for map i.
-``le_bits[k][v]`` marks the maps whose k-th value is <= v and
-``ge_bits[k][v]`` those whose k-th value is >= v, so the cone {h <= g} of a
-map g is the AND of one bitset per element of Q, and no N x N relation is
-built (N reaches 32,148 on the power of the 4-point circle).  The layers
-are A_0 = B_0 = {projection}, A_m = {h <= some member of B_{m-1}} and
-B_m = {h >= some member of A_{m-1}}.  They grow: A_1 and B_1 contain the
-projection because the order is reflexive, and B_{m-1} containing B_{m-2}
-makes A_m contain A_{m-1} (likewise for B).  A cone of a union is the union
-of the cones, so A_m is A_{m-1} together with the cones of the maps new to
-B_{m-1}: the closure is incremental and takes each map's cone at most once
-per direction.  Growth also gives A_m containing A_{m-2}, so the stopping
-test A_m = A_{m-2}, B_m = B_{m-2} means the layers no longer change.  The
-first hit is the lowest set bit, the first invariant map in enumeration
-order.
+The sweep builds the layers A_0 = B_0 = {projection}, A_m = {h <= some
+member of B_{m-1}} and B_m = {h >= some member of A_{m-1}}; a symmetric map
+in A_m is h^0 of a section of length m.  The layers grow: A_1 and B_1
+contain the projection because the order is reflexive, and B_{m-1}
+containing B_{m-2} makes A_m contain A_{m-1} (likewise for B).  So A_m is
+A_{m-1} together with the down-closure of the maps new to B_{m-1}, and
+growth gives A_m containing A_{m-2}: once the layer sizes at m equal those
+at m - 2 the layers no longer change, no larger m can help, and a "no" is
+proven.
+
+Closures are walks over single-class moves, so only the maps the layers
+reach are ever built.  The constraint group's orbit classes are antichains
+(an automorphism with g.x < x would give x = g^k.x < ... < g.x < x), so
+among class-constant monotone maps h <= g iff g reaches h by moves that
+lower one class each, every step monotone: lower a class holding a point
+minimal where h and g differ; the set where they differ is invariant, so
+every member of the class is minimal in it, the points below already agree
+with h and the points above keep g's larger values (cf. Barmak, Algebraic
+Topology of Finite Topological Spaces and Applications, LNM 2032, ch. 1).
+Raising is symmetric.  A_m and B_m are down- and up-closed, so a walk stops
+at maps already in its layer, and each map is entered and expanded at most
+once per side.  The budget bounds the maps reached, the union of the two
+layers, and is checked as each map is added.
+
+The hit is the lowest invariant map of A_m by its class values (the order
+``posets.MonotoneWalk`` enumerates in), and the layers h^1..h^{m-1} are
+taken greedily, each the lowest map of the right layer comparable with the
+one before.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
-
-import numpy as np
 
 from .actions import (
     act_name,
@@ -42,8 +49,13 @@ from .actions import (
     transposition,
     tuple_constraint_group,
 )
-from .errors import BudgetExceeded, DisconnectedPoset
-from .posets import monotone_value_tuples, multi_fence, power_poset
+from .errors import BudgetExceeded, DisconnectedPoset, SizeLimitExceeded
+from .posets import (
+    MonotoneWalk,
+    monotone_value_tuples,
+    multi_fence,
+    power_poset,
+)
 from .verify import projection_of_name
 from .witnesses import SectionWitness
 
@@ -106,6 +118,8 @@ def section_search(Q, P, n, depth, budget=50_000):
         for part in orbit_partition(symmetric_group(n), Q.elements, depth)
     ]
     start = tuple(ti[rho[0][x]] for x in Q.elements)
+    walk = MonotoneWalk(Q, P, g_classes)
+    up = walk.up
 
     def as_map(vals):
         return {x: P.elements[v] for x, v in zip(Q.elements, vals)}
@@ -136,14 +150,10 @@ def section_search(Q, P, n, depth, budget=50_000):
         ]
     except BudgetExceeded:
         pass
-    leq = P.leq
-
-    def below(a, b):
-        return all(leq[x, y] for x, y in zip(a, b))
 
     # m = 1: an invariant map pointwise below the projection
     for phi in invariants:
-        if below(phi, start):
+        if all(up[a] >> b & 1 for a, b in zip(phi, start)):
             return SectionOutcome(
                 "yes",
                 _witness_from_layers(Q, P, n, depth, [as_map(phi), as_map(start)]),
@@ -152,134 +162,172 @@ def section_search(Q, P, n, depth, budget=50_000):
 
     # m = 2: an invariant map with a common upper bound with the projection
     for phi in invariants:
-        mid = _bounded_map(Q, P, g_classes, phi, start)
-        if mid is not None:
+        mid = walk.tuples(
+            [up[a] & up[b] for a, b in zip(phi, start)], first_only=True
+        )
+        if mid:
             return SectionOutcome(
                 "yes",
                 _witness_from_layers(
-                    Q, P, n, depth, [as_map(phi), as_map(mid), as_map(start)]
+                    Q, P, n, depth, [as_map(phi), as_map(mid[0]), as_map(start)]
                 ),
                 {"m": 2, "stage": "small-m"},
             )
 
-    # full sweep over the constraint-invariant map space
-    nodes = monotone_value_tuples(Q, P, budget=budget, classes=g_classes)
-    arr = np.array(nodes, dtype=np.intp).reshape(len(nodes), -1)
-    inv_rows = np.ones(len(nodes), dtype=bool)
-    for cls in sigma_classes:
-        for i in cls[1:]:
-            inv_rows &= arr[:, i] == arr[:, cls[0]]
-    inv_bits = _bits(inv_rows)
-    le_bits, ge_bits = _order_bits(arr, leq)
-
-    def closure(new, bits):
-        """Union of the cones of the nodes in the bitset ``new``."""
-        out = 0
-        for i in _members(new, len(nodes)):
-            out |= _cone(bits, nodes[i])
-        return out
-
-    start_bit = 1 << nodes.index(start)
-    a_layers = [start_bit]
-    b_layers = [start_bit]
-    fresh_a = fresh_b = start_bit  # the maps new to A_{m-1} and B_{m-1}
+    # the sweep, from the projection: A_0 = B_0 = {projection}
+    sweep = _Sweep(Q, walk, sigma_classes, budget)
+    start_key = sweep.key(start)
+    a_at, b_at = {}, {}  # map -> the first m with the map in A_m / B_m
+    fresh_a = fresh_b = [start_key]
+    sizes = [(1, 1)]
     m = 0
     while True:
         m += 1
-        a_next = a_layers[-1] | closure(fresh_b, le_bits)
-        b_next = b_layers[-1] | closure(fresh_a, ge_bits)
-        fresh_a, fresh_b = a_next & ~a_layers[-1], b_next & ~b_layers[-1]
-        a_layers.append(a_next)
-        b_layers.append(b_next)
-        hit = a_next & inv_bits
-        if hit:
-            layers = _reconstruct(
-                nodes, le_bits, ge_bits, a_layers, b_layers,
-                _lowest(hit), m,
-            )
+        new_a = sweep.close(a_at, b_at, fresh_b, m, sweep.lower)
+        new_b = sweep.close(b_at, a_at, fresh_a, m, sweep.upper)
+        fresh_a, fresh_b = new_a, new_b
+        sizes.append((len(a_at), len(b_at)))
+        hits = [k for k in new_a if sweep.invariant(k)]
+        if hits:
+            layers = sweep.reconstruct(min(hits), start_key, a_at, b_at, m)
             return SectionOutcome(
                 "yes",
                 _witness_from_layers(
-                    Q, P, n, depth, [as_map(v) for v in layers]
+                    Q, P, n, depth, [as_map(sweep.expand(k)) for k in layers]
                 ),
-                {"m": m, "stage": "sweep", "nodes": len(nodes)},
+                {"m": m, "stage": "sweep", "reached": sweep.reached},
             )
-        if m >= 2 and (
-            a_next == a_layers[m - 2] and b_next == b_layers[m - 2]
-        ):
+        if m >= 2 and sizes[m] == sizes[m - 2]:
             return SectionOutcome(
                 "no",
-                record={
-                    "stabilized_at": m,
-                    "nodes": len(nodes),
-                    "invariant_nodes": inv_bits.bit_count(),
-                },
+                record={"stabilized_at": m, "reached": sweep.reached},
             )
 
 
-def _bits(mask):
-    """A boolean vector over the nodes as an int: bit i is node i."""
-    packed = np.packbits(mask, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+class _Sweep:
+    """Layer closures over the class-constant monotone maps Q -> P.
 
+    A map is keyed by one int: its value on class c in the bit field at
+    ``shifts[c]``, the first class highest, so keys order as the tuples of
+    class values do (the order ``MonotoneWalk`` enumerates).  ``lower`` and
+    ``upper`` give the single-class moves: class c goes to a value strictly
+    below (above) its own, and not below (above) the value of any class
+    ``fence[c]`` lists, those with an element below (above) one of its
+    elements, so the map stays monotone.  ``same`` pairs the classes that
+    one Sigma_n orbit joins.  ``reached`` counts the maps in A_m or B_m;
+    the budget bounds it.
+    """
 
-def _members(bits, size):
-    """The node indices set in ``bits``, ascending."""
-    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+    def __init__(self, Q, walk, sigma_classes, budget):
+        classes = walk.classes
+        leq = Q.leq.tolist()
+        nc, npp = len(classes), len(walk.up)
+        below = [
+            [d for d in range(nc) if d != c and any(
+                leq[y][x] for x in classes[c] for y in classes[d]
+            )]
+            for c in range(nc)
+        ]
+        above = [[d for d in range(nc) if c in below[d]] for c in range(nc)]
+        width = max(1, (npp - 1).bit_length())
+        self.shifts = [width * (nc - 1 - c) for c in range(nc)]
+        self.field = (1 << width) - 1
+        self.class_of = {i: c for c, cls in enumerate(classes) for i in cls}
+        self.same = [
+            (c, cs[0])
+            for cs in (sorted({self.class_of[i] for i in sc})
+                       for sc in sigma_classes)
+            for c in cs[1:]
+        ]
+        self.nq = len(Q.elements)
+        self.lower = (
+            [walk.down[v] ^ 1 << v for v in range(npp)], walk.up, below
+        )
+        self.upper = (
+            [walk.up[v] ^ 1 << v for v in range(npp)], walk.down, above
+        )
+        self.walk = walk
+        self.budget = budget
+        self.reached = 0
 
+    def key(self, values):
+        """The key of a value tuple over Q's elements."""
+        cls = self.walk.classes
+        return sum(values[c[0]] << s for c, s in zip(cls, self.shifts))
 
-def _lowest(bits):
-    return (bits & -bits).bit_length() - 1
+    def values(self, key):
+        """The class values of a key."""
+        f = self.field
+        return [key >> s & f for s in self.shifts]
 
+    def invariant(self, key):
+        """Is the map constant on every Sigma_n orbit?"""
+        v = self.values(key)
+        return all(v[c] == v[d] for c, d in self.same)
 
-def _order_bits(arr, leq):
-    """``le_bits[k][v]``: the nodes whose k-th value is <= v; ``ge_bits``
-    likewise for >= v."""
-    le_bits, ge_bits = [], []
-    for k in range(arr.shape[1]):
-        col = arr[:, k]
-        le_bits.append([_bits(leq[col, v]) for v in range(leq.shape[0])])
-        ge_bits.append([_bits(leq[v, col]) for v in range(leq.shape[0])])
-    return le_bits, ge_bits
+    def expand(self, key):
+        """The value tuple over Q's elements of a key."""
+        v = self.values(key)
+        return tuple(v[self.class_of[i]] for i in range(self.nq))
 
+    def close(self, at, other, seeds, m, moves):
+        """Add to the layer ``at`` the closure of ``seeds`` under ``moves``,
+        entering at step m; returns the maps added, in order.
 
-def _cone(bits, g):
-    """The nodes h <= g (with ``le_bits``) or h >= g (with ``ge_bits``)."""
-    out = -1
-    for k, v in enumerate(g):
-        out &= bits[k][v]
-    return out
+        ``at`` is closed under the moves before the call, so a map already
+        in it needs no walk: each map is entered and expanded once."""
+        strict, away, fence = moves
+        budget, field, shifts = self.budget, self.field, self.shifts
+        cols = list(zip(shifts, fence))
+        new = []
 
+        def add(key):
+            at[key] = m
+            new.append(key)
+            if key not in other:
+                self.reached += 1
+                if budget is not None and self.reached > budget:
+                    raise SizeLimitExceeded(
+                        f"more than {budget} monotone maps"
+                    )
 
-def _reconstruct(nodes, le_bits, ge_bits, a_layers, b_layers, h0_idx, m):
-    """Greedy layer extraction: h^0 in A_m, alternating down the sweep."""
-    seq = [h0_idx]
-    cur = h0_idx
-    for l in range(1, m + 1):
-        if l % 2 == 1:  # cur <= next
-            cand = _cone(ge_bits, nodes[cur]) & b_layers[m - l]
-        else:
-            cand = _cone(le_bits, nodes[cur]) & a_layers[m - l]
-        assert cand, "sweep reconstruction lost the path"
-        cur = _lowest(cand)
-        seq.append(cur)
-    return [nodes[i] for i in seq]
+        for key in seeds:
+            if key not in at:
+                add(key)
+        i = 0
+        while i < len(new):
+            key = new[i]
+            i += 1
+            vals = [key >> s & field for s in shifts]
+            for (s, fc), value in zip(cols, vals):
+                mask = strict[value]
+                for d in fc:
+                    mask &= away[vals[d]]
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    nxt = key + ((low.bit_length() - 1 - value) << s)
+                    if nxt not in at:
+                        add(nxt)
+        return new
 
-
-def _bounded_map(Q, P, classes, a, b):
-    """A class-constant monotone map above both a and b, or None."""
-    npp = len(P.elements)
-    allowed = []
-    for i in range(len(Q.elements)):
-        s = {v for v in range(npp) if P.leq[a[i], v] and P.leq[b[i], v]}
-        if not s:
-            return None
-        allowed.append(s)
-    found = monotone_value_tuples(
-        Q, P, budget=None, classes=classes, allowed=allowed, first_only=True
-    )
-    return found[0] if found else None
+    def reconstruct(self, h0, start, a_at, b_at, m):
+        """Greedy layer extraction: h^0 in A_m, then alternately the lowest
+        key above h^{l-1} in B_{m-l} and below it in A_{m-l}, ending at the
+        projection, the one map of A_0 = B_0."""
+        seq = [h0]
+        for l in range(1, m):
+            cur = self.values(seq[-1])
+            at, table = (
+                (b_at, self.walk.up) if l % 2 else (a_at, self.walk.down)
+            )
+            seq.append(min(
+                k for k, first in at.items() if first <= m - l and all(
+                    table[a] >> b & 1 for a, b in zip(cur, self.values(k))
+                )
+            ))
+        seq.append(start)
+        return seq
 
 
 # ---------------------------------------------------------------------------

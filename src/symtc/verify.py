@@ -154,6 +154,12 @@ def _validate_chain(cert):
         return rep
     verts = list(source.vertices)
     tverts = set(target.vertices)
+    rank = {v: i for i, v in enumerate(verts)}
+
+    def in_order(simplices):
+        """Failing simplices by sorted vertex positions, so the failure list
+        does not follow the set's hash order."""
+        return sorted(simplices, key=lambda s: sorted(rank[v] for v in s))
 
     for l, level in enumerate(cert.levels):
         if len(level) != n:
@@ -169,13 +175,15 @@ def _validate_chain(cert):
                         f"level {l} map {j} sends {v!r} outside the target"
                     )
                     return rep
-            for s in source.simplices:
-                img = frozenset(vm[v] for v in s)
-                if not target.is_simplex(img):
-                    rep.fail(
-                        f"level {l} map {j} sends simplex {name_of(s)!r} to "
-                        f"a non-simplex"
-                    )
+            bad = [
+                s for s in source.simplices
+                if not target.is_simplex(frozenset(vm[v] for v in s))
+            ]
+            for s in in_order(bad):
+                rep.fail(
+                    f"level {l} map {j} sends simplex {name_of(s)!r} to "
+                    f"a non-simplex"
+                )
 
     first = cert.levels[0]
     for vm in first[1:]:
@@ -186,15 +194,18 @@ def _validate_chain(cert):
     for l in range(1, len(cert.levels)):
         prev, cur = cert.levels[l - 1], cert.levels[l]
         for j in range(n):
-            for s in source.simplices:
-                union = frozenset(prev[j][v] for v in s) | frozenset(
-                    cur[j][v] for v in s
+            bad = [
+                s for s in source.simplices
+                if not target.is_simplex(
+                    frozenset(prev[j][v] for v in s)
+                    | frozenset(cur[j][v] for v in s)
                 )
-                if not target.is_simplex(union):
-                    rep.fail(
-                        f"levels {l - 1} and {l} are not 1-contiguous on "
-                        f"branch {j + 1} at {name_of(s)!r}"
-                    )
+            ]
+            for s in in_order(bad):
+                rep.fail(
+                    f"levels {l - 1} and {l} are not 1-contiguous on "
+                    f"branch {j + 1} at {name_of(s)!r}"
+                )
 
     if cert.symmetric:
         group = symmetric_group(n)

@@ -100,14 +100,6 @@ class CombinatorialHomotopy:
     def fence(self):
         return multi_fence(self.n, self.m)
 
-    def endpoint_maps(self):
-        """The maps f_j(x) = H(x, m_j)."""
-        J = self.fence()
-        return [
-            {x: self.table[(x, J.end(j))] for x in self.source.elements}
-            for j in range(1, self.n + 1)
-        ]
-
     def to_doc(self):
         rows = sorted(
             ([thaw(x), fence_point_to_doc(t), thaw(v)] for (x, t), v in self.table.items()),

@@ -144,3 +144,16 @@ def posets_up_to_iso(n, connected_only=True):
 
 def connected_posets_up_to_iso(n):
     return posets_up_to_iso(n, connected_only=True)
+
+
+def brute_force_min_cover(universe, sets):
+    """Smallest number of ``sets`` covering ``universe``, by subset
+    enumeration (keep sets small); None when no cover exists."""
+    universe = frozenset(universe)
+    if not universe:
+        return 0
+    for k in range(1, len(sets) + 1):
+        for combo in combinations(range(len(sets)), k):
+            if frozenset().union(*(sets[i] for i in combo)) >= universe:
+                return k
+    return None

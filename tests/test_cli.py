@@ -311,3 +311,39 @@ def test_symtc_budget_env(docs, capsys, monkeypatch, tmp_path):
     )
     assert code == 0
     assert doc["config"]["budgets"]["simplices"] == 200000
+
+
+def test_check_certificate_failures_ignore_hash_seed(tmp_path):
+    """A chain that fails on many simplices lists its failures in the same
+    order whatever the interpreter's string hash seed."""
+    import subprocess
+    import sys
+
+    import symtc
+
+    names = [f"v{i}" for i in range(4)]
+    cycle = [[names[i], names[(i + 1) % 4]] for i in range(4)]
+    alternate = [[v, "ab"[i % 2]] for i, v in enumerate(names)]
+    shifted = [[v, "ab"[(i + 1) % 2]] for i, v in enumerate(names)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "type": "contiguity_chain", "n": 2, "depth": 0, "symmetric": False,
+        "source": {"vertices": names, "facets": cycle},
+        "target": {"vertices": ["a", "b"], "facets": [["a"], ["b"]]},
+        "levels": [[alternate, alternate], [shifted, shifted]],
+    }))
+    src = os.path.dirname(os.path.dirname(symtc.__file__))
+    outputs = []
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from symtc.cli import main; sys.exit(main())",
+             "check-certificate", "--input", str(path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 4, proc.stderr
+        outputs.append(proc.stdout)
+    # 4 edges x 4 maps not simplicial, 8 simplices x 2 branches not contiguous
+    assert len(json.loads(outputs[0])["result"]["failures"]) == 32
+    assert outputs[1:] == outputs[:1] * 2

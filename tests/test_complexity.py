@@ -10,12 +10,11 @@ from symtc.complexity import (
     tc_sigma_finite,
     tc_sigma_finite_sections,
 )
-from symtc.covers import brute_force_min_cover
 from symtc.errors import DisconnectedPoset
 from symtc.posets import order_complex, poset_from_relations
 from symtc.verify import validate
 
-from helpers import connected_posets_up_to_iso
+from helpers import brute_force_min_cover, connected_posets_up_to_iso
 
 
 def _check_cover(res):

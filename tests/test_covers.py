@@ -1,7 +1,9 @@
 import pytest
 
-from symtc.covers import brute_force_min_cover, min_cover
+from symtc.covers import min_cover
 from symtc.errors import BudgetExceeded
+
+from helpers import brute_force_min_cover
 
 
 def test_trivial_cover():

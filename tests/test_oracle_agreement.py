@@ -15,23 +15,44 @@ from helpers import brute_monotone_maps, brute_simplicial_maps, connected_posets
 
 
 def _oracle_sym_homotopic(Q, P, rho_tables, n):
-    """Zigzag reachability from the projection to an invariant map."""
-    maps = brute_monotone_maps(Q.elements, Q.le, P.elements, P.le)
-    keys = [tuple(m[x] for x in Q.elements) for m in maps]
+    """Zigzag reachability from the projection to an invariant map.
+
+    Maps are enumerated and compared through element indices, with the
+    order relations read from ``leq`` tables once."""
+    lq, lp = Q.leq.tolist(), P.leq.tolist()
+    nq = len(Q.elements)
+    maps = brute_monotone_maps(
+        range(nq), lambda i, j: lq[i][j],
+        range(len(P.elements)), lambda a, b: lp[a][b],
+    )
+    keys = [tuple(m[i] for i in range(nq)) for m in maps]
+    # one bit field of width |P| per element of Q: ``value`` sets the bit of
+    # the map's value there, ``above`` the bits of every value >= it, so
+    # k1 <= k2 pointwise iff value[k2] lies inside above[k1]
+    width = len(P.elements)
+    value = {
+        k: sum(1 << (width * i + a) for i, a in enumerate(k)) for k in keys
+    }
+    above = {
+        k: sum(
+            1 << (width * i + b)
+            for i, a in enumerate(k) for b in range(width) if lp[a][b]
+        )
+        for k in keys
+    }
 
     def adjacent(k1, k2):
-        return all(P.le(a, b) for a, b in zip(k1, k2)) or all(
-            P.le(b, a) for a, b in zip(k1, k2)
-        )
+        v1, v2 = value[k1], value[k2]
+        return above[k1] & v2 == v2 or above[k2] & v1 == v1
 
-    start = tuple(rho_tables[0][x] for x in Q.elements)
+    start = tuple(P.index[rho_tables[0][x]] for x in Q.elements)
     component = reachable([start], keys, adjacent)
     group = symmetric_group(n)
+    moved = [
+        [Q.index[act_name(g, x, 0)] for x in Q.elements] for g in group
+    ]
     for k in component:
-        m = dict(zip(Q.elements, k))
-        if all(
-            m[act_name(g, x, 0)] == m[x] for g in group for x in Q.elements
-        ):
+        if all(k[gi] == k[i] for g in moved for i, gi in enumerate(g)):
             return True
     return False
 

@@ -1,8 +1,17 @@
-import pytest
+from functools import lru_cache
 
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from symtc import sections
+from symtc.errors import BudgetExceeded
 from symtc.posets import poset_from_relations, power_poset
 from symtc.sections import cc_by_sections, invariant_open_pieces, section_search
 from symtc.verify import validate
+
+from helpers import brute_monotone_maps, connected_posets_up_to_iso
 
 
 def test_invariant_open_pieces_are_opens(v_poset):
@@ -83,7 +92,9 @@ def test_sweep_agrees_with_bfs_route(v_poset, circle_poset, chain2):
 
 # Every section_search outcome on the invariant opens of the 4-point circle,
 # keyed by the piece's maximal elements: ("yes", m) answers come from the
-# small-m stage, ("no", nodes, invariant_nodes, stabilized_at) from the sweep.
+# small-m stage, ("no", stabilized_at, reached) from the sweep, where reached
+# counts the maps in the last A_m or B_m (81 of the 32,148 constraint-
+# invariant maps on the largest piece).
 CIRCLE_OUTCOMES = {
     "ab<cd": [
         ("aa", "yes", 0),
@@ -101,32 +112,32 @@ CIRCLE_OUTCOMES = {
         ("ad bb da", "yes", 2),
         ("aa bc cb", "yes", 2),
         ("aa bd db", "yes", 2),
-        ("ac ad ca da", "no", 468, 36, 5),
-        ("bc bd cb db", "no", 468, 36, 5),
-        ("ac ad bb ca da", "no", 1872, 144, 5),
+        ("ac ad ca da", "no", 5, 13),
+        ("bc bd cb db", "no", 5, 13),
+        ("ac ad bb ca da", "no", 5, 52),
         ("ac bc ca cb", "yes", 2),
-        ("ac bd ca db", "no", 1156, 116, 9),
-        ("ad bc cb da", "no", 1156, 116, 9),
+        ("ac bd ca db", "no", 9, 192),
+        ("ad bc cb da", "no", 9, 192),
         ("ad bd da db", "yes", 2),
-        ("aa bc bd cb db", "no", 1872, 144, 5),
+        ("aa bc bd cb db", "no", 5, 52),
         ("cc", "yes", 2),
         ("dd", "yes", 2),
-        ("ac ad bc ca cb da", "no", 5740, 228, 7),
-        ("ac ad bd ca da db", "no", 5740, 228, 7),
-        ("ac bc bd ca cb db", "no", 5740, 228, 7),
-        ("ad bc bd cb da db", "no", 5740, 228, 7),
-        ("ad cc da", "no", 1808, 168, 5),
-        ("ac ca dd", "no", 1808, 168, 5),
-        ("bd cc db", "no", 1808, 168, 5),
-        ("bc cb dd", "no", 1808, 168, 5),
-        ("ac ad bc bd ca cb da db", "no", 32148, 468, 4),
-        ("ad bd cc da db", "no", 10052, 360, 4),
-        ("ac bc ca cb dd", "no", 10052, 360, 4),
-        ("cc dd", "no", 3468, 296, 4),
-        ("cd dc", "no", 3468, 164, 4),
-        ("cc cd dc", "no", 2860, 200, 4),
-        ("cd dc dd", "no", 2860, 200, 4),
-        ("cc cd dc dd", "no", 2836, 260, 2),
+        ("ac ad bc ca cb da", "no", 7, 83),
+        ("ac ad bd ca da db", "no", 7, 83),
+        ("ac bc bd ca cb db", "no", 7, 83),
+        ("ad bc bd cb da db", "no", 7, 83),
+        ("ad cc da", "no", 5, 40),
+        ("ac ca dd", "no", 5, 40),
+        ("bd cc db", "no", 5, 40),
+        ("bc cb dd", "no", 5, 40),
+        ("ac ad bc bd ca cb da db", "no", 4, 81),
+        ("ad bd cc da db", "no", 4, 36),
+        ("ac bc ca cb dd", "no", 4, 36),
+        ("cc dd", "no", 4, 16),
+        ("cd dc", "no", 4, 16),
+        ("cc cd dc", "no", 4, 4),
+        ("cd dc dd", "no", 4, 4),
+        ("cc cd dc dd", "no", 2, 1),
     ],
     "ac<bd": [
         ("aa", "yes", 0),
@@ -144,32 +155,32 @@ CIRCLE_OUTCOMES = {
         ("ad cc da", "yes", 2),
         ("aa bc cb", "yes", 2),
         ("aa cd dc", "yes", 2),
-        ("ab ad ba da", "no", 468, 36, 5),
-        ("bc cb cd dc", "no", 468, 36, 5),
-        ("ab ad ba cc da", "no", 1872, 144, 5),
+        ("ab ad ba da", "no", 5, 13),
+        ("bc cb cd dc", "no", 5, 13),
+        ("ab ad ba cc da", "no", 5, 52),
         ("ab ba bc cb", "yes", 2),
-        ("ab ba cd dc", "no", 1156, 116, 9),
-        ("ad bc cb da", "no", 1156, 116, 9),
+        ("ab ba cd dc", "no", 9, 192),
+        ("ad bc cb da", "no", 9, 192),
         ("ad cd da dc", "yes", 2),
-        ("aa bc cb cd dc", "no", 1872, 144, 5),
+        ("aa bc cb cd dc", "no", 5, 52),
         ("bb", "yes", 2),
         ("dd", "yes", 2),
-        ("ab ad ba bc cb da", "no", 5740, 228, 7),
-        ("ab ad ba cd da dc", "no", 5740, 228, 7),
-        ("ab ba bc cb cd dc", "no", 5740, 228, 7),
-        ("ad bc cb cd da dc", "no", 5740, 228, 7),
-        ("ad bb da", "no", 1808, 168, 5),
-        ("ab ba dd", "no", 1808, 168, 5),
-        ("bb cd dc", "no", 1808, 168, 5),
-        ("bc cb dd", "no", 1808, 168, 5),
-        ("ab ad ba bc cb cd da dc", "no", 32148, 468, 4),
-        ("ad bb cd da dc", "no", 10052, 360, 4),
-        ("ab ba bc cb dd", "no", 10052, 360, 4),
-        ("bb dd", "no", 3468, 296, 4),
-        ("bd db", "no", 3468, 164, 4),
-        ("bb bd db", "no", 2860, 200, 4),
-        ("bd db dd", "no", 2860, 200, 4),
-        ("bb bd db dd", "no", 2836, 260, 2),
+        ("ab ad ba bc cb da", "no", 7, 83),
+        ("ab ad ba cd da dc", "no", 7, 83),
+        ("ab ba bc cb cd dc", "no", 7, 83),
+        ("ad bc cb cd da dc", "no", 7, 83),
+        ("ad bb da", "no", 5, 40),
+        ("ab ba dd", "no", 5, 40),
+        ("bb cd dc", "no", 5, 40),
+        ("bc cb dd", "no", 5, 40),
+        ("ab ad ba bc cb cd da dc", "no", 4, 81),
+        ("ad bb cd da dc", "no", 4, 36),
+        ("ab ba bc cb dd", "no", 4, 36),
+        ("bb dd", "no", 4, 16),
+        ("bd db", "no", 4, 16),
+        ("bb bd db", "no", 4, 4),
+        ("bd db dd", "no", 4, 4),
+        ("bb bd db dd", "no", 2, 1),
     ],
 }
 
@@ -194,21 +205,20 @@ def test_section_search_circle_outcomes_pinned(labelling):
         else:
             assert out.witness is None
             rec = out.record
-            assert set(rec) == {"nodes", "invariant_nodes", "stabilized_at"}
-            got.append((key, "no", rec["nodes"], rec["invariant_nodes"],
-                        rec["stabilized_at"]))
+            assert set(rec) == {"stabilized_at", "reached"}
+            got.append((key, "no", rec["stabilized_at"], rec["reached"]))
     assert got == CIRCLE_OUTCOMES[labelling]
 
 
 def test_section_search_sweep_yes_pinned():
     """A piece of the 5-point fence 3 > 1 < 2 > 0 < 4 whose section needs a
     fence of length 3: the sweep finds it and the layers are reconstructed
-    greedily, lowest node first."""
+    greedily, lowest map first."""
     P = poset_from_relations(range(5), [(0, 2), (0, 4), (1, 2), (1, 3)])
     L = power_poset(P, 2)
     Q = L.restrict([(0, 1), (0, 3), (1, 0), (1, 4), (3, 0), (4, 1)])
     out = section_search(Q, P, 2, 0)
-    assert out.record == {"m": 3, "stage": "sweep", "nodes": 441}
+    assert out.record == {"m": 3, "stage": "sweep", "reached": 225}
     w = out.witness
     layers = [
         tuple(w.paths[x][(l, 1) if l else (0, 0)] for x in Q.elements)
@@ -222,3 +232,149 @@ def test_section_search_sweep_yes_pinned():
     ]
     rep = validate(w)
     assert rep.ok, rep.failures
+
+
+def _oracle_sweep(Q, P):
+    """The sweep by brute force at n = 2, depth 0, where the constraint
+    group is trivial, so every monotone map Q -> P is in the sweep's space.
+
+    Maps are value-index rows; A_m and B_m are boolean vectors over them,
+    each the union of explicit pointwise cones of the other layer one step
+    back.  Returns
+    ("yes", m, reached) at the first m whose A_m holds a symmetric map, or
+    ("no", stabilized_at, reached) once A_m, B_m equal A_{m-2}, B_{m-2}.
+    """
+    lq, lp = Q.leq.tolist(), P.leq.tolist()
+    nq = len(Q.elements)
+    maps = brute_monotone_maps(
+        range(nq), lambda i, j: lq[i][j],
+        range(len(P.elements)), lambda a, b: lp[a][b],
+    )
+    rows = np.array([[f[i] for i in range(nq)] for f in maps]).reshape(-1, nq)
+    swap = [Q.index[(x[1], x[0])] for x in Q.elements]
+    symmetric = (rows == rows[:, swap]).all(axis=1)
+    start = [P.index[x[0]] for x in Q.elements]
+    projection = (rows == start).all(axis=1)
+
+    def cones(layer, below):
+        out = np.zeros(len(rows), dtype=bool)
+        for g in np.flatnonzero(layer):
+            rel = P.leq[rows, rows[g]] if below else P.leq[rows[g], rows]
+            out |= rel.all(axis=1)
+        return out
+
+    a_layers, b_layers = [projection], [projection]
+    m = 0
+    while True:
+        a, b = a_layers[m], b_layers[m]
+        reached = int((a | b).sum())
+        if (a & symmetric).any():
+            return "yes", m, reached
+        if m >= 2 and (a == a_layers[m - 2]).all() and (
+            b == b_layers[m - 2]
+        ).all():
+            return "no", m, reached
+        a_layers.append(cones(b, below=True))
+        b_layers.append(cones(a, below=False))
+        m += 1
+
+
+CIRCLE4 = (4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+@lru_cache(maxsize=None)
+def _connected_shapes():
+    return [(size, sorted(rel)) for size, rel in connected_posets_up_to_iso(4)]
+
+
+@st.composite
+def _square_pieces(draw):
+    """An invariant open of P x P, P a connected poset on at most 4 points,
+    relabelled so its labels need not follow its order.  Half the draws
+    take the 4-point circle, the only such P with pieces the small-m stage
+    cannot answer."""
+    size, rel = draw(st.one_of(
+        st.just(CIRCLE4), st.sampled_from(_connected_shapes())
+    ))
+    labels = draw(st.permutations(range(size)))
+    P = poset_from_relations(
+        range(size), [(labels[a], labels[b]) for a, b in rel]
+    )
+    L = power_poset(P, 2)
+    pieces = invariant_open_pieces(L, 2, 0)
+    return P, L.restrict(draw(st.sampled_from(pieces)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_square_pieces())
+def test_sweep_against_brute_force_layers(case):
+    """Status, m, stabilized_at and reached agree with layers built from
+    every monotone map and explicit cones; every yes validates.  Pieces of
+    at most 4-point posets have under 2,000 symmetric maps, so the small-m
+    stage sees all of them and answers exactly the m <= 2 cases."""
+    P, Q = case
+    status, m, reached = _oracle_sweep(Q, P)
+    out = section_search(Q, P, 2, 0)
+    assert out.status == status
+    if status == "no":
+        assert out.record == {"stabilized_at": m, "reached": reached}
+        return
+    assert out.witness.m == m
+    if m <= 2:
+        assert out.record == {"m": m, "stage": "small-m"}
+    else:
+        assert out.record == {"m": m, "stage": "sweep", "reached": reached}
+    rep = validate(out.witness)
+    assert rep.ok, rep.failures
+
+
+FENCE5 = [(0, 2), (0, 4), (1, 2), (1, 3)]  # 3 > 1 < 2 > 0 < 4
+
+
+def test_sweep_answers_past_the_whole_space_budget():
+    """A piece of the 5-point fence with more than 50,000 constraint-
+    invariant maps: enumerating them all exceeded the default budget, while
+    its layers reach 19,160 maps and find a section of length 3."""
+    P = poset_from_relations(range(5), FENCE5)
+    Q = power_poset(P, 2).restrict([
+        (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 3), (1, 4),
+        (2, 0), (3, 0), (3, 1), (4, 1),
+    ])
+    out = section_search(Q, P, 2, 0)
+    assert out.record == {"m": 3, "stage": "sweep", "reached": 19160}
+    rep = validate(out.witness)
+    assert rep.ok, rep.failures
+
+
+def test_sweep_budget_counts_maps_reached(circle_poset, monkeypatch):
+    """The budget bounds the maps in A_m or B_m.  On the circle piece whose
+    layers reach 81 maps, all of them in B_1, the up-cone of the
+    projection, budget N < 80 stops the sweep at map N + 1, before B_1 is
+    complete; budget 81 lets it answer."""
+    L = power_poset(circle_poset, 2)
+    Q = L.restrict([x for x in L.elements if not set(x) <= {"c", "d"}])
+    assert section_search(Q, circle_poset, 2, 0, budget=81).record == {
+        "stabilized_at": 4, "reached": 81,
+    }
+
+    closes = []
+    close = sections._Sweep.close
+
+    def spy(self, at, other, seeds, m, moves):
+        try:
+            return close(self, at, other, seeds, m, moves)
+        finally:
+            closes.append((self.reached, len(at)))
+
+    monkeypatch.setattr(sections._Sweep, "close", spy)
+    section_search(Q, circle_poset, 2, 0)
+    layer_sizes = [size for _, size in closes]
+    for budget in (5, 40, 79):
+        closes.clear()
+        with pytest.raises(BudgetExceeded,
+                           match=f"^more than {budget} monotone maps$"):
+            section_search(Q, circle_poset, 2, 0, budget=budget)
+        reached, size = closes[-1]
+        assert reached == budget + 1
+        assert size < layer_sizes[len(closes) - 1]
