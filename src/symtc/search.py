@@ -23,13 +23,19 @@ value of one orbit class at a time, until a goal turns up or the start's
 component is exhausted.  That component is the start's whole component in
 the graph above, so a "no" carries an exhaustion record, and the budget
 bounds the explored nodes, never the size of the map space.  "auto" first
-tries connections of length <= 2 through constant and invariant maps, then
-runs the exact search.  "bounded" runs the same two stages but reports
-"unknown" where exact would report "no"; it never answers "no".
+runs a quick stage over the constant maps, which are maps of either kind
+and invariant under every group: the first candidate equal or adjacent to
+every start (the plain deciders try the starts themselves before the
+constants) connects them in one step; on the symmetric side a constant c
+then connects to the start in two steps through ``bridge(c, start)``, a
+class-constant map adjacent to both.  Otherwise it runs the exact search.
+"bounded" runs the same two stages but reports "unknown" where exact would
+report "no"; it never answers "no".
 """
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -220,31 +226,23 @@ def _component_stage(space, start, stop, budget, mode):
     return ("yes" if hit is not None else "no"), parents, hit, record
 
 
-def _enumerate_classes(classes, nvalues, size, fits, budget, first_only,
-                       what):
-    """Value tuples constant on classes, in lex order, built class by class.
+def _first_fit(space, fits):
+    """The lex-first value tuple constant on ``space.classes`` that fits,
+    built class by class, or None.
 
     ``fits(ci, values)`` judges the value just written into class ci against
     the classes before it; later classes still hold -1.  ``trial`` keeps the
     next value to try for each class, so the walk needs no recursion: one
     frame per class would overflow Python's stack on large sources.
     """
-    values = [-1] * size
+    classes = space.classes
+    values = [-1] * space.size
     trial = [0] * len(classes)
-    out = []
     ci = 0
-    while ci >= 0:
-        if ci == len(classes):
-            out.append(tuple(values))
-            if budget is not None and len(out) > budget:
-                raise BudgetExceeded(f"more than {budget} {what}")
-            if first_only:
-                break
-            ci -= 1
-            continue
+    while 0 <= ci < len(classes):
         cls = classes[ci]
         v = trial[ci]
-        while v < nvalues:
+        while v < space.nvalues:
             for i in cls:
                 values[i] = v
             v += 1
@@ -258,7 +256,79 @@ def _enumerate_classes(classes, nvalues, size, fits, budget, first_only,
             continue
         trial[ci] = v
         ci += 1
-    return out
+    return tuple(values) if ci == len(classes) else None
+
+
+def _constants(space):
+    """The constant maps: simplicial (monotone) and invariant under every
+    group, so each is a goal of the symmetric deciders."""
+    return [(w,) * space.size for w in range(space.nvalues)]
+
+
+def _quick_stage(space, starts, candidates, bridge=False):
+    """Branch paths, one per start, from a candidate equal or adjacent to
+    every start; else, with ``bridge`` and one start, a path candidate ->
+    ``space.bridge(candidate, start)`` -> start; else None."""
+    for cand in candidates:
+        if all(cand == s or space.directions(cand, s) for s in starts):
+            return [[cand] if s == cand else [cand, s] for s in starts]
+    if bridge:
+        start, = starts
+        for cand in candidates:
+            mid = space.bridge(cand, start)
+            if mid is not None:
+                return [[cand, mid, start]]
+    return None
+
+
+def _decide_symmetric(space, sigma_classes, start, witness, mode, budget):
+    """Start check, quick stage and component search of a symmetric decider.
+
+    The goal is a map constant on ``sigma_classes``; ``witness(path)``
+    builds the certificate of a path from a goal to the start.
+    """
+    def is_diag(vals):
+        return _constant_on(vals, sigma_classes)
+
+    if is_diag(start):
+        return SearchResult("yes", witness([start]), {"stage": "start"})
+    if mode in ("auto", "bounded"):
+        quick = _quick_stage(space, [start], _constants(space), bridge=True)
+        if quick is not None:
+            return SearchResult("yes", witness(quick[0]), {"stage": "quick"})
+    if not _constant_on(start, space.classes):
+        raise NotEquivariant("tuple's first map is not constraint-invariant")
+    status, parents, hit, record = _component_stage(
+        space, start, is_diag, budget, mode
+    )
+    if status != "yes":
+        return SearchResult(status, record=record)
+    path = _shortcut(_path_to(parents, hit)[::-1], space.directions)
+    return SearchResult("yes", witness(path), record)
+
+
+def _decide_plain(space, starts, witness, mode, budget):
+    """Start check, quick stage and component search of a plain decider.
+
+    The goal is one component holding every start; ``witness(paths)``
+    builds the certificate of one path per start from a common map.
+    """
+    if all(s == starts[0] for s in starts):
+        return SearchResult("yes", witness([[s] for s in starts]),
+                            {"stage": "start"})
+    if mode in ("auto", "bounded"):
+        quick = _quick_stage(space, starts, starts + _constants(space))
+        if quick is not None:
+            return SearchResult("yes", witness(quick), {"stage": "quick"})
+    status, parents, _, record = _component_stage(
+        space, starts[0], _sees_all(starts), budget, mode
+    )
+    if status != "yes":
+        return SearchResult(status, record=record)
+    branch_paths = [
+        _shortcut(_path_to(parents, s), space.directions) for s in starts
+    ]
+    return SearchResult("yes", witness(branch_paths), record)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +337,10 @@ def _enumerate_classes(classes, nvalues, size, fits, budget, first_only,
 
 
 class _SimplicialSpace:
-    """Enumeration and 1-contiguity tests over simplicial maps L -> K."""
+    """Moves, bridges and 1-contiguity tests over simplicial maps L -> K
+    constant on the orbit classes of ``group`` (singletons without one)."""
 
-    def __init__(self, source, target, classes=None):
+    def __init__(self, source, target, group=None, depth=0):
         source, target = base_of(source), base_of(target)
         self.source = source
         self.target = target
@@ -277,6 +348,7 @@ class _SimplicialSpace:
         self.svi = {v: i for i, v in enumerate(self.sverts)}
         self.tverts = list(target.vertices)
         self.tvi = {v: i for i, v in enumerate(self.tverts)}
+        self.size, self.nvalues = len(self.sverts), len(self.tverts)
         self.facets = [
             tuple(self.svi[v] for v in f) for f in source.facet_names()
         ]
@@ -291,39 +363,20 @@ class _SimplicialSpace:
                 mask |= 1 << self.tvi[v]
             lut[mask] = True
         self.lut = lut
-        if classes is None:
-            classes = [[i] for i in range(len(self.sverts))]
-        self.classes = classes
-        self._facets_of_vertex = [[] for _ in self.sverts]
-        for fi, f in enumerate(self.facets):
-            for i in f:
-                self._facets_of_vertex[i].append(fi)
-
-    def enumerate_maps(self, budget=None, classes=None, extra_ok=None,
-                       first_only=False):
-        """Valid maps constant on classes, as value tuples in lex order."""
-        classes = self.classes if classes is None else classes
-        touched = [self._touched(cls) for cls in classes]
-
-        def fits(ci, values):
-            masks = {}
-            for fi in touched[ci]:
-                mask = 0
-                for i in self.facets[fi]:
-                    if values[i] >= 0:
-                        mask |= 1 << values[i]
-                if not self.lut[mask]:
-                    return False
-                masks[fi] = mask
-            return extra_ok is None or extra_ok(values, touched[ci], masks)
-
-        return _enumerate_classes(
-            classes, len(self.tverts), len(self.sverts), fits, budget,
-            first_only, "simplicial maps",
+        self.classes = (
+            [[i] for i in range(self.size)] if group is None
+            else _index_classes(self.sverts, self.svi, group, depth)
         )
 
-    def _touched(self, cls):
-        return sorted({fi for i in cls for fi in self._facets_of_vertex[i]})
+    @cached_property
+    def _touched(self):
+        """Per class, the facets holding one of its vertices."""
+        facets_of_vertex = [[] for _ in self.sverts]
+        for fi, f in enumerate(self.facets):
+            for i in f:
+                facets_of_vertex[i].append(fi)
+        return [sorted({fi for i in cls for fi in facets_of_vertex[i]})
+                for cls in self.classes]
 
     def full_masks(self, values):
         out = []
@@ -346,7 +399,7 @@ class _SimplicialSpace:
                 1 << w for w in range(len(self.tverts))
                 if self.lut[m | (1 << w)]
             )
-        touched = [self._touched(cls) for cls in self.classes]
+        touched = self._touched
         every = (1 << len(self.tverts)) - 1
         last = [None, None]  # cur and its facet masks
 
@@ -379,55 +432,25 @@ class _SimplicialSpace:
     def map_of(self, values):
         return {v: self.tverts[w] for v, w in zip(self.sverts, values)}
 
-    def bridge(self, a, b, budget=None):
-        """A class-constant map 1-contiguous with both a and b, or None."""
+    def bridge(self, a, b):
+        """The lex-first class-constant map 1-contiguous with both a and b,
+        or None.  Such a map is simplicial, the simplex set being closed
+        under faces."""
         am = self.full_masks(a)
         bm = self.full_masks(b)
+        touched = self._touched
 
-        def extra_ok(values, touched, fmasks):
-            for fi in touched:
-                if not (self.lut[fmasks[fi] | am[fi]]
-                        and self.lut[fmasks[fi] | bm[fi]]):
+        def fits(ci, values):
+            for fi in touched[ci]:
+                mask = 0
+                for i in self.facets[fi]:
+                    if values[i] >= 0:
+                        mask |= 1 << values[i]
+                if not (self.lut[mask | am[fi]] and self.lut[mask | bm[fi]]):
                     return False
             return True
 
-        found = self.enumerate_maps(
-            budget=budget, extra_ok=extra_ok, first_only=True
-        )
-        return found[0] if found else None
-
-
-QUICK_ENUM_BUDGET = 2_000
-
-
-def _simplicial_quick(space, sigma_classes, start, budget):
-    """A path of length <= 2 from an invariant map to start, or None.
-
-    Constant maps come first (always simplicial and invariant); a full
-    enumeration of invariant maps is attempted only within a small budget,
-    because the exact stage will decide anyway.
-    """
-    candidates = [
-        tuple([w] * len(space.sverts)) for w in range(len(space.tverts))
-    ]
-    try:
-        candidates += space.enumerate_maps(
-            budget=QUICK_ENUM_BUDGET, classes=sigma_classes
-        )
-    except BudgetExceeded:
-        pass
-    seen = set()
-    candidates = [c for c in candidates if not (c in seen or seen.add(c))]
-    for phi in candidates:
-        if phi == start:
-            return [start]
-        if space.pair_contiguous(phi, start):
-            return [phi, start]
-    for phi in candidates:
-        mid = space.bridge(phi, start, budget=budget)
-        if mid is not None:
-            return [phi, mid, start]
-    return None
+        return _first_fit(self, fits)
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +473,12 @@ def sym_contiguous(maps, n, depth, mode="exact", budget=50_000,
     if not ok:
         raise NotEquivariant(f"tuple is not equivariant: violated at {viol!r}")
 
-    G = tuple_constraint_group(n)
-    space = _SimplicialSpace(source, target)
-    g_classes = _index_classes(space.sverts, space.svi, G.elements, depth)
+    space = _SimplicialSpace(
+        source, target, tuple_constraint_group(n).elements, depth
+    )
     sigma_classes = _index_classes(
         space.sverts, space.svi, symmetric_group(n), depth
     )
-    space.classes = g_classes
-    start = space.values_of(tables[0])
-
     swaps = action_tables(
         [transposition(n, 1, j) for j in range(1, n + 1)], space.sverts, depth
     )
@@ -476,26 +496,10 @@ def sym_contiguous(maps, n, depth, mode="exact", budget=50_000,
             levels=levels,
         )
 
-    def is_diag(vals):
-        return _constant_on(vals, sigma_classes)
-
-    if is_diag(start):
-        return SearchResult("yes", chain_of([start]), {"stage": "start"})
-
-    if mode in ("auto", "bounded"):
-        quick = _simplicial_quick(space, sigma_classes, start, budget)
-        if quick is not None:
-            return SearchResult("yes", chain_of(quick), {"stage": "quick"})
-
-    if not _constant_on(start, g_classes):
-        raise NotEquivariant("tuple's first map is not constraint-invariant")
-    status, parents, hit, record = _component_stage(
-        space, start, is_diag, budget, mode
+    return _decide_symmetric(
+        space, sigma_classes, space.values_of(tables[0]), chain_of, mode,
+        budget,
     )
-    if status != "yes":
-        return SearchResult(status, record=record)
-    path = _shortcut(_path_to(parents, hit)[::-1], space.directions)
-    return SearchResult("yes", chain_of(path), record)
 
 
 def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
@@ -505,7 +509,6 @@ def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
     n = len(maps)
     source, target = _check_tuple_inputs(maps, n)
     space = _SimplicialSpace(source, target)
-    starts = [space.values_of(f.vertex_map) for f in maps]
 
     def chain_of(branch_paths):
         c = max(len(p) for p in branch_paths)
@@ -521,40 +524,8 @@ def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
             levels=levels,
         )
 
-    if all(s == starts[0] for s in starts):
-        return SearchResult("yes", chain_of([[s] for s in starts]),
-                            {"stage": "start"})
-
-    if mode in ("auto", "bounded"):
-        quick = _plain_quick_simplicial(space, starts, budget)
-        if quick is not None:
-            return SearchResult("yes", chain_of(quick), {"stage": "quick"})
-
-    status, parents, _, record = _component_stage(
-        space, starts[0], _sees_all(starts), budget, mode
-    )
-    if status != "yes":
-        return SearchResult(status, record=record)
-    branch_paths = [
-        _shortcut(_path_to(parents, s), space.directions) for s in starts
-    ]
-    return SearchResult("yes", chain_of(branch_paths), record)
-
-
-def _plain_quick_simplicial(space, starts, budget):
-    """A common meeting map at distance <= 1 from every start, or None.
-
-    Candidates: the given maps themselves and the constant maps (always
-    simplicial).
-    """
-    candidates = list(starts)
-    candidates += [tuple([w] * len(space.sverts)) for w in range(len(space.tverts))]
-    for cand in candidates:
-        if all(
-            cand == s or space.pair_contiguous(cand, s) for s in starts
-        ):
-            return [[cand] if s == cand else [cand, s] for s in starts]
-    return None
+    starts = [space.values_of(f.vertex_map) for f in maps]
+    return _decide_plain(space, starts, chain_of, mode, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -563,45 +534,40 @@ def _plain_quick_simplicial(space, starts, budget):
 
 
 class _MonotoneSpace:
-    """Enumeration and comparability tests over monotone maps Q -> P."""
+    """Moves, bridges and comparability tests over monotone maps Q -> P
+    constant on the orbit classes of ``group`` (singletons without one)."""
 
-    def __init__(self, Q, P, classes=None):
+    def __init__(self, Q, P, group=None, depth=0):
         self.Q = Q
         self.P = P
         self.els = list(Q.elements)
         self.ei = {x: i for i, x in enumerate(self.els)}
         self.tels = list(P.elements)
         self.ti = {x: i for i, x in enumerate(self.tels)}
-        if classes is None:
-            classes = [[i] for i in range(len(self.els))]
-        self.classes = classes
-
-    def enumerate_maps(self, budget=None, classes=None, allowed=None,
-                       first_only=False):
-        """Monotone maps constant on classes; ``allowed[i]`` restricts values."""
-        classes = self.classes if classes is None else classes
-        leq_q, leq_p = self.Q.leq, self.P.leq
-        nq = len(self.els)
-
-        def fits(ci, values):
-            v = values[classes[ci][0]]
-            for i in classes[ci]:
-                if allowed is not None and v not in allowed[i]:
-                    return False
-                for j in range(nq):
-                    w = values[j]
-                    if w < 0:
-                        continue
-                    if leq_q[i, j] and not leq_p[v, w]:
-                        return False
-                    if leq_q[j, i] and not leq_p[w, v]:
-                        return False
-            return True
-
-        return _enumerate_classes(
-            classes, len(self.tels), nq, fits, budget, first_only,
-            "monotone maps",
+        self.size, self.nvalues = len(self.els), len(self.tels)
+        leq_p = P.leq
+        self.up = [sum(1 << w for w in range(self.nvalues) if leq_p[v, w])
+                   for v in range(self.nvalues)]
+        self.down = [sum(1 << w for w in range(self.nvalues) if leq_p[w, v])
+                     for v in range(self.nvalues)]
+        self.classes = (
+            [[i] for i in range(self.size)] if group is None
+            else _index_classes(self.els, self.ei, group, depth)
         )
+
+    @cached_property
+    def _neighbours(self):
+        """Per class, the points outside it below some member, and those
+        above some member."""
+        leq_q = self.Q.leq
+        below, above = [], []
+        for cls in self.classes:
+            members = set(cls)
+            for rel, out in ((leq_q[:, cls].any(axis=1), below),
+                             (leq_q[cls].any(axis=0), above)):
+                out.append([j for j in np.flatnonzero(rel).tolist()
+                            if j not in members])
+        return below, above
 
     def moves(self):
         """``allowed`` for _class_bfs over self.classes.
@@ -611,19 +577,8 @@ class _MonotoneSpace:
         of the points below it: the new map is then monotone and comparable
         with cur.
         """
-        leq_q, leq_p = self.Q.leq, self.P.leq
-        npp = len(self.tels)
-        up = [sum(1 << w for w in range(npp) if leq_p[v, w])
-              for v in range(npp)]
-        down = [sum(1 << w for w in range(npp) if leq_p[w, v])
-                for v in range(npp)]
-        below, above = [], []
-        for cls in self.classes:
-            members = set(cls)
-            for rel, out in ((leq_q[:, cls].any(axis=1), below),
-                             (leq_q[cls].any(axis=0), above)):
-                out.append([j for j in np.flatnonzero(rel).tolist()
-                            if j not in members])
+        up, down = self.up, self.down
+        below, above = self._neighbours
         heads = [cls[0] for cls in self.classes]
 
         def allowed(ci, cur):
@@ -642,7 +597,7 @@ class _MonotoneSpace:
         return self.pair_le(a, b) | (self.pair_le(b, a) << 1)
 
     def pair_le(self, a, b):
-        return all(self.P.leq[x, y] for x, y in zip(a, b))
+        return all(self.up[x] >> y & 1 for x, y in zip(a, b))
 
     def values_of(self, mapping):
         return tuple(self.ti[mapping[x]] for x in self.els)
@@ -650,28 +605,33 @@ class _MonotoneSpace:
     def map_of(self, values):
         return {x: self.tels[v] for x, v in zip(self.els, values)}
 
-    def bound_map(self, a, b, upper=True, budget=None):
-        """A class-constant monotone map above (below) both a and b, or None."""
-        npp = len(self.tels)
-        allowed = []
-        for i in range(len(self.els)):
-            if upper:
-                s = {
-                    v for v in range(npp)
-                    if self.P.leq[a[i], v] and self.P.leq[b[i], v]
-                }
-            else:
-                s = {
-                    v for v in range(npp)
-                    if self.P.leq[v, a[i]] and self.P.leq[v, b[i]]
-                }
-            if not s:
-                return None
-            allowed.append(s)
-        found = self.enumerate_maps(
-            budget=budget, allowed=allowed, first_only=True
-        )
-        return found[0] if found else None
+    def bridge(self, a, b):
+        """The lex-first class-constant monotone map above both a and b,
+        else the lex-first one below both, or None."""
+        below, above = self._neighbours
+        for bound in (self.up, self.down):
+            limits = [-1] * len(self.classes)
+            for ci, cls in enumerate(self.classes):
+                for i in cls:
+                    limits[ci] &= bound[a[i]] & bound[b[i]]
+
+            def fits(ci, values):
+                v = values[self.classes[ci][0]]
+                if not limits[ci] >> v & 1:
+                    return False
+                for j in below[ci]:
+                    if values[j] >= 0 and not self.up[values[j]] >> v & 1:
+                        return False
+                for j in above[ci]:
+                    if values[j] >= 0 and not self.down[values[j]] >> v & 1:
+                        return False
+                return True
+
+            if all(limits):
+                found = _first_fit(self, fits)
+                if found is not None:
+                    return found
+        return None
 
 
 def _alternate(path, le):
@@ -691,34 +651,6 @@ def _alternate(path, le):
     return seq
 
 
-def _monotone_quick(space, sigma_classes, start, budget):
-    """Constant maps first, then a budget-bounded invariant enumeration."""
-    candidates = [
-        tuple([v] * len(space.els)) for v in range(len(space.tels))
-    ]
-    try:
-        candidates += space.enumerate_maps(
-            budget=QUICK_ENUM_BUDGET, classes=sigma_classes
-        )
-    except BudgetExceeded:
-        pass
-    seen = set()
-    candidates = [c for c in candidates if not (c in seen or seen.add(c))]
-    for phi in candidates:
-        if phi == start:
-            return [start]
-        if space.pair_le(phi, start) or space.pair_le(start, phi):
-            return [phi, start]
-    for phi in candidates:
-        mid = space.bound_map(phi, start, upper=True, budget=budget)
-        if mid is not None:
-            return [phi, mid, start]
-        mid = space.bound_map(phi, start, upper=False, budget=budget)
-        if mid is not None:
-            return [phi, mid, start]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # symmetric / plain combinatorial homotopy deciders
 # ---------------------------------------------------------------------------
@@ -728,12 +660,7 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
     """Decide symmetric combinatorial homotopy of an equivariant tuple of
     monotone maps on an invariant open source.  Witness: a table over
     J_{n,m} with m the re-normalized path length."""
-    if len(maps) != n:
-        raise SourceMismatch(f"expected {n} maps, got {len(maps)}")
-    Q, P = maps[0].source, maps[0].target
-    for f in maps[1:]:
-        if f.source != Q or f.target != P:
-            raise SourceMismatch("tuple maps must share source and target")
+    Q, P = _check_tuple_inputs(maps, n)
     if not is_invariant_elements(Q.elements, symmetric_group(n), depth):
         raise NotEquivariant("source is not an invariant subset")
     tables = [f.mapping for f in maps]
@@ -741,12 +668,8 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
     if not ok:
         raise NotEquivariant(f"tuple is not equivariant: violated at {viol!r}")
 
-    G = tuple_constraint_group(n)
-    space = _MonotoneSpace(Q, P)
-    g_classes = _index_classes(space.els, space.ei, G.elements, depth)
+    space = _MonotoneSpace(Q, P, tuple_constraint_group(n).elements, depth)
     sigma_classes = _index_classes(space.els, space.ei, symmetric_group(n), depth)
-    space.classes = g_classes
-    start = space.values_of(tables[0])
     swaps = action_tables(
         [transposition(n, 1, j) for j in range(1, n + 1)], Q.elements, depth
     )
@@ -767,41 +690,20 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
             source=Q, target=P, table=table,
         )
 
-    def is_diag(vals):
-        return _constant_on(vals, sigma_classes)
-
-    if is_diag(start):
-        return SearchResult("yes", homotopy_of([start]), {"stage": "start"})
-
-    if mode in ("auto", "bounded"):
-        quick = _monotone_quick(space, sigma_classes, start, budget)
-        if quick is not None:
-            return SearchResult(
-                "yes", homotopy_of(quick), {"stage": "quick"}
-            )
-
-    if not _constant_on(start, g_classes):
-        raise NotEquivariant("tuple's first map is not constraint-invariant")
-    status, parents, hit, record = _component_stage(
-        space, start, is_diag, budget, mode
+    res = _decide_symmetric(
+        space, sigma_classes, space.values_of(tables[0]), homotopy_of, mode,
+        budget,
     )
-    if mode != "bounded" and not Q.is_connected():
-        record["disconnected_source"] = True
-    if status != "yes":
-        return SearchResult(status, record=record)
-    path = _shortcut(_path_to(parents, hit)[::-1], space.directions)
-    return SearchResult("yes", homotopy_of(path), record)
+    if res.record.get("stage") == "exact" and not Q.is_connected():
+        res.record["disconnected_source"] = True
+    return res
 
 
 def plain_comb_homotopic(maps, depth=0, mode="exact", budget=50_000):
     """Are the monotone maps combinatorially homotopic (common fence start)?"""
     n = len(maps)
-    Q, P = maps[0].source, maps[0].target
-    for f in maps[1:]:
-        if f.source != Q or f.target != P:
-            raise SourceMismatch("tuple maps must share source and target")
+    Q, P = _check_tuple_inputs(maps, n)
     space = _MonotoneSpace(Q, P)
-    starts = [space.values_of(f.mapping) for f in maps]
 
     def homotopy_of(branch_paths):
         seqs = [_alternate(p, space.pair_le) for p in branch_paths]
@@ -820,38 +722,5 @@ def plain_comb_homotopic(maps, depth=0, mode="exact", budget=50_000):
             source=Q, target=P, table=table,
         )
 
-    if all(s == starts[0] for s in starts):
-        return SearchResult(
-            "yes", homotopy_of([[s] for s in starts]), {"stage": "start"}
-        )
-
-    if mode in ("auto", "bounded"):
-        quick = _plain_quick_monotone(space, starts, budget)
-        if quick is not None:
-            return SearchResult("yes", homotopy_of(quick), {"stage": "quick"})
-
-    status, parents, _, record = _component_stage(
-        space, starts[0], _sees_all(starts), budget, mode
-    )
-    if status != "yes":
-        return SearchResult(status, record=record)
-    branch_paths = [
-        _shortcut(_path_to(parents, s), space.directions) for s in starts
-    ]
-    return SearchResult("yes", homotopy_of(branch_paths), record)
-
-
-def _plain_quick_monotone(space, starts, budget):
-    """A common meeting map comparable with every start, or None.
-
-    Candidates: the given maps and the constant maps (always monotone).
-    """
-    candidates = list(starts)
-    candidates += [tuple([v] * len(space.els)) for v in range(len(space.tels))]
-    for cand in candidates:
-        if all(
-            cand == s or space.pair_le(cand, s) or space.pair_le(s, cand)
-            for s in starts
-        ):
-            return [[cand] if s == cand else [cand, s] for s in starts]
-    return None
+    starts = [space.values_of(f.mapping) for f in maps]
+    return _decide_plain(space, starts, homotopy_of, mode, budget)

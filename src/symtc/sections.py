@@ -339,19 +339,11 @@ def invariant_open_pieces(L, n, depth):
     """All nonempty invariant opens of L as element frozensets, via orbits."""
     group = symmetric_group(n)
     orbits = orbit_partition(group, L.elements, depth)
-    masks = [frozenset(orb) for orb in orbits]
-    down = [L.down_closure(mask) for mask in masks]
-    pieces = set()
-
-    def rec(i, current):
-        if i == len(masks):
-            if current:
-                pieces.add(frozenset(current))
-            return
-        rec(i + 1, current)
-        rec(i + 1, current | down[i])
-
-    rec(0, frozenset())
+    pieces = {frozenset()}
+    for orb in orbits:
+        down = L.down_closure(orb)
+        pieces |= {p | down for p in pieces}
+    pieces.discard(frozenset())
     return sorted(
         pieces, key=lambda s: (len(s), sorted(L.index[x] for x in s))
     )

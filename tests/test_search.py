@@ -321,9 +321,9 @@ def test_single_point_moves_connect_comparable_pairs():
                 assert steps >= 1
 
 
-def test_enumeration_depth_is_not_recursion_depth():
-    """Enumeration and the quick stage's bridge and bound maps walk one
-    class after another; a source with more classes than the recursion
+def test_class_walks_are_not_recursion():
+    """The quick stage's bridges, the class search and the shortcut walk
+    one class after another; a source with more classes than the recursion
     limit allows frames must not hit it."""
     import inspect
     import sys
@@ -336,15 +336,71 @@ def test_enumeration_depth_is_not_recursion_depth():
     edge = from_facets("ab", [("a", "b")])
     chain = poset_from_relations(range(size), [(i, i + 1) for i in range(size - 1)])
     two = poset_from_relations([0, 1], [(0, 1)])
+    vee = poset_from_relations("abc", [("c", "a"), ("c", "b")])
+    # two arms of 149 points each, swapped by Sigma_2, between a fixed
+    # bottom and a fixed top: 300 singleton constraint classes
+    bottom, top = (0, 0), (size // 2, size // 2)
+    arms = [[(0, k) for k in range(1, size // 2)],
+            [(k, 0) for k in range(1, size // 2)]]
+    Q = poset_from_relations(
+        [bottom, top] + arms[0] + arms[1],
+        [(x, y) for arm in arms
+         for x, y in zip([bottom] + arm, arm + [top])],
+    )
+    assert len(Q.elements) == size
+    # f_1 raises the top of the second arm, f_2 = f_1 . swap that of the first
+    f1 = {x: int(x in (top, arms[1][-1])) for x in Q.elements}
+    tuple_maps = [MonotoneMap(Q, two, f1),
+                  MonotoneMap(Q, two, {x: f1[x[::-1]] for x in Q.elements})]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
         simplicial = _SimplicialSpace(path, edge)
-        first = simplicial.enumerate_maps(first_only=True)
-        assert first == [(0,) * size]
         assert simplicial.bridge((0,) * size, (1,) * size) == (0,) * size
+        # an upper bound of 0 and 1 in the chain 0 < 1
         monotone = _MonotoneSpace(chain, two)
-        assert monotone.enumerate_maps(first_only=True) == [(0,) * size]
-        assert monotone.bound_map((0,) * size, (1,) * size) == (1,) * size
+        assert monotone.bridge((0,) * size, (1,) * size) == (1,) * size
+        # a and b have no upper bound in c < a, b, only the lower bound c
+        monotone = _MonotoneSpace(chain, vee)
+        a, b, c = (monotone.ti[x] for x in "abc")
+        assert monotone.bridge((a,) * size, (b,) * size) == (c,) * size
+        res = sym_comb_homotopic(tuple_maps, 2, 0, mode="exact")
     finally:
         sys.setrecursionlimit(limit)
+    assert res.yes and res.record["stage"] == "exact"
+    assert res.record["explored"] == 2  # one raised or lowered arm top
+    assert validate(res.witness)
+
+
+def test_quick_stage_bridges_from_a_constant(square_cycle):
+    """On the orbit of the edge (a,b)-(d,c) of the square cycle's square,
+    rho_1 sends the two edges to ad and bc, so no constant map is
+    1-contiguous with it: "auto" answers with constant, bridge, start."""
+    from symtc.complexes import restrict_map
+
+    tower = build_tower(square_cycle, 2, 0)
+    edge = [frozenset({("a", "b"), ("d", "c")}),
+            frozenset({("b", "a"), ("c", "d")})]
+    piece = subcomplex_from_simplices(tower.top(), edge)
+    maps = [restrict_map(projection_pi(tower, j), piece) for j in (1, 2)]
+    res = sym_contiguous(maps, 2, 0, mode="auto", target_ordered=tower.factor)
+    assert res.record == {"stage": "quick"}
+    assert res.witness.c == 2
+    assert validate(res.witness)
+    assert sym_contiguous(maps, 2, 0, mode="exact").yes
+
+
+def test_monotone_quick_stage_bridges_from_a_constant():
+    """On the down-closure of (a,d), (d,a) in the square of the fence
+    a < b > c < d, rho_1 takes the values a, c and d, which no element
+    bounds: "auto" answers with constant, bridge, start."""
+    P = poset_from_relations("abcd", [("a", "b"), ("c", "b"), ("c", "d")])
+    tower = poset_tower(P, 2, 0)
+    Q = tower.top().restrict(tower.top().down_closure({("a", "d"), ("d", "a")}))
+    rhos = [projection_rho(tower, j) for j in (1, 2)]
+    maps = [MonotoneMap(Q, P, {x: f.mapping[x] for x in Q.elements})
+            for f in rhos]
+    res = sym_comb_homotopic(maps, 2, 0, mode="auto")
+    assert res.record == {"stage": "quick"}
+    assert validate(res.witness)
+    assert sym_comb_homotopic(maps, 2, 0, mode="exact").yes

@@ -1,4 +1,5 @@
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -23,6 +24,30 @@ def test_invariant_open_pieces_are_opens(v_poset):
         assert all(swap[x] in piece for x in piece)
     # the whole space is among them
     assert frozenset(L.elements) in set(pieces)
+
+
+def _brute_invariant_opens(L, n):
+    """Every nonempty Sigma_n-invariant open of L: each union of orbits
+    (coordinate permutations) that is down-closed, by subset enumeration."""
+    orbits = sorted({
+        frozenset(tuple(x[i] for i in p) for p in permutations(range(n)))
+        for x in L.elements
+    }, key=sorted)
+    out = []
+    for bits in range(1, 1 << len(orbits)):
+        S = frozenset().union(*(o for k, o in enumerate(orbits)
+                                if bits >> k & 1))
+        if all(L.le(y, x) <= (y in S) for x in S for y in L.elements):
+            out.append(S)
+    return sorted(out, key=lambda s: (len(s), sorted(L.index[x] for x in s)))
+
+
+@pytest.mark.parametrize("n, max_size", [(2, 3), (3, 3)])
+def test_invariant_open_pieces_are_all_opens(n, max_size):
+    shapes = connected_posets_up_to_iso(max_size) + [CIRCLE4] * (n == 2)
+    for size, rel in shapes:
+        L = power_poset(poset_from_relations(range(size), sorted(rel)), n)
+        assert invariant_open_pieces(L, n, 0) == _brute_invariant_opens(L, n)
 
 
 def test_section_search_v(v_poset):
