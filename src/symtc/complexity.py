@@ -6,13 +6,17 @@ combinatorial homotopy on the finite-space side; plain variants drop the
 equivariance).  Goodness passes to sub-pieces, so only maximal good pieces
 matter and the value is a minimum set cover over them.
 
-Pieces are unions of orbit units: simplex orbits (simplicial side, pieces
-closed under faces) or element orbits (finite-space side, pieces closed
-downward, i.e. invariant opens).  Exact mode enumerates all maximal good
-pieces by walking the down-set lattice from the top through bad sets, which
-is complete because every strict superset of a maximal good piece is bad;
-upper mode grows seeds greedily instead.  The value is infinite exactly when
-some unit's generated piece is already bad.
+Pieces are unions of orbit units, held as int bitmasks (bit u is unit u):
+simplex orbits on the simplicial side, pieces closed under faces; element
+orbits on the finite-space side, pieces closed downward (invariant opens).
+Each unit has a down mask, itself and the units below it.  The order on
+units is transitive, since the group carries one witnessing pair of members
+onto another, so the down-closure of a piece is one OR of down masks.
+Exact mode enumerates all maximal good pieces by walking the down-set
+lattice from the top through bad sets, which is complete because every
+strict superset of a maximal good piece is bad; upper mode grows seeds
+greedily instead.  The value is infinite exactly when some unit's generated
+piece is already bad.
 """
 
 import math
@@ -24,7 +28,12 @@ from .actions import (
     orbit_partition_simplices,
     symmetric_group,
 )
-from .complexes import base_of, restrict_map, subcomplex_from_simplices
+from .complexes import (
+    base_of,
+    closure_of,
+    restrict_map,
+    subcomplex_from_simplices,
+)
 from .constructions import build_tower, poset_tower, projection_pi, projection_rho
 from .covers import min_cover
 from .errors import (
@@ -121,12 +130,25 @@ class ComplexityResult:
 
 
 # ---------------------------------------------------------------------------
-# cover problems
+# the unit lattice
 # ---------------------------------------------------------------------------
 
 
-class _ComplexProblem:
-    """Pieces are face-closed unions of simplex orbits of a tower level."""
+def _bits(mask):
+    """The unit ids of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _UnitLattice:
+    """The orbit units of a tower's top level, with pieces as bitmasks.
+
+    Units are simplex orbits on the simplicial side (pieces closed under
+    faces) and element orbits on the finite-space side (pieces closed
+    downward).  Only building and deciding a piece depend on the side.
+    """
 
     def __init__(self, tower, symmetric, budgets):
         self.tower = tower
@@ -134,190 +156,104 @@ class _ComplexProblem:
         self.depth = tower.r
         self.symmetric = symmetric
         self.budgets = budgets
-        level = tower.top()
-        self.level = level
+        self.level = level = tower.top()
         group = symmetric_group(self.n) if symmetric else [identity(self.n)]
-        self.units = orbit_partition_simplices(
-            group, base_of(level).simplices, self.depth
-        )
-        self.unit_of = {}
-        for ui, orb in enumerate(self.units):
-            for s in orb:
-                self.unit_of[s] = ui
-        facets = set(base_of(level).facets)
-        self.universe = frozenset(
-            ui for ui, orb in enumerate(self.units) if orb[0] in facets
-        )
-        self._leq = {}
-        self.maps = [projection_pi(tower, j) for j in range(1, self.n + 1)]
-
-    def unit_le(self, u, w):
-        key = (u, w)
-        if key not in self._leq:
-            self._leq[key] = any(
-                s <= t for s in self.units[u] for t in self.units[w]
+        self.poset = tower.kind == "poset"
+        if self.poset:
+            self.units = orbit_partition(group, level.elements, self.depth)
+            tops = set(level.maximal_of())
+            project = projection_rho
+        else:
+            self.units = orbit_partition_simplices(
+                group, base_of(level).simplices, self.depth
             )
-        return self._leq[key]
-
-    def down_closure(self, unit_set):
-        out = set(unit_set)
-        for w in list(out):
-            for u in range(len(self.units)):
-                if u not in out and self.unit_le(u, w):
-                    out.add(u)
-        return frozenset(out)
-
-    def up_removal(self, unit_set, u):
-        return frozenset(
-            w for w in unit_set if not self.unit_le(u, w)
+            tops = base_of(level).facets
+            project = projection_pi
+        self.all = (1 << len(self.units)) - 1
+        self.universe = sum(
+            1 << ui for ui, orb in enumerate(self.units) if orb[0] in tops
         )
+        self.maps = [project(tower, j) for j in range(1, self.n + 1)]
+        self._down = self._up = None
+
+    def _masks(self):
+        """Per unit, the mask of the units below it, and the transpose.
+
+        A unit is below another when some member lies below some member;
+        the group carries any such pair onto one ending at the other
+        unit's first member, so that member's faces (or down set) suffice.
+        """
+        if self._down is None:
+            unit_of = {x: ui for ui, orb in enumerate(self.units) for x in orb}
+            down, up = [], [0] * len(self.units)
+            for ui, orb in enumerate(self.units):
+                below = (
+                    self.level.down_set(orb[0]) if self.poset
+                    else closure_of([orb[0]])
+                )
+                mask = 0
+                for x in below:
+                    mask |= 1 << unit_of[x]
+                down.append(mask)
+                for u in _bits(mask):
+                    up[u] |= 1 << ui
+            self._down, self._up = down, up
+        return self._down, self._up
+
+    def down_closure(self, mask):
+        """One pass closes: the unit order is transitive (see _masks)."""
+        down = self._masks()[0]
+        out = 0
+        for u in _bits(mask):
+            out |= down[u]
+        return out
+
+    def maximal_units(self, mask):
+        up = self._masks()[1]
+        return [u for u in _bits(mask) if up[u] & mask == 1 << u]
 
     def grow_units(self):
-        """Upper-mode growth quanta: one facet orbit at a time."""
-        return sorted(self.universe)
+        """Upper-mode growth quanta: every unit, or every facet orbit."""
+        return range(len(self.units)) if self.poset else _bits(self.universe)
 
-    def maximal_units(self, unit_set):
-        return sorted(
-            u for u in unit_set
-            if not any(w != u and self.unit_le(u, w) for w in unit_set)
-        )
-
-    def piece_complex(self, unit_set):
-        if len(unit_set) == len(self.units):
+    def piece(self, mask):
+        if mask == self.all and not self.poset:
             return base_of(self.level)
-        simplices = set()
-        for ui in unit_set:
-            simplices.update(self.units[ui])
-        return subcomplex_from_simplices(self.level, simplices)
+        members = set()
+        for ui in _bits(mask):
+            members.update(self.units[ui])
+        if self.poset:
+            return self.level.restrict(members)
+        return subcomplex_from_simplices(self.level, members)
 
-    def piece_size(self, unit_set):
-        return sum(len(self.units[ui]) for ui in unit_set)
+    def piece_doc(self, mask):
+        to_doc = poset_to_doc if self.poset else complex_to_doc
+        return to_doc(self.piece(mask))
 
-    def piece_doc(self, unit_set):
-        return complex_to_doc(self.piece_complex(unit_set))
-
-    def decide(self, unit_set):
-        piece = self.piece_complex(unit_set)
-        restricted = [restrict_map(f, piece) for f in self.maps]
-        if self.symmetric:
-            res = sym_contiguous(
-                restricted, self.n, self.depth, mode="auto",
-                budget=self.budgets["nodes"], target_ordered=self.tower.factor,
-            )
+    def decide(self, mask):
+        piece = self.piece(mask)
+        if self.poset:
+            maps = [
+                MonotoneMap(piece, f.target,
+                            {x: f.mapping[x] for x in piece.elements})
+                for f in self.maps
+            ]
+            extra = {}
+            decider = (sym_comb_homotopic if self.symmetric
+                       else plain_comb_homotopic)
         else:
-            res = plain_contiguous(
-                restricted, depth=self.depth, mode="auto",
-                budget=self.budgets["nodes"], target_ordered=self.tower.factor,
-            )
+            maps = [restrict_map(f, piece) for f in self.maps]
+            extra = {"target_ordered": self.tower.factor}
+            decider = sym_contiguous if self.symmetric else plain_contiguous
+        args = (maps, self.n) if self.symmetric else (maps,)
+        res = decider(*args, depth=self.depth, mode="auto",
+                      budget=self.budgets["nodes"], **extra)
         if res.yes:
             res.witness.projection_endpoints = True
         return res
 
     def witness_m(self, res):
-        return None
-
-
-class _PosetProblem:
-    """Pieces are invariant opens: down-closed unions of element orbits."""
-
-    def __init__(self, tower, symmetric, budgets):
-        self.tower = tower
-        self.n = tower.n
-        self.depth = tower.r
-        self.symmetric = symmetric
-        self.budgets = budgets
-        self.level = tower.top()
-        group = symmetric_group(self.n) if symmetric else [identity(self.n)]
-        self.units = orbit_partition(group, self.level.elements, self.depth)
-        self.unit_of = {}
-        for ui, orb in enumerate(self.units):
-            for x in orb:
-                self.unit_of[x] = ui
-        maximal = set(self.level.maximal_of())
-        self.universe = frozenset(
-            ui for ui, orb in enumerate(self.units) if orb[0] in maximal
-        )
-        self._leq = {}
-        self.maps = [projection_rho(tower, j) for j in range(1, self.n + 1)]
-
-    def unit_le(self, u, w):
-        key = (u, w)
-        if key not in self._leq:
-            self._leq[key] = any(
-                self.level.le(x, y)
-                for x in self.units[u]
-                for y in self.units[w]
-            )
-        return self._leq[key]
-
-    def down_closure(self, unit_set):
-        out = set(unit_set)
-        changed = True
-        while changed:
-            changed = False
-            for w in list(out):
-                for u in range(len(self.units)):
-                    if u not in out and self.unit_le(u, w):
-                        out.add(u)
-                        changed = True
-        return frozenset(out)
-
-    def up_removal(self, unit_set, u):
-        out = set(unit_set)
-        changed = True
-        while changed:
-            changed = False
-            for w in list(out):
-                if w == u or self.unit_le(u, w):
-                    out.discard(w)
-                    changed = True
-        # removing an up-set keeps the rest down-closed
-        return frozenset(out)
-
-    def grow_units(self):
-        """Upper-mode growth quanta: one element orbit at a time."""
-        return range(len(self.units))
-
-    def maximal_units(self, unit_set):
-        return sorted(
-            u for u in unit_set
-            if not any(w != u and self.unit_le(u, w) for w in unit_set)
-        )
-
-    def piece_poset(self, unit_set):
-        elements = set()
-        for ui in unit_set:
-            elements.update(self.units[ui])
-        return self.level.restrict(elements)
-
-    def piece_size(self, unit_set):
-        return sum(len(self.units[ui]) for ui in unit_set)
-
-    def piece_doc(self, unit_set):
-        return poset_to_doc(self.piece_poset(unit_set))
-
-    def decide(self, unit_set):
-        Q = self.piece_poset(unit_set)
-        restricted = [
-            MonotoneMap(Q, f.target, {x: f.mapping[x] for x in Q.elements})
-            for f in self.maps
-        ]
-        if self.symmetric:
-            res = sym_comb_homotopic(
-                restricted, self.n, self.depth, mode="auto",
-                budget=self.budgets["nodes"],
-            )
-        else:
-            res = plain_comb_homotopic(
-                restricted, depth=self.depth, mode="auto",
-                budget=self.budgets["nodes"],
-            )
-        if res.yes:
-            res.witness.projection_endpoints = True
-        return res
-
-    def witness_m(self, res):
-        return res.witness.m if res.yes else None
+        return res.witness.m if self.poset and res.yes else None
 
 
 # ---------------------------------------------------------------------------
@@ -327,51 +263,54 @@ class _PosetProblem:
 
 def _cover_engine(problem, mode, invariant_name):
     budgets = problem.budgets
-    all_units = frozenset(range(len(problem.units)))
+    universe = frozenset(_bits(problem.universe))
     memo = {}
+    # goodness passes to sub-pieces and badness to super-pieces, so the
+    # maximal known-good and minimal known-bad pieces settle every
+    # comparable query
+    goods, bads = [], []
     stats = {
         "units": len(problem.units),
-        "universe": len(problem.universe),
-        "universe_units": sorted(problem.universe),
+        "universe": len(universe),
+        "universe_units": sorted(universe),
         "pieces_tested": 0,
         "lattice_visited": 0,
     }
 
-    def decide(unit_set):
-        if unit_set in memo:
-            return memo[unit_set]
-        # dominance shortcuts: goodness passes to sub-pieces, badness to
-        # super-pieces, so known answers settle comparable piece queries.
-        # Shortcut results carry no witness; piece_of recomputes on demand.
-        for other, res in memo.items():
-            if res.status == "yes" and unit_set <= other:
-                out = SearchResult("yes", None, {"by_dominance": True})
-                memo[unit_set] = out
-                return out
-            if res.status == "no" and other <= unit_set:
-                out = SearchResult("no", None, {"by_dominance": True})
-                memo[unit_set] = out
-                return out
-        memo[unit_set] = problem.decide(unit_set)
-        stats["pieces_tested"] += 1
-        return memo[unit_set]
-
-    def piece_of(unit_set):
-        res = memo[unit_set]
-        if res.witness is None:
-            res = problem.decide(unit_set)
+    def decide(S):
+        if S in memo:
+            return memo[S]
+        # shortcut results carry no witness; piece_of recomputes on demand
+        if any(S & G == S for G in goods):
+            out = SearchResult("yes", None, {"by_dominance": True})
+        elif any(B & S == B for B in bads):
+            out = SearchResult("no", None, {"by_dominance": True})
+        else:
+            out = problem.decide(S)
             stats["pieces_tested"] += 1
-            memo[unit_set] = res
+            if out.yes:
+                goods[:] = [G for G in goods if G & S != G] + [S]
+            elif out.status == "no":
+                bads[:] = [B for B in bads if B & S != S] + [S]
+        memo[S] = out
+        return out
+
+    def piece_of(S):
+        res = memo[S]
+        if res.witness is None:
+            res = problem.decide(S)
+            stats["pieces_tested"] += 1
+            memo[S] = res
         return GoodPiece(
-            units=tuple(sorted(unit_set)),
-            size=problem.piece_size(unit_set),
+            units=tuple(_bits(S)),
+            size=sum(len(problem.units[u]) for u in _bits(S)),
             witness=res.witness,
-            piece_doc=problem.piece_doc(unit_set),
+            piece_doc=problem.piece_doc(S),
         )
 
     def result(kind, lower, upper, cover_sets, whole_good, value=None):
-        cover = [piece_of(s) for s in cover_sets]
-        ms = [problem.witness_m(memo[s]) for s in cover_sets]
+        cover = [piece_of(S) for S in cover_sets]
+        ms = [problem.witness_m(memo[S]) for S in cover_sets]
         ms = [m for m in ms if m is not None]
         return ComplexityResult(
             invariant=invariant_name,
@@ -387,56 +326,54 @@ def _cover_engine(problem, mode, invariant_name):
             stats=stats,
         )
 
-    whole = decide(all_units)
+    def cover_by(pieces):
+        sets = [frozenset(_bits(S & problem.universe)) for S in pieces]
+        return min_cover(universe, sets, budget=budgets["cover"])
+
+    whole = decide(problem.all)
     stats["whole_record"] = dict(whole.record)
     if whole.yes:
-        return result("exact", 1, 1, [all_units], True, value=1)
+        return result("exact", 1, 1, [problem.all], True, value=1)
 
     # infeasibility: a universe unit whose generated piece is already bad
-    for u in sorted(problem.universe):
-        seed = problem.down_closure(frozenset([u]))
-        if not decide(seed).yes:
+    for u in sorted(universe):
+        if not decide(problem.down_closure(1 << u)).yes:
             stats["infeasible_unit"] = u
             return result("infinite", 2, INFINITY, [], False, value=INFINITY)
 
     if mode == "exact":
-        maxima = _maximal_good_sets(problem, decide, all_units, stats)
-        sets = [frozenset(s & problem.universe) for s in maxima]
-        k, chosen = min_cover(
-            problem.universe, sets, budget=budgets["cover"]
-        )
+        maxima = _maximal_good_sets(problem, decide, stats)
+        k, chosen = cover_by(maxima)
         stats["candidate_pieces"] = len(maxima)
         if k is None:
             out = result("infinite", 2, INFINITY, [], False, value=INFINITY)
         else:
-            cover_sets = [maxima[i] for i in chosen]
-            out = result("exact", k, k, cover_sets, False, value=k)
-        out.candidates = [tuple(sorted(s)) for s in maxima]
+            out = result("exact", k, k, [maxima[i] for i in chosen], False,
+                         value=k)
+        out.candidates = [tuple(_bits(S)) for S in maxima]
         return out
 
-    # upper mode: grow each universe seed one orbit at a time.
+    # upper mode: grow each universe seed one quantum at a time.
     # One first-fit pass suffices: goodness is anti-monotone in piece size,
     # so a rejected addition would be rejected against any larger piece too.
     grown = []
-    for u in sorted(problem.universe):
-        S = problem.down_closure(frozenset([u]))
+    for u in sorted(universe):
+        S = problem.down_closure(1 << u)
         for w in problem.grow_units():
-            if w in S:
+            if S >> w & 1:
                 continue
-            T = problem.down_closure(S | {w})
+            T = S | problem.down_closure(1 << w)
             if decide(T).yes:
                 S = T
         if S not in grown:
             grown.append(S)
-    sets = [frozenset(s & problem.universe) for s in grown]
-    k, chosen = min_cover(problem.universe, sets, budget=budgets["cover"])
+    k, chosen = cover_by(grown)
     if k is None:
         return result("infinite", 2, INFINITY, [], False, value=INFINITY)
-    cover_sets = [grown[i] for i in chosen]
-    return result("upper", 2, k, cover_sets, False)
+    return result("upper", 2, k, [grown[i] for i in chosen], False)
 
 
-def _maximal_good_sets(problem, decide, all_units, stats):
+def _maximal_good_sets(problem, decide, stats):
     """All maximal good pieces, walking the down-set lattice from the top.
 
     Complete because every strict superset of a maximal good piece is bad,
@@ -448,7 +385,7 @@ def _maximal_good_sets(problem, decide, all_units, stats):
     budget = problem.budgets["lattice"]
     goods = []
     visited = set()
-    stack = [all_units]
+    stack = [problem.all]
     while stack:
         S = stack.pop()
         if S in visited or not S:
@@ -463,12 +400,15 @@ def _maximal_good_sets(problem, decide, all_units, stats):
             goods.append(S)
             continue
         for u in problem.maximal_units(S):
-            child = S - {u}
+            child = S ^ (1 << u)
             if child and child not in visited:
                 stack.append(child)
-    maxima = [S for S in goods if not any(S < T for T in goods)]
+    maxima = []
+    for S in sorted(goods, key=int.bit_count, reverse=True):
+        if not any(S & T == S for T in maxima):
+            maxima.append(S)
     # deterministic order
-    maxima.sort(key=lambda s: (len(s), sorted(s)))
+    maxima.sort(key=lambda S: (S.bit_count(), list(_bits(S))))
     return maxima
 
 
@@ -489,8 +429,7 @@ def sc_sigma(K, n=2, r=0, mode="exact", budget=None):
     _check_mode(mode)
     budgets = budgets_with(budget)
     tower = build_tower(K, n, r, budget=budgets["simplices"])
-    problem = _ComplexProblem(tower, symmetric=True, budgets=budgets)
-    return _cover_engine(problem, mode, "sc_sigma")
+    return _cover_engine(_UnitLattice(tower, True, budgets), mode, "sc_sigma")
 
 
 def sc_plain(K, n=2, r=0, mode="exact", budget=None):
@@ -498,8 +437,7 @@ def sc_plain(K, n=2, r=0, mode="exact", budget=None):
     _check_mode(mode)
     budgets = budgets_with(budget)
     tower = build_tower(K, n, r, budget=budgets["simplices"])
-    problem = _ComplexProblem(tower, symmetric=False, budgets=budgets)
-    return _cover_engine(problem, mode, "sc_plain")
+    return _cover_engine(_UnitLattice(tower, False, budgets), mode, "sc_plain")
 
 
 def _check_connected(P):
@@ -515,8 +453,7 @@ def cc_sigma(P, n=2, r=0, mode="exact", budget=None):
     _check_connected(P)
     budgets = budgets_with(budget)
     tower = poset_tower(P, n, r, budget=budgets["simplices"])
-    problem = _PosetProblem(tower, symmetric=True, budgets=budgets)
-    return _cover_engine(problem, mode, "cc_sigma")
+    return _cover_engine(_UnitLattice(tower, True, budgets), mode, "cc_sigma")
 
 
 def cc_plain(P, n=2, r=0, mode="exact", budget=None):
@@ -525,8 +462,7 @@ def cc_plain(P, n=2, r=0, mode="exact", budget=None):
     _check_connected(P)
     budgets = budgets_with(budget)
     tower = poset_tower(P, n, r, budget=budgets["simplices"])
-    problem = _PosetProblem(tower, symmetric=False, budgets=budgets)
-    return _cover_engine(problem, mode, "cc_plain")
+    return _cover_engine(_UnitLattice(tower, False, budgets), mode, "cc_plain")
 
 
 def tc_sigma_finite(P, n=2, mode="exact", budget=None):

@@ -352,17 +352,17 @@ class _SimplicialSpace:
         self.facets = [
             tuple(self.svi[v] for v in f) for f in source.facet_names()
         ]
-        if len(self.tverts) > 20:
-            raise BudgetExceeded(
-                "contiguity search targets are limited to 20 vertices"
-            )
-        lut = np.zeros(1 << len(self.tverts), dtype=bool)
+        # keys are the target's simplex masks; ext[m] has bit w set when
+        # m | 1 << w is a simplex mask too, so every face of a simplex gets
+        # the simplex's remaining vertex
+        self.ext = {}
         for s in target.simplices:
-            mask = 0
+            mask = sum(1 << self.tvi[v] for v in s)
+            self.ext[mask] = self.ext.get(mask, 0) | mask
             for v in s:
-                mask |= 1 << self.tvi[v]
-            lut[mask] = True
-        self.lut = lut
+                bit = 1 << self.tvi[v]
+                if mask != bit:
+                    self.ext[mask ^ bit] = self.ext.get(mask ^ bit, 0) | bit
         self.classes = (
             [[i] for i in range(self.size)] if group is None
             else _index_classes(self.sverts, self.svi, group, depth)
@@ -393,12 +393,7 @@ class _SimplicialSpace:
         Class ci may move to w when every touched facet's image plus w is a
         simplex: the new map is then simplicial and 1-contiguous with cur.
         """
-        ext = {}
-        for m in np.flatnonzero(self.lut).tolist():
-            ext[m] = sum(
-                1 << w for w in range(len(self.tverts))
-                if self.lut[m | (1 << w)]
-            )
+        ext = self.ext
         touched = self._touched
         every = (1 << len(self.tverts)) - 1
         last = [None, None]  # cur and its facet masks
@@ -418,7 +413,7 @@ class _SimplicialSpace:
             mask = 0
             for i in f:
                 mask |= (1 << a[i]) | (1 << b[i])
-            if not self.lut[mask]:
+            if mask not in self.ext:
                 return False
         return True
 
@@ -446,7 +441,8 @@ class _SimplicialSpace:
                 for i in self.facets[fi]:
                     if values[i] >= 0:
                         mask |= 1 << values[i]
-                if not (self.lut[mask | am[fi]] and self.lut[mask | bm[fi]]):
+                if not (mask | am[fi] in self.ext
+                        and mask | bm[fi] in self.ext):
                     return False
             return True
 

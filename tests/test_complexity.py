@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from symtc.complexes import from_facets
 from symtc.complexity import (
     INFINITY,
+    _UnitLattice,
+    budgets_with,
     cc_plain,
     cc_sigma,
     sc_plain,
@@ -10,6 +14,7 @@ from symtc.complexity import (
     tc_sigma_finite,
     tc_sigma_finite_sections,
 )
+from symtc.constructions import build_tower, poset_tower
 from symtc.errors import DisconnectedPoset
 from symtc.posets import order_complex, poset_from_relations
 from symtc.verify import validate
@@ -203,3 +208,131 @@ def test_deterministic_results(v_poset, hollow_triangle):
     c = sc_sigma(hollow_triangle, 2, 0, mode="upper").to_doc()
     d = sc_sigma(hollow_triangle, 2, 0, mode="upper").to_doc()
     assert canonical_json(c) == canonical_json(d)
+
+
+# ---------------------------------------------------------------------------
+# the unit lattice against its pairwise definition
+# ---------------------------------------------------------------------------
+
+
+def _lattice(instance, n, symmetric):
+    if hasattr(instance, "elements"):
+        tower = poset_tower(instance, n, 0)
+        level = tower.top()
+        le = level.le
+    else:
+        tower = build_tower(instance, n, 0)
+        le = frozenset.issubset
+    lat = _UnitLattice(tower, symmetric, budgets_with())
+    units = lat.units
+    # unit u lies below unit w when some member of u lies below one of w
+    below = [
+        {u for u in range(len(units))
+         if any(le(x, y) for x in units[u] for y in units[w])}
+        for w in range(len(units))
+    ]
+    return lat, below
+
+
+def _fixpoint_closure(below, S):
+    out = set(S)
+    while True:
+        more = set().union(*(below[w] for w in out)) - out
+        if not more:
+            return out
+        out |= more
+
+
+def _mask(units):
+    return sum(1 << u for u in units)
+
+
+_WALK_CASES = {
+    "cc_plain(circle)": (cc_plain, "circle_poset", False),
+    "cc_sigma(V)": (cc_sigma, "v_poset", True),
+    "sc_sigma(edge)": (sc_sigma, "edge", True),
+    "sc_plain(edge)": (sc_plain, "edge", False),
+    "cc_sigma(circle)": (cc_sigma, "circle_poset", True),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "upper"])
+@pytest.mark.parametrize("case", sorted(_WALK_CASES))
+def test_lattice_walk_matches_brute_force(case, mode, request):
+    """Every down-set of units, each decided on its own, against the walk."""
+    fn, fixture, symmetric = _WALK_CASES[case]
+    instance = request.getfixturevalue(fixture)
+    lat, below = _lattice(instance, 2, symmetric)
+    k = len(lat.units)
+    assert k <= 16
+    downsets = [
+        S for S in range(1, 1 << k)
+        if all(below[u] <= {v for v in range(k) if S >> v & 1}
+               for u in range(k) if S >> u & 1)
+    ]
+    goods = [S for S in downsets if lat.decide(S).yes]
+    maxima = sorted(
+        tuple(u for u in range(k) if S >> u & 1)
+        for S in goods if not any(S != T and S & T == S for T in goods)
+    )
+    universe = frozenset(u for u in range(k) if lat.universe >> u & 1)
+    sets = [frozenset(M) & universe for M in maxima]
+    value = brute_force_min_cover(universe, sets)
+    res = fn(instance, 2, 0, mode=mode)
+    if res.whole_space_good:
+        assert maxima == [tuple(range(k))] and res.value == 1
+    elif res.kind == "infinite":
+        assert value is None
+    elif mode == "exact":
+        assert sorted(res.candidates) == maxima
+        assert res.value == value
+    else:
+        assert res.upper >= value
+        for piece in res.cover:
+            assert _mask(piece.units) in goods
+            # growth by every unit leaves only maximal good pieces
+            assert not lat.poset or piece.units in maxima
+
+
+_CLOSURE_COMPLEXES = {
+    "hollow_triangle": from_facets(
+        "abc", [("a", "b"), ("b", "c"), ("a", "c")]),
+    "square_cycle": from_facets(
+        "abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]),
+}
+_CLOSURE_POSETS = [
+    poset_from_relations(range(size), list(rel))
+    for size, rel in connected_posets_up_to_iso(4)
+]
+_LATTICES = {}
+
+
+def _cached_lattice(key, instance, n):
+    if key not in _LATTICES:
+        _LATTICES[key] = _lattice(instance, n, True)
+    return _LATTICES[key]
+
+
+@st.composite
+def closure_cases(draw):
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(_CLOSURE_COMPLEXES)))
+        lat, below = _cached_lattice(name, _CLOSURE_COMPLEXES[name], 2)
+    else:
+        i = draw(st.integers(0, len(_CLOSURE_POSETS) - 1))
+        n = draw(st.sampled_from([2, 3]))
+        lat, below = _cached_lattice((i, n), _CLOSURE_POSETS[i], n)
+    S = draw(st.sets(st.integers(0, len(lat.units) - 1), min_size=1))
+    return lat, below, S
+
+
+@settings(max_examples=80, deadline=None)
+@given(closure_cases())
+def test_one_pass_closure_matches_fixpoint(case):
+    """The unit order is transitive, so one pass of down masks closes."""
+    lat, below, S = case
+    closed = _fixpoint_closure(below, S)
+    assert lat.down_closure(_mask(S)) == _mask(closed)
+    assert lat.maximal_units(_mask(closed)) == sorted(
+        u for u in closed if not any(w != u and u in below[w] for w in closed)
+    )

@@ -179,6 +179,18 @@ def test_plain_contiguous_hollow(hollow_triangle):
     assert res.status == "no"
 
 
+def test_plain_contiguous_past_twenty_target_vertices():
+    """No cap on the target: the ends of a 24-vertex path are joined."""
+    from symtc.complexes import from_facets
+
+    point = from_facets([0], [(0,)])
+    path = from_facets(range(24), [(i, i + 1) for i in range(23)])
+    maps = [SimplicialMap(point, path, {0: v}) for v in (0, 23)]
+    res = plain_contiguous(maps, mode="exact")
+    assert res.yes
+    assert validate(res.witness)
+
+
 def test_v_poset_homotopic(v_poset):
     tower, maps = rho_maps(v_poset, 2, 0)
     res = sym_comb_homotopic(maps, 2, 0, mode="auto")
