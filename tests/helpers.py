@@ -2,7 +2,9 @@
 
 Nothing here shares code with the package's searchers: maps are enumerated
 with itertools, reachability by plain breadth-first search over explicit
-adjacency, posets by filtering relation matrices.
+adjacency, posets by filtering relation matrices.  The chain-checker oracle
+tests every simplex by the frozenset of its vertex names, and the old map
+table writer sorts every table by ``ckey`` on its own.
 """
 
 from collections import deque
@@ -157,3 +159,138 @@ def brute_force_min_cover(universe, sets):
             if frozenset().union(*(sets[i] for i in combo)) >= universe:
                 return k
     return None
+
+
+def chain_failures(cert):
+    """Per-simplex, name-based check of a contiguity chain.
+
+    Returns ``(ok, failures)`` with the same messages, in the same order and
+    with the same early returns as ``symtc.verify.validate``: every source
+    simplex's image is looked up as a frozenset of target vertices, and the
+    group acts through ``actions.act_name``, one name at a time.
+    """
+    from symtc.actions import act_name, symmetric_group
+    from symtc.complexes import base_of
+    from symtc.util import name_of
+    from symtc.verify import projection_of_name
+
+    failures = []
+
+    def fail(msg):
+        if len(failures) < 50:
+            failures.append(msg)
+
+    def result():
+        return (not failures, failures)
+
+    source = base_of(cert.source)
+    target = base_of(cert.target)
+    n = cert.n
+    if not cert.levels:
+        fail("chain has no levels")
+        return result()
+    verts = list(source.vertices)
+    tverts = set(target.vertices)
+    rank = {v: i for i, v in enumerate(verts)}
+
+    def in_order(simplices):
+        return sorted(simplices, key=lambda s: sorted(rank[v] for v in s))
+
+    for l, level in enumerate(cert.levels):
+        if len(level) != n:
+            fail(f"level {l} has {len(level)} maps, expected {n}")
+            return result()
+        for j, vm in enumerate(level, start=1):
+            for v in verts:
+                if v not in vm:
+                    fail(f"level {l} map {j} misses vertex {v!r}")
+                    return result()
+                if vm[v] not in tverts:
+                    fail(f"level {l} map {j} sends {v!r} outside the target")
+                    return result()
+            bad = [
+                s for s in source.simplices
+                if frozenset(vm[v] for v in s) not in target.simplices
+            ]
+            for s in in_order(bad):
+                fail(
+                    f"level {l} map {j} sends simplex {name_of(s)!r} to "
+                    f"a non-simplex"
+                )
+
+    first = cert.levels[0]
+    for vm in first[1:]:
+        if vm != first[0]:
+            fail("first level is not a diagonal tuple")
+            break
+
+    for l in range(1, len(cert.levels)):
+        prev, cur = cert.levels[l - 1], cert.levels[l]
+        for j in range(n):
+            bad = [
+                s for s in source.simplices
+                if frozenset(prev[j][v] for v in s)
+                | frozenset(cur[j][v] for v in s) not in target.simplices
+            ]
+            for s in in_order(bad):
+                fail(
+                    f"levels {l - 1} and {l} are not 1-contiguous on "
+                    f"branch {j + 1} at {name_of(s)!r}"
+                )
+
+    if cert.symmetric:
+        group = symmetric_group(n)
+        acts = [{v: act_name(g, v, cert.depth) for v in verts} for g in group]
+        vset = set(verts)
+        for act in acts:
+            for v in verts:
+                if act[v] not in vset:
+                    fail(f"source is not invariant: {v!r} -> {act[v]!r}")
+                    return result()
+        for g, act in zip(group, acts):
+            for v in verts:
+                if first[0].get(act[v]) != first[0].get(v):
+                    fail(f"first level is not invariant: g={g!r}, v={v!r}")
+                    break
+        for l, level in enumerate(cert.levels):
+            for g, act in zip(group, acts):
+                for j in range(1, n + 1):
+                    fj, fgj = level[j - 1], level[g(j) - 1]
+                    for v in verts:
+                        if fj[act[v]] != fgj[v]:
+                            fail(
+                                f"level {l} violates equivariance at "
+                                f"(g={g!r}, v={v!r}, j={j})"
+                            )
+                            break
+
+    if cert.projection_endpoints:
+        order = getattr(cert.target, "order", None)
+        if order is None:
+            fail("projection endpoints claimed but target has no order")
+        else:
+            last = cert.levels[-1]
+            for j in range(1, n + 1):
+                for v in verts:
+                    try:
+                        want = projection_of_name(v, cert.depth, j, order.le)
+                    except ValueError as exc:
+                        fail(str(exc))
+                        return result()
+                    if last[j - 1][v] != want:
+                        fail(
+                            f"final level branch {j} disagrees with the "
+                            f"projection at {v!r}"
+                        )
+    return result()
+
+
+def map_table_rows(table):
+    """A vertex map as pair rows sorted by ``ckey`` of the key, each key and
+    value thawed on its own: the per-table chain level writer."""
+    from symtc.util import ckey, thaw
+
+    return [
+        [thaw(k), thaw(v)]
+        for k, v in sorted(table.items(), key=lambda kv: ckey(kv[0]))
+    ]
