@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symtc.actions import act_name, symmetric_group
 from symtc.complexes import OrderedComplex, from_facets
-from symtc.errors import LevelMismatch
+from symtc.errors import SymtcError
 from symtc.posets import poset_from_relations
 from symtc.util import name_of
 from symtc.verify import validate
@@ -132,8 +132,9 @@ def chains(draw):
 def _outcome(check, cert):
     try:
         rep = check(cert)
-    except LevelMismatch:
-        return "LevelMismatch"
+    except SymtcError as exc:
+        # a name at the wrong depth, or a coordinate outside the order
+        return type(exc).__name__
     return rep if isinstance(rep, tuple) else (rep.ok, rep.failures)
 
 
