@@ -37,7 +37,9 @@ class SimplicialComplex:
     of their names (see ``util``) without keying a name per simplex.
     """
 
-    __slots__ = ("vertices", "rank", "simplices", "_facets", "_key")
+    __slots__ = (
+        "vertices", "rank", "simplices", "_facets", "_facet_ranks", "_key"
+    )
 
     def __init__(self, vertices, facets=(), simplices=None):
         vertices = tuple(csorted(set(vertices)))
@@ -50,6 +52,7 @@ class SimplicialComplex:
         self.rank = {v: i for i, v in enumerate(vertices)}
         self.simplices = simplices
         self._facets = None
+        self._facet_ranks = None
         self._key = (vertices, tuple(self._ranked(simplices)))
 
     def _ranked(self, simplices):
@@ -61,21 +64,36 @@ class SimplicialComplex:
         vs = self.vertices
         return [tuple([vs[i] for i in t]) for t in ranked]
 
-    @property
-    def facets(self):
-        """Maximal simplices.  Computed lazily.
+    def ranked_simplices(self):
+        """All simplices as sorted rank tuples, canonically ordered."""
+        return self._key[1]
+
+    def ranked_facets(self):
+        """Maximal simplices as sorted rank tuples, canonically ordered.
+        Computed lazily.
 
         A simplex is maximal iff no single-vertex extension of it is a
         simplex, so striking every codimension-1 face of every simplex
         leaves exactly the facets.
         """
-        if self._facets is None:
+        if self._facet_ranks is None:
+            ranked = self._key[1]
             struck = set()
-            for s in self.simplices:
-                if len(s) > 1:
-                    for v in s:
-                        struck.add(s - {v})
-            self._facets = self.simplices - struck
+            for t in ranked:
+                if len(t) > 1:
+                    for i in range(len(t)):
+                        struck.add(t[:i] + t[i + 1:])
+            self._facet_ranks = tuple(t for t in ranked if t not in struck)
+        return self._facet_ranks
+
+    @property
+    def facets(self):
+        """Maximal simplices, as frozensets of vertices.  Computed lazily."""
+        if self._facets is None:
+            vs = self.vertices
+            self._facets = frozenset(
+                frozenset([vs[i] for i in t]) for t in self.ranked_facets()
+            )
         return self._facets
 
     def is_simplex(self, s):
@@ -89,7 +107,7 @@ class SimplicialComplex:
         return self._names(self._key[1])
 
     def facet_names(self):
-        return self._names(self._ranked(self.facets))
+        return self._names(self.ranked_facets())
 
     def star(self, v):
         """Combinatorial star: the simplices containing vertex v."""

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from .complexes import OrderedComplex, from_facets
 from .errors import EmptyFacet, ParseError, UnknownVertex, ValidationError
 from .posets import poset_from_relations
-from .util import ckey, freeze, thaw
+from .util import freeze, thaw
 
 
 def _float_text(x):
@@ -147,11 +147,28 @@ def complex_to_doc(K):
     return doc
 
 
+def interned(x, names):
+    """A parsed label, frozen, as the equal object among ``names`` (a dict
+    from each name to itself) when there is one.
+
+    Later equality tests against the interned object stop at ``is``.  The
+    lookup hashes the label, so a JSON object anywhere in it raises
+    TypeError.
+    """
+    x = freeze(x)
+    return names.get(x, x)
+
+
 def complex_from_doc(doc):
-    """Parse and validate a complex document."""
+    """Parse and validate a complex document.
+
+    Each declared vertex is frozen once; facet members and order pairs are
+    interned onto those vertex objects.
+    """
     try:
         vertices = [freeze(v) for v in doc["vertices"]]
-        facets = [[freeze(v) for v in f] for f in doc["facets"]]
+        declared = {v: v for v in vertices}
+        facets = [[interned(v, declared) for v in f] for f in doc["facets"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed complex document: {exc}") from exc
     try:
@@ -162,7 +179,10 @@ def complex_from_doc(doc):
     if "order" not in doc:
         return K
     try:
-        pairs = [(freeze(a), freeze(b)) for a, b in doc["order"]]
+        pairs = [
+            (interned(a, declared), interned(b, declared))
+            for a, b in doc["order"]
+        ]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed order field: {exc}") from exc
     order = poset_from_relations(vertices, pairs)
@@ -223,16 +243,10 @@ def parse_poset(path):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def map_table_to_doc(table):
-    """A vertex/element map as a canonically sorted pair list."""
-    return [
-        [thaw(k), thaw(v)]
-        for k, v in sorted(table.items(), key=lambda kv: ckey(kv[0]))
-    ]
-
-
-def map_table_from_doc(rows):
+def map_table_from_doc(rows, keys, values):
+    """A vertex map from its pair list, keys interned onto ``keys`` and
+    values onto ``values`` (dicts from each name to itself)."""
     try:
-        return {freeze(k): freeze(v) for k, v in rows}
+        return {interned(k, keys): interned(v, values) for k, v in rows}
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed map table: {exc}") from exc

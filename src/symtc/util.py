@@ -59,9 +59,13 @@ def name_of(members):
 
 
 def freeze(x):
-    """Recursively turn lists (e.g. parsed JSON labels) into tuples."""
-    if isinstance(x, list):
-        return tuple(freeze(m) for m in x)
+    """Recursively turn lists (e.g. parsed JSON labels) into tuples.
+
+    Leaves are tested inline, so a label costs one call per list in it,
+    not one per member.
+    """
+    if type(x) is list:
+        return tuple([freeze(m) if type(m) is list else m for m in x])
     return x
 
 

@@ -12,9 +12,23 @@ The checker acts on names with its own table (``_name_action``), built once
 per validation call, level by level, so each nested sub-name is acted on
 once per group element.  Order relations are compared through the posets'
 ``leq`` matrices by element index, each label looked up once per call.
+
+A contiguity chain is checked by vertex position.  Source vertices are
+numbered by their rank in the source, target vertices by one bit each, and
+every map becomes the list of its target bits by source position, so each
+name is hashed once per map.  A simplex's image is the OR of its vertices'
+bits, tested against the target's simplices as bitmasks.  Only the facets
+are tested at first: the target is closed under faces, so if a simplex's
+image is not a simplex then neither is the image of any facet containing
+it, and the same holds for the union of two maps' images in the contiguity
+test.  The failing simplices are then collected among the faces of the
+failing facets, so a valid chain pays for its facets alone.  Equivariance
+and the diagonal compare these position lists; the group acts through one
+permutation of positions per element.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -22,7 +36,9 @@ from .actions import act_fence_point, symmetric_group
 from .complexes import OrderedComplex, base_of
 from .errors import LevelMismatch
 from .posets import multi_fence
-from .util import csorted, name_of
+from .util import csorted
+
+_MISSING = object()
 
 
 @dataclass
@@ -52,8 +68,9 @@ def descend_name(x, depth):
     return x
 
 
-def projection_of_name(x, depth, j, base_le):
-    """pi_j / rho_j of a depth-d name, via the last-element approximation.
+def last_base_tuple(x, depth, base_le):
+    """The base n-tuple a depth-d name goes to under the last-element
+    approximation: the largest member of its descended chain.
 
     ``base_le(u, v)`` compares base vertices (factor elements).
     """
@@ -69,9 +86,18 @@ def projection_of_name(x, depth, j, base_le):
                 elif not all(base_le(b, a) for a, b in zip(best, t)):
                     raise ValueError(f"chain {chain!r} is not totally ordered")
         x = best
+    return x
+
+
+def _coordinate(x, j):
     if not isinstance(x, tuple) or len(x) < j:
         raise ValueError(f"{x!r} is not a base tuple with {j} coordinates")
     return x[j - 1]
+
+
+def projection_of_name(x, depth, j, base_le):
+    """pi_j / rho_j of a depth-d name, via the last-element approximation."""
+    return _coordinate(last_base_tuple(x, depth, base_le), j)
 
 
 def _base_le_from_target(target):
@@ -144,6 +170,58 @@ def validate(cert):
 # ---------------------------------------------------------------------------
 
 
+def _image(bits, simplex):
+    """OR of the target bits of a simplex's vertex positions."""
+    m = 0
+    for i in simplex:
+        m |= bits[i]
+    return m
+
+
+def _bad_simplices(facets, bits, masks):
+    """Source simplices whose image is not a target simplex, as sorted rank
+    tuples in canonical order.
+
+    ``bits`` holds the target vertex bit of each source position and
+    ``masks`` the target's simplices as bitmasks.  The facets are tested
+    first; the faces of a facet are tested only when its image fails.
+    """
+    bad = set()
+    seen = set()
+    for facet in facets:
+        if _image(bits, facet) in masks:
+            continue
+        for k in range(1, len(facet) + 1):
+            for s in combinations(facet, k):
+                if s not in seen:
+                    seen.add(s)
+                    if _image(bits, s) not in masks:
+                        bad.add(s)
+    return sorted(bad)
+
+
+def _target_bits(rep, vm, verts, tbit, l, j):
+    """The target bit of ``vm`` at each source position, or None after a
+    failure for the first vertex the map misses or sends outside."""
+    values = [vm.get(v, _MISSING) for v in verts]
+    bits = [tbit.get(w) for w in values]
+    if None not in bits:
+        return bits
+    i = bits.index(None)
+    if values[i] is _MISSING:
+        rep.fail(f"level {l} map {j} misses vertex {verts[i]!r}")
+    else:
+        rep.fail(f"level {l} map {j} sends {verts[i]!r} outside the target")
+    return None
+
+
+def _first_mismatch(a, b):
+    """The first position where two equal-length lists differ, or None."""
+    if a == b:
+        return None
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
 def _validate_chain(cert):
     rep = Report()
     source = base_of(cert.source)
@@ -152,103 +230,99 @@ def _validate_chain(cert):
     if not cert.levels:
         rep.fail("chain has no levels")
         return rep
-    verts = list(source.vertices)
-    tverts = set(target.vertices)
-    rank = {v: i for i, v in enumerate(verts)}
+    verts = source.vertices
+    facets = source.ranked_facets()
+    tbit = {w: 1 << i for i, w in enumerate(target.vertices)}
+    masks = {sum(1 << i for i in t) for t in target.ranked_simplices()}
 
-    def in_order(simplices):
-        """Failing simplices by sorted vertex positions, so the failure list
-        does not follow the set's hash order."""
-        return sorted(simplices, key=lambda s: sorted(rank[v] for v in s))
+    def named(s):
+        return tuple([verts[i] for i in s])
 
+    bits = []  # bits[l][j - 1][i]: target bit of map j of level l at verts[i]
     for l, level in enumerate(cert.levels):
         if len(level) != n:
             rep.fail(f"level {l} has {len(level)} maps, expected {n}")
             return rep
+        bits.append([])
         for j, vm in enumerate(level, start=1):
-            for v in verts:
-                if v not in vm:
-                    rep.fail(f"level {l} map {j} misses vertex {v!r}")
-                    return rep
-                if vm[v] not in tverts:
-                    rep.fail(
-                        f"level {l} map {j} sends {v!r} outside the target"
-                    )
-                    return rep
-            bad = [
-                s for s in source.simplices
-                if not target.is_simplex(frozenset(vm[v] for v in s))
-            ]
-            for s in in_order(bad):
+            row = _target_bits(rep, vm, verts, tbit, l, j)
+            if row is None:
+                return rep
+            for s in _bad_simplices(facets, row, masks):
                 rep.fail(
-                    f"level {l} map {j} sends simplex {name_of(s)!r} to "
+                    f"level {l} map {j} sends simplex {named(s)!r} to "
                     f"a non-simplex"
                 )
+            bits[-1].append(row)
 
+    # every map holds every vertex and sends it into the target, so a map
+    # with no other keys equals another such map iff their bits agree
     first = cert.levels[0]
-    for vm in first[1:]:
-        if vm != first[0]:
+    for vm, row in zip(first[1:], bits[0][1:]):
+        if len(vm) == len(first[0]) == len(verts):
+            same = row == bits[0][0]
+        else:
+            same = vm == first[0]
+        if not same:
             rep.fail("first level is not a diagonal tuple")
             break
 
-    for l in range(1, len(cert.levels)):
-        prev, cur = cert.levels[l - 1], cert.levels[l]
+    for l in range(1, len(bits)):
         for j in range(n):
-            bad = [
-                s for s in source.simplices
-                if not target.is_simplex(
-                    frozenset(prev[j][v] for v in s)
-                    | frozenset(cur[j][v] for v in s)
-                )
-            ]
-            for s in in_order(bad):
+            both = [a | b for a, b in zip(bits[l - 1][j], bits[l][j])]
+            for s in _bad_simplices(facets, both, masks):
                 rep.fail(
                     f"levels {l - 1} and {l} are not 1-contiguous on "
-                    f"branch {j + 1} at {name_of(s)!r}"
+                    f"branch {j + 1} at {named(s)!r}"
                 )
 
     if cert.symmetric:
         group = symmetric_group(n)
         acts = _name_action(group, verts, cert.depth)
-        vset = set(verts)
+        rank = source.rank
+        perms = []  # perms[g][i]: position of g . verts[i]
         for act in acts:
-            for v in verts:
-                if act[v] not in vset:
-                    rep.fail(f"source is not invariant: {v!r} -> {act[v]!r}")
-                    return rep
-        for g, act in zip(group, acts):
-            for v in verts:
-                if first[0].get(act[v]) != first[0].get(v):
-                    rep.fail(
-                        f"first level is not invariant: g={g!r}, v={v!r}"
-                    )
-                    break
-        for l, level in enumerate(cert.levels):
-            for g, act in zip(group, acts):
+            perm = [rank.get(act[v]) for v in verts]
+            if None in perm:
+                v = verts[perm.index(None)]
+                rep.fail(f"source is not invariant: {v!r} -> {act[v]!r}")
+                return rep
+            perms.append(perm)
+        f = bits[0][0]
+        for g, perm in zip(group, perms):
+            i = _first_mismatch([f[p] for p in perm], f)
+            if i is not None:
+                rep.fail(
+                    f"first level is not invariant: g={g!r}, v={verts[i]!r}"
+                )
+        for l, level in enumerate(bits):
+            for g, perm in zip(group, perms):
                 for j in range(1, n + 1):
                     fj, fgj = level[j - 1], level[g(j) - 1]
-                    for v in verts:
-                        if fj[act[v]] != fgj[v]:
-                            rep.fail(
-                                f"level {l} violates equivariance at "
-                                f"(g={g!r}, v={v!r}, j={j})"
-                            )
-                            break
+                    i = _first_mismatch([fj[p] for p in perm], fgj)
+                    if i is not None:
+                        rep.fail(
+                            f"level {l} violates equivariance at "
+                            f"(g={g!r}, v={verts[i]!r}, j={j})"
+                        )
 
     if cert.projection_endpoints:
         base_le = _base_le_from_target(cert.target)
         if base_le is None:
             rep.fail("projection endpoints claimed but target has no order")
         else:
-            last = cert.levels[-1]
+            last = bits[-1]
+            tops = {}  # position -> last_base_tuple, filled on branch 1
             for j in range(1, n + 1):
-                for v in verts:
+                for i, v in enumerate(verts):
                     try:
-                        want = projection_of_name(v, cert.depth, j, base_le)
+                        if i not in tops:
+                            tops[i] = last_base_tuple(v, cert.depth, base_le)
+                        want = _coordinate(tops[i], j)
                     except ValueError as exc:
                         rep.fail(str(exc))
                         return rep
-                    if last[j - 1][v] != want:
+                    if last[j - 1][i] != tbit.get(want):
                         rep.fail(
                             f"final level branch {j} disagrees with the "
                             f"projection at {v!r}"

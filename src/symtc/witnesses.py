@@ -14,13 +14,20 @@ from .errors import ParseError
 from .io import (
     complex_from_doc,
     complex_to_doc,
+    interned,
     map_table_from_doc,
-    map_table_to_doc,
     poset_from_doc,
     poset_to_doc,
 )
 from .posets import multi_fence
-from .util import ckey, freeze, thaw
+from .util import ckey, csorted, freeze, thaw
+
+_MISSING = object()
+
+
+def _names(names):
+    """Each name mapped to itself, for ``interned``."""
+    return {x: x for x in names}
 
 
 @dataclass
@@ -48,23 +55,53 @@ class ContiguityChain:
             "projection_endpoints": self.projection_endpoints,
             "source": complex_to_doc(self.source),
             "target": complex_to_doc(self.target),
-            "levels": [
-                [map_table_to_doc(m) for m in level] for level in self.levels
-            ],
+            "levels": self._levels_to_doc(),
         }
+
+    def _levels_to_doc(self):
+        """Each map as pair rows in the canonical order of its keys.
+
+        The union of the keys is sorted once and every name is thawed once;
+        each map then lists its own keys in that order, which is the order
+        a ``ckey`` sort of the map alone would give.
+        """
+        maps = [m for level in self.levels for m in level]
+        keys = set()
+        for m in maps:
+            keys.update(m)
+        order = csorted(keys)
+        pairs = list(zip(order, map(thaw, order)))
+        values = {}
+        for m in maps:
+            for v in m.values():
+                if v not in values:
+                    values[v] = thaw(v)
+        return [
+            [
+                [
+                    [tk, values[v]] for k, tk in pairs
+                    if (v := m.get(k, _MISSING)) is not _MISSING
+                ]
+                for m in level
+            ]
+            for level in self.levels
+        ]
 
     @classmethod
     def from_doc(cls, doc):
         try:
+            source = complex_from_doc(doc["source"])
+            target = complex_from_doc(doc["target"])
+            keys, values = _names(source.vertices), _names(target.vertices)
             return cls(
                 n=int(doc["n"]),
                 depth=int(doc["depth"]),
                 symmetric=bool(doc["symmetric"]),
                 projection_endpoints=bool(doc.get("projection_endpoints", False)),
-                source=complex_from_doc(doc["source"]),
-                target=complex_from_doc(doc["target"]),
+                source=source,
+                target=target,
                 levels=[
-                    [map_table_from_doc(m) for m in level]
+                    [map_table_from_doc(m, keys, values) for m in level]
                     for level in doc["levels"]
                 ],
             )
@@ -120,8 +157,11 @@ class CombinatorialHomotopy:
     @classmethod
     def from_doc(cls, doc):
         try:
+            source = poset_from_doc(doc["source"])
+            target = poset_from_doc(doc["target"])
+            xs, ps = _names(source.elements), _names(target.elements)
             table = {
-                (freeze(x), fence_point_from_doc(t)): freeze(v)
+                (interned(x, xs), fence_point_from_doc(t)): interned(v, ps)
                 for x, t, v in doc["table"]
             }
             return cls(
@@ -130,8 +170,8 @@ class CombinatorialHomotopy:
                 depth=int(doc["depth"]),
                 symmetric=bool(doc["symmetric"]),
                 projection_endpoints=bool(doc.get("projection_endpoints", False)),
-                source=poset_from_doc(doc["source"]),
-                target=poset_from_doc(doc["target"]),
+                source=source,
+                target=target,
                 table=table,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -177,13 +217,16 @@ class SectionWitness:
     @classmethod
     def from_doc(cls, doc):
         try:
+            source = poset_from_doc(doc["source"])
+            target = poset_from_doc(doc["target"])
+            xs, ps = _names(source.elements), _names(target.elements)
             points = [fence_point_from_doc(t) for t in doc["points"]]
             paths = {}
             for x, values in doc["paths"]:
                 if len(values) != len(points):
                     raise ParseError("path length does not match point list")
-                paths[freeze(x)] = {
-                    t: freeze(v) for t, v in zip(points, values)
+                paths[interned(x, xs)] = {
+                    t: interned(v, ps) for t, v in zip(points, values)
                 }
             return cls(
                 n=int(doc["n"]),
@@ -191,8 +234,8 @@ class SectionWitness:
                 depth=int(doc["depth"]),
                 symmetric=bool(doc["symmetric"]),
                 projection_endpoints=bool(doc.get("projection_endpoints", False)),
-                source=poset_from_doc(doc["source"]),
-                target=poset_from_doc(doc["target"]),
+                source=source,
+                target=target,
                 paths=paths,
             )
         except ParseError:

@@ -347,3 +347,60 @@ def test_check_certificate_failures_ignore_hash_seed(tmp_path):
     # 4 edges x 4 maps not simplicial, 8 simplices x 2 branches not contiguous
     assert len(json.loads(outputs[0])["result"]["failures"]) == 32
     assert outputs[1:] == outputs[:1] * 2
+
+
+def _check_one_line_rejection(path, capsys):
+    code = main(["check-certificate", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_check_certificate_rejects_object_in_chain_map(capsys, tmp_path):
+    """A JSON object as a map value is a parse error, not a crash."""
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "type": "contiguity_chain", "n": 2, "depth": 0, "symmetric": False,
+        "source": {"vertices": ["a"], "facets": [["a"]]},
+        "target": {"vertices": ["x"], "facets": [["x"]]},
+        "levels": [[[["a", {}]], [["a", {}]]]],
+    }))
+    _check_one_line_rejection(path, capsys)
+
+
+def _homotopy_doc(docs, capsys, tmp_path):
+    cert_dir = tmp_path / "certs"
+    run(
+        [
+            "homotopic", "--input", str(docs / "v.json"), "--n", "2",
+            "--mode", "auto", "--cert-dir", str(cert_dir),
+        ],
+        capsys,
+    )
+    return json.loads((cert_dir / "homotopy.cert.json").read_text())
+
+
+def test_check_certificate_rejects_object_in_homotopy_table(
+    docs, capsys, tmp_path
+):
+    doc = _homotopy_doc(docs, capsys, tmp_path)
+    doc["table"][0][2] = {"p": 1}
+    path = tmp_path / "homotopy.json"
+    path.write_text(json.dumps(doc))
+    _check_one_line_rejection(path, capsys)
+
+
+def test_check_certificate_rejects_object_in_section_path(
+    docs, capsys, tmp_path
+):
+    from symtc.translate import section_from_homotopy
+    from symtc.witnesses import certificate_from_doc
+
+    H = certificate_from_doc(_homotopy_doc(docs, capsys, tmp_path))
+    doc = section_from_homotopy(H).to_doc()
+    doc["paths"][0][1][0] = {}
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(doc))
+    _check_one_line_rejection(path, capsys)

@@ -1,4 +1,6 @@
-"""The canonical JSON writer reproduces ``json.dumps`` byte for byte."""
+"""Documents: the canonical JSON writer reproduces ``json.dumps`` byte for
+byte, labels and complexes survive a round trip, and the chain writer gives
+the per-table writer's text."""
 
 import json
 import math
@@ -6,7 +8,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtc.io import canonical_json
+from symtc.complexes import OrderedComplex, from_facets
+from symtc.io import canonical_json, complex_from_doc, complex_to_doc
+from symtc.util import freeze, thaw
+from symtc.witnesses import ContiguityChain
+
+from helpers import map_table_rows
 
 texts = st.text(
     alphabet=st.one_of(
@@ -64,3 +71,78 @@ def test_canonical_json_rejects_what_json_rejects(doc):
         json.dumps(doc, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         canonical_json(doc)
+
+
+labels = st.recursive(
+    st.one_of(st.integers(-3, 3), st.sampled_from(["a", "b", ""])),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels)
+def test_freeze_inverts_thaw(x):
+    assert freeze(thaw(x)) == x
+    assert thaw(freeze(thaw(x))) == thaw(x)
+
+
+@pytest.mark.parametrize("doc", [
+    0, "a", [], [[]], [1, ["a", [2, []]]], {"k": [1]}, [{"k": [1]}, [2]],
+    None, True, 1.5,
+])
+def test_freeze_on_json_values(doc):
+    """Lists become tuples at every depth; nothing else changes."""
+    def reference(x):
+        if isinstance(x, list):
+            return tuple(reference(m) for m in x)
+        return x
+
+    assert freeze(doc) == reference(doc)
+    assert type(freeze(doc)) is type(reference(doc))
+
+
+def _complexes():
+    from symtc.constructions import build_tower
+    from symtc.posets import poset_from_relations
+
+    edge = from_facets("ab", [("a", "b")])
+    mixed = from_facets([0, 1, "a"], [(0, 1), (1, "a")])
+    deep = build_tower(edge, 2, 2).top()
+    chain = poset_from_relations([0, 1, 2], [(0, 1), (1, 2)])
+    ordered = OrderedComplex(from_facets([0, 1, 2], [(0, 1, 2)]), chain)
+    return [edge, mixed, deep, ordered]
+
+
+@pytest.mark.parametrize("K", _complexes(), ids=repr)
+def test_complex_round_trip_interns_facet_members(K):
+    again = complex_from_doc(json.loads(canonical_json(complex_to_doc(K))))
+    assert again == K
+    base = getattr(again, "base", again)
+    ids = {id(v) for v in base.vertices}
+    assert all(id(v) in ids for s in base.simplices for v in s)
+
+
+def _chain_with_tables(levels):
+    source = from_facets([(0, 1), (1, 0), ((0, 1), "a")],
+                         [[(0, 1), (1, 0)], [((0, 1), "a")]])
+    target = from_facets([0, 1, "x"], [[0, 1], ["x"]])
+    return ContiguityChain(
+        n=2, depth=0, symmetric=False, source=source, target=target,
+        levels=levels,
+    )
+
+
+@pytest.mark.parametrize("levels", [
+    [[{(0, 1): 0, (1, 0): 1, ((0, 1), "a"): "x"}] * 2],
+    # a missing key, an extra key, keys in different insertion orders
+    [[{(1, 0): 1, ((0, 1), "a"): "x"},
+      {((0, 1), "a"): 0, (0, 1): 0, (1, 0): 1, ("extra", 2): (0, "y")}],
+     [{(9,): 1}, {}]],
+    [[{"b": 0, 2: 1, (1,): "x", ((1,), "a"): 0}, {2: "x", "a": 1}]],
+])
+def test_chain_writer_matches_per_table_writer(levels):
+    chain = _chain_with_tables(levels)
+    old = chain.to_doc()
+    old["levels"] = [[map_table_rows(m) for m in level] for level in levels]
+    assert canonical_json(chain.to_doc()) == canonical_json(old)
