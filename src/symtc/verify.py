@@ -68,7 +68,7 @@ def descend_name(x, depth):
     return x
 
 
-def last_base_tuple(x, depth, base_le):
+def _last_base_tuple(x, depth, base_le):
     """The base n-tuple a depth-d name goes to under the last-element
     approximation: the largest member of its descended chain.
 
@@ -97,7 +97,7 @@ def _coordinate(x, j):
 
 def projection_of_name(x, depth, j, base_le):
     """pi_j / rho_j of a depth-d name, via the last-element approximation."""
-    return _coordinate(last_base_tuple(x, depth, base_le), j)
+    return _coordinate(_last_base_tuple(x, depth, base_le), j)
 
 
 def _base_le_from_target(target):
@@ -312,12 +312,12 @@ def _validate_chain(cert):
             rep.fail("projection endpoints claimed but target has no order")
         else:
             last = bits[-1]
-            tops = {}  # position -> last_base_tuple, filled on branch 1
+            tops = {}  # position -> _last_base_tuple, filled on branch 1
             for j in range(1, n + 1):
                 for i, v in enumerate(verts):
                     try:
                         if i not in tops:
-                            tops[i] = last_base_tuple(v, cert.depth, base_le)
+                            tops[i] = _last_base_tuple(v, cert.depth, base_le)
                         want = _coordinate(tops[i], j)
                     except ValueError as exc:
                         rep.fail(str(exc))
