@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Exit codes: 0 success, 2 infeasible (the value is infinite), 3 budget
-exceeded, 4 validation or parse failure.  The environment variable
+exceeded, 4 validation, parse or usage failure (one line on standard
+error).  The environment variable
 SYMTC_BUDGET overrides the default caps.  All output is canonical JSON;
 timing fields live under a separate key so reports are otherwise
 byte-reproducible.
@@ -19,6 +20,7 @@ from .complexes import base_of
 from .constructions import (
     barycentric_subdivide,
     build_tower,
+    check_depth,
     ordered_power,
     poset_tower,
     projection_pi,
@@ -136,6 +138,7 @@ def _load_poset(cfg):
 
 
 def cmd_sd(cfg):
+    check_depth(cfg.r)
     K = totalize(_load_complex(cfg))
     for _ in range(cfg.r):
         K = barycentric_subdivide(K)
@@ -347,8 +350,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 4 with one line; its
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symtc",
         description=(
             "Symmetric simplicial and combinatorial complexity of finite "

@@ -34,7 +34,13 @@ from .complexes import (
     restrict_map,
     subcomplex_from_simplices,
 )
-from .constructions import build_tower, poset_tower, projection_pi, projection_rho
+from .constructions import (
+    build_tower,
+    check_depth,
+    poset_tower,
+    projection_pi,
+    projection_rho,
+)
 from .covers import min_cover
 from .errors import (
     BudgetExceeded,
@@ -511,6 +517,7 @@ def stabilize_over_r(invariant, instance, n=2, max_r=1, mode="exact",
     per-level values form a non-increasing sequence.
     """
     fn = STABILIZE_INVARIANTS[invariant]
+    check_depth(max_r, "max_r")
     rows = []
     running = INFINITY
     for r in range(max_r + 1):

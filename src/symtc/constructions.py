@@ -15,7 +15,7 @@ from .complexes import (
     SimplicialMap,
     base_of,
 )
-from .errors import BadArity, BudgetExceeded, UnorderedInput
+from .errors import BadArity, BudgetExceeded, NegativeDepth, UnorderedInput
 from .posets import (
     FinitePoset,
     MonotoneMap,
@@ -142,8 +142,15 @@ class SubdivisionTower:
         return x
 
 
+def check_depth(r, what="subdivision depth r"):
+    """Raise NegativeDepth unless r >= 0."""
+    if r < 0:
+        raise NegativeDepth(f"{what} must be at least 0, got {r}")
+
+
 def build_tower(K, n, r, budget=200_000):
     """Tower of iterated subdivisions of the ordered power K^n."""
+    check_depth(r)
     K = totalize(K)
     power = ordered_power(K, n, budget=budget)
     levels = [power.result]
@@ -179,6 +186,7 @@ def projection_pi(tower, j):
 
 def poset_tower(P, n, r, budget=200_000):
     """Tower of iterated subdivisions of the product order P^n."""
+    check_depth(r)
     power = power_poset(P, n)
     levels = [power]
     maps = []

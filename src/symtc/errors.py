@@ -45,6 +45,10 @@ class LevelMismatch(SymtcError):
     pass
 
 
+class NegativeDepth(SymtcError):
+    """A subdivision depth below 0 was asked for."""
+
+
 class NotEquivariant(SymtcError):
     pass
 

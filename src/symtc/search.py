@@ -31,6 +31,11 @@ then connects to the start in two steps through ``bridge(c, start)``, a
 class-constant map adjacent to both.  Otherwise it runs the exact search.
 "bounded" runs the same two stages but reports "unknown" where exact would
 report "no"; it never answers "no".
+
+The search packs each node, a class-constant map, into one int with a bit
+field per source point, and each class memoizes its moves by the fields
+its move test reads (the map space's ``reads``), so a node costs a few int
+operations and hashes once; only the nodes of an emitted path are unpacked.
 """
 
 from collections import deque
@@ -90,11 +95,20 @@ def _check_tuple_inputs(maps, n):
     return src, tgt
 
 
-def _class_bfs(classes, start, allowed, stop, budget):
+def _class_bfs(space, start, stop, budget):
     """Deterministic BFS over moves that change the value of one class.
 
-    Nodes are value tuples constant on each class; ``allowed(ci, cur)`` is
-    the int bitmask of the values class ``ci`` may move to from ``cur``.
+    Nodes are the maps constant on each of ``space.classes``, packed into
+    ints (see ``_PackedNodes``); a move of class ci to value w adds
+    ``(w - v) * rep`` to the node, where v is the class's value and rep has
+    a 1 at the low bit of each member's field.  ``allowed(ci, values)``
+    from ``space.moves()`` is the int bitmask of the values class ci may
+    move to; it reads ``values`` only at the indices ``space.reads[ci]``.
+    So the moves of class ci depend only on ``node & readmask``, the fields
+    of those indices, and each class keeps a memo, local to the call, from
+    that key to its move deltas in ascending w (its own value left out);
+    a miss decodes just the read fields.
+
     Returns (parents, hit), where hit is the first node with ``stop(node)``,
     or None once the start's component is exhausted.  ``budget`` bounds the
     explored nodes.
@@ -117,22 +131,36 @@ def _class_bfs(classes, start, allowed, stop, budget):
       Algebraic Topology of Finite Topological Spaces and Applications,
       LNM 2032, ch. 1).  Swap the roles when psi <= phi.
     """
+    width, full = space.width, space.full
+    allowed = space.moves()
+    values = [0] * space.size
+    plan = [
+        (space.rep(cls), width * cls[0], space.field_mask(reads),
+         [(i, width * i) for i in reads], {})
+        for cls, reads in zip(space.classes, space.reads)
+    ]
     parents = {start: None}
     if stop(start):
         return parents, start
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for ci, cls in enumerate(classes):
-            mask = allowed(ci, cur) & ~(1 << cur[cls[0]])
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                w = low.bit_length() - 1
-                nxt = list(cur)
-                for i in cls:
-                    nxt[i] = w
-                nxt = tuple(nxt)
+        for ci, (rep, shift, readmask, reads, memo) in enumerate(plan):
+            key = cur & readmask
+            deltas = memo.get(key)
+            if deltas is None:
+                for i, s in reads:
+                    values[i] = cur >> s & full
+                v = cur >> shift & full
+                mask = allowed(ci, values) & ~(1 << v)
+                deltas = []
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    deltas.append((low.bit_length() - 1 - v) * rep)
+                deltas = memo[key] = tuple(deltas)
+            for delta in deltas:
+                nxt = cur + delta
                 if nxt in parents:
                     continue
                 parents[nxt] = cur
@@ -207,23 +235,32 @@ def _sees_all(targets):
     return stop
 
 
-def _component_stage(space, start, stop, budget, mode):
-    """Run _class_bfs for a decider; returns (status, parents, hit, record).
+def _component_stage(space, start, budget, mode, goal=None, ends=()):
+    """Run _class_bfs for a decider; returns (status, paths, record).
 
-    Exact mode answers "no" on an exhausted component; bounded mode keeps
-    its contract and answers "unknown" instead.
+    The search packs the value tuple ``start`` and runs until ``goal``, a
+    test on packed nodes, holds or, without one, until every value tuple of
+    ``ends`` was seen.  On "yes", ``paths`` holds the unpacked path from
+    start to the hit, or to each of ``ends``.  Exact mode answers "no" on an
+    exhausted component; bounded mode keeps its contract and answers
+    "unknown" instead.
     """
-    parents, hit = _class_bfs(
-        space.classes, start, space.moves(), stop, budget
-    )
+    targets = [space.pack(e) for e in ends]
+    if goal is None:
+        goal = _sees_all(targets)
+    parents, hit = _class_bfs(space, space.pack(start), goal, budget)
     explored = len(parents)
+    paths = None
+    if hit is not None:
+        paths = [[space.unpack(x) for x in _path_to(parents, end)]
+                 for end in (targets or [hit])]
     if mode == "bounded":
         status = "yes" if hit is not None else "unknown"
-        return status, parents, hit, {"stage": "bounded", "explored": explored}
+        return status, paths, {"stage": "bounded", "explored": explored}
     record = {"total_nodes": explored, "explored": explored, "stage": "exact"}
     if hit is None:
         record["exhausted_component"] = True
-    return ("yes" if hit is not None else "no"), parents, hit, record
+    return ("yes" if hit is not None else "no"), paths, record
 
 
 def _first_fit(space, fits):
@@ -287,10 +324,7 @@ def _decide_symmetric(space, sigma_classes, start, witness, mode, budget):
     The goal is a map constant on ``sigma_classes``; ``witness(path)``
     builds the certificate of a path from a goal to the start.
     """
-    def is_diag(vals):
-        return _constant_on(vals, sigma_classes)
-
-    if is_diag(start):
+    if _constant_on(start, sigma_classes):
         return SearchResult("yes", witness([start]), {"stage": "start"})
     if mode in ("auto", "bounded"):
         quick = _quick_stage(space, [start], _constants(space), bridge=True)
@@ -298,12 +332,12 @@ def _decide_symmetric(space, sigma_classes, start, witness, mode, budget):
             return SearchResult("yes", witness(quick[0]), {"stage": "quick"})
     if not _constant_on(start, space.classes):
         raise NotEquivariant("tuple's first map is not constraint-invariant")
-    status, parents, hit, record = _component_stage(
-        space, start, is_diag, budget, mode
+    status, paths, record = _component_stage(
+        space, start, budget, mode, goal=space.constant_test(sigma_classes)
     )
     if status != "yes":
         return SearchResult(status, record=record)
-    path = _shortcut(_path_to(parents, hit)[::-1], space.directions)
+    path = _shortcut(paths[0][::-1], space.directions)
     return SearchResult("yes", witness(path), record)
 
 
@@ -320,15 +354,58 @@ def _decide_plain(space, starts, witness, mode, budget):
         quick = _quick_stage(space, starts, starts + _constants(space))
         if quick is not None:
             return SearchResult("yes", witness(quick), {"stage": "quick"})
-    status, parents, _, record = _component_stage(
-        space, starts[0], _sees_all(starts), budget, mode
+    status, paths, record = _component_stage(
+        space, starts[0], budget, mode, ends=starts
     )
     if status != "yes":
         return SearchResult(status, record=record)
-    branch_paths = [
-        _shortcut(_path_to(parents, s), space.directions) for s in starts
-    ]
+    branch_paths = [_shortcut(p, space.directions) for p in paths]
     return SearchResult("yes", witness(branch_paths), record)
+
+
+class _PackedNodes:
+    """Value tuples packed into ints, for the map spaces below.
+
+    The value of source index i sits in the field of ``width`` bits at
+    ``width * i``, so a node is one int and hashes as one.  A space sets
+    ``size``, the number of source indices, and ``nvalues``.
+    """
+
+    @cached_property
+    def width(self):
+        return max(1, (self.nvalues - 1).bit_length())
+
+    @cached_property
+    def full(self):
+        return (1 << self.width) - 1
+
+    def rep(self, indices):
+        """The node with value 1 at ``indices`` and 0 elsewhere."""
+        return sum(1 << self.width * i for i in indices)
+
+    def field_mask(self, indices):
+        return self.rep(indices) * self.full
+
+    def pack(self, values):
+        return sum(v << self.width * i for i, v in enumerate(values))
+
+    def unpack(self, node):
+        width, full = self.width, self.full
+        return tuple(node >> width * i & full for i in range(self.size))
+
+    def constant_test(self, classes):
+        """A test on packed nodes: is the map constant on every class?"""
+        full = self.full
+        checks = [
+            (self.field_mask(cls), self.width * cls[0], self.rep(cls))
+            for cls in classes if len(cls) > 1
+        ]
+
+        def test(node):
+            return all(node & fields == (node >> shift & full) * rep
+                       for fields, shift, rep in checks)
+
+        return test
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +413,7 @@ def _decide_plain(space, starts, witness, mode, budget):
 # ---------------------------------------------------------------------------
 
 
-class _SimplicialSpace:
+class _SimplicialSpace(_PackedNodes):
     """Moves, bridges and 1-contiguity tests over simplicial maps L -> K
     constant on the orbit classes of ``group`` (singletons without one)."""
 
@@ -378,6 +455,13 @@ class _SimplicialSpace:
         return [sorted({fi for i in cls for fi in facets_of_vertex[i]})
                 for cls in self.classes]
 
+    @cached_property
+    def reads(self):
+        """Per class, the source indices ``allowed`` reads: the vertices of
+        the touched facets, the class's own among them."""
+        return [sorted({i for fi in touched for i in self.facets[fi]})
+                for touched in self._touched]
+
     def full_masks(self, values):
         out = []
         for f in self.facets:
@@ -391,19 +475,20 @@ class _SimplicialSpace:
         """``allowed`` for _class_bfs over self.classes.
 
         Class ci may move to w when every touched facet's image plus w is a
-        simplex: the new map is then simplicial and 1-contiguous with cur.
+        simplex: the new map is then simplicial and 1-contiguous with the
+        current one.
         """
-        ext = self.ext
+        ext, facets = self.ext, self.facets
         touched = self._touched
         every = (1 << len(self.tverts)) - 1
-        last = [None, None]  # cur and its facet masks
 
-        def allowed(ci, cur):
-            if last[0] is not cur:
-                last[0], last[1] = cur, self.full_masks(cur)
+        def allowed(ci, values):
             out = every
             for fi in touched[ci]:
-                out &= ext[last[1][fi]]
+                mask = 0
+                for i in facets[fi]:
+                    mask |= 1 << values[i]
+                out &= ext[mask]
             return out
 
         return allowed
@@ -529,7 +614,7 @@ def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
 # ---------------------------------------------------------------------------
 
 
-class _MonotoneSpace:
+class _MonotoneSpace(_PackedNodes):
     """Moves, bridges and comparability tests over monotone maps Q -> P
     constant on the orbit classes of ``group`` (singletons without one)."""
 
@@ -565,25 +650,33 @@ class _MonotoneSpace:
                             if j not in members])
         return below, above
 
+    @cached_property
+    def reads(self):
+        """Per class, the source indices ``allowed`` reads: its head and
+        the points below and above it."""
+        below, above = self._neighbours
+        return [[cls[0], *down, *up]
+                for cls, down, up in zip(self.classes, below, above)]
+
     def moves(self):
         """``allowed`` for _class_bfs over self.classes.
 
         Class ci may move to a value comparable with its current one that
         stays below the values of the points above the class and above those
         of the points below it: the new map is then monotone and comparable
-        with cur.
+        with the current one.
         """
         up, down = self.up, self.down
         below, above = self._neighbours
         heads = [cls[0] for cls in self.classes]
 
-        def allowed(ci, cur):
-            v = cur[heads[ci]]
+        def allowed(ci, values):
+            v = values[heads[ci]]
             out = up[v] | down[v]
             for j in below[ci]:
-                out &= up[cur[j]]
+                out &= up[values[j]]
             for j in above[ci]:
-                out &= down[cur[j]]
+                out &= down[values[j]]
             return out
 
         return allowed

@@ -213,9 +213,10 @@ class _Sweep:
     ``upper`` give the single-class moves: class c goes to a value strictly
     below (above) its own, and not below (above) the value of any class
     ``fence[c]`` lists, those with an element below (above) one of its
-    elements, so the map stays monotone.  ``same`` pairs the classes that
-    one Sigma_n orbit joins.  ``reached`` counts the maps in A_m or B_m;
-    the budget bounds it.
+    elements, so the map stays monotone; each class memoizes its key deltas
+    by the fields of the class and its fence (see ``close``).  ``same``
+    pairs the classes that one Sigma_n orbit joins.  ``reached`` counts the
+    maps in A_m or B_m; the budget bounds it.
     """
 
     def __init__(self, Q, walk, sigma_classes, budget):
@@ -240,15 +241,26 @@ class _Sweep:
             for c in cs[1:]
         ]
         self.nq = len(Q.elements)
-        self.lower = (
+        self.lower = self._moves(
             [walk.down[v] ^ 1 << v for v in range(npp)], walk.up, below
         )
-        self.upper = (
+        self.upper = self._moves(
             [walk.up[v] ^ 1 << v for v in range(npp)], walk.down, above
         )
         self.walk = walk
         self.budget = budget
         self.reached = 0
+
+    def _moves(self, strict, away, fence):
+        """Per class: its shift, the fields of the class and its fence,
+        the fence's shifts and an empty memo for ``close``."""
+        field, shifts = self.field, self.shifts
+        plan = [
+            (s, sum(field << shifts[d] for d in [c, *fence[c]]),
+             [shifts[d] for d in fence[c]], {})
+            for c, s in enumerate(shifts)
+        ]
+        return strict, away, plan
 
     def key(self, values):
         """The key of a value tuple over Q's elements."""
@@ -275,10 +287,12 @@ class _Sweep:
         entering at step m; returns the maps added, in order.
 
         ``at`` is closed under the moves before the call, so a map already
-        in it needs no walk: each map is entered and expanded once."""
-        strict, away, fence = moves
-        budget, field, shifts = self.budget, self.field, self.shifts
-        cols = list(zip(shifts, fence))
+        in it needs no walk: each map is entered and expanded once.  The
+        moves of a class depend only on the fields of the class and its
+        fence, so each class keeps a memo, for the life of the sweep, from
+        those fields of a key to its key deltas in ascending value."""
+        strict, away, plan = moves
+        budget, field = self.budget, self.field
         new = []
 
         def add(key):
@@ -298,15 +312,22 @@ class _Sweep:
         while i < len(new):
             key = new[i]
             i += 1
-            vals = [key >> s & field for s in shifts]
-            for (s, fc), value in zip(cols, vals):
-                mask = strict[value]
-                for d in fc:
-                    mask &= away[vals[d]]
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    nxt = key + ((low.bit_length() - 1 - value) << s)
+            for s, reads, fence, memo in plan:
+                seen = key & reads
+                deltas = memo.get(seen)
+                if deltas is None:
+                    value = key >> s & field
+                    mask = strict[value]
+                    for t in fence:
+                        mask &= away[key >> t & field]
+                    deltas = []
+                    while mask:
+                        low = mask & -mask
+                        mask ^= low
+                        deltas.append((low.bit_length() - 1 - value) << s)
+                    deltas = memo[seen] = tuple(deltas)
+                for delta in deltas:
+                    nxt = key + delta
                     if nxt not in at:
                         add(nxt)
         return new

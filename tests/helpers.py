@@ -4,11 +4,15 @@ Nothing here shares code with the package's searchers: maps are enumerated
 with itertools, reachability by plain breadth-first search over explicit
 adjacency, posets by filtering relation matrices.  The chain-checker oracle
 tests every simplex by the frozenset of its vertex names, and the old map
-table writer sorts every table by ``ckey`` on its own.
+table writer sorts every table by ``ckey`` on its own.  The class-move
+oracle is the search kernel's former tuple form, run on move masks that the
+tests compute by brute force.
 """
 
 from collections import deque
 from itertools import combinations, permutations, product
+
+from symtc.errors import BudgetExceeded
 
 
 def subsets_closure(facets):
@@ -86,6 +90,40 @@ def reachable(start_keys, nodes, adjacent):
                 seen.add(j)
                 queue.append(j)
     return {nodes[i] for i in seen}
+
+
+def tuple_class_bfs(classes, start, allowed, stop, budget):
+    """The class-move BFS on value tuples, as it stood before nodes were
+    packed into ints: the reference the packed kernel must match node for
+    node.  ``allowed(ci, cur)`` is the bitmask of the values class ci may
+    move to from the tuple cur; returns (parents, hit)."""
+    parents = {start: None}
+    if stop(start):
+        return parents, start
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for ci, cls in enumerate(classes):
+            mask = allowed(ci, cur) & ~(1 << cur[cls[0]])
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                w = low.bit_length() - 1
+                nxt = list(cur)
+                for i in cls:
+                    nxt[i] = w
+                nxt = tuple(nxt)
+                if nxt in parents:
+                    continue
+                parents[nxt] = cur
+                if budget is not None and len(parents) > budget:
+                    raise BudgetExceeded(
+                        f"search explored more than {budget} nodes"
+                    )
+                if stop(nxt):
+                    return parents, nxt
+                queue.append(nxt)
+    return parents, None
 
 
 def all_posets(n):

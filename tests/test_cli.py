@@ -404,3 +404,38 @@ def test_check_certificate_rejects_object_in_section_path(
     path = tmp_path / "section.json"
     path.write_text(json.dumps(doc))
     _check_one_line_rejection(path, capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["sc", "--input", "d1.json", "--r", "-1"],
+    ["cc", "--input", "v.json", "--r", "-2"],
+    ["sym-contiguous", "--input", "d1.json", "--r", "-1"],
+    ["homotopic", "--input", "v.json", "--r", "-1"],
+    ["orbits", "--input", "d1.json", "--r", "-1"],
+    ["sd", "--input", "d1.json", "--iterations", "-1"],
+    ["stabilize", "--input", "d1.json", "--invariant", "sc-sigma",
+     "--max-r", "-1"],
+])
+def test_negative_depth_exit_code(docs, capsys, command):
+    """A negative subdivision depth is refused, not read as level 0."""
+    command = [str(docs / a) if a.endswith(".json") else a for a in command]
+    code = main(command)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "at least 0" in captured.err
+
+
+@pytest.mark.parametrize("command, needle", [
+    (["stabilize", "--input", "d1.json"], "--invariant"),
+    (["sc", "--input", "d1.json", "--mode", "fastest"], "--mode"),
+])
+def test_usage_error_exit_code(docs, capsys, command, needle):
+    """Usage errors exit 4 with one line; exit 2 means infeasible."""
+    command = [str(docs / a) if a.endswith(".json") else a for a in command]
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    captured = capsys.readouterr()
+    assert exc.value.code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and needle in captured.err
