@@ -1,5 +1,10 @@
 """Command line entry point.
 
+Each subcommand accepts only the options its handler reads (``COMMANDS``),
+and its report's ``config`` echoes exactly those, with the effective
+budgets where it takes ``--budget``; any other flag, or a ``--mode`` the
+command does not run, is a usage error.
+
 Exit codes: 0 success, 2 infeasible (the value is infinite), 3 budget
 exceeded, 4 validation, parse or usage failure (one line on standard
 error).  The environment variable
@@ -50,20 +55,12 @@ EXIT_BUDGET = 3
 EXIT_INVALID = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str = None
-    output: str = None
-    cert_dir: str = None
-    n: int = 2
-    r: int = 0
-    max_r: int = 1
-    mode: str = "exact"
-    invariant: str = None
-    plain: bool = False
-    budget: int = None
-    verbose: bool = False
+# report keys that say where the output goes, or only how to run
+_NOT_ECHOED = {"output", "cert_dir", "budget", "seedless", "verbose"}
+
+
+class RunConfig(argparse.Namespace):
+    """The parsed options of one command: only those the command reads."""
 
     def effective_budget(self):
         """--budget wins; otherwise SYMTC_BUDGET; otherwise the defaults."""
@@ -76,17 +73,12 @@ class RunConfig:
         return complexity.budgets_with(self.effective_budget())
 
     def echo(self):
-        return {
-            "command": self.command,
-            "input": self.input,
-            "n": self.n,
-            "r": self.r,
-            "max_r": self.max_r,
-            "mode": self.mode,
-            "invariant": self.invariant,
-            "plain": self.plain,
-            "budgets": self.budgets(),
-        }
+        """The report's ``config``: the command, its input and the options
+        it reads, with the effective budgets where it takes --budget."""
+        out = {k: v for k, v in vars(self).items() if k not in _NOT_ECHOED}
+        if "budget" in vars(self):
+            out["budgets"] = self.budgets()
+        return out
 
 
 @dataclass
@@ -334,19 +326,45 @@ def cmd_stabilize(cfg):
     return EXIT_OK
 
 
+# option -> (flags, argparse keywords)
+OPTIONS = {
+    "cert_dir": (["--cert-dir"], {"help": "directory for certificate files"}),
+    "n": (["--n"], {"type": int, "default": 2}),
+    "r": (["--r"], {"type": int, "default": 0}),
+    # `sd` subdivides once unless --iterations says otherwise
+    "iterations": (["--r", "--iterations"],
+                   {"dest": "r", "type": int, "default": 1}),
+    "max_r": (["--max-r"], {"type": int, "default": 1}),
+    "search_mode": (["--mode"], {"choices": ["exact", "auto", "bounded"],
+                                 "default": "exact"}),
+    "cover_mode": (["--mode"], {"choices": ["exact", "upper"],
+                                "default": "exact"}),
+    "invariant": (["--invariant"], {
+        "required": True, "choices": sorted(complexity.STABILIZE_INVARIANTS),
+    }),
+    "plain": (["--plain"], {"action": "store_true",
+                            "help": "drop the symmetry constraints"}),
+    "budget": (["--budget"], {"type": int}),
+}
+
+_DECIDE = ["cert_dir", "n", "r", "search_mode", "plain", "budget"]
+_COVER = ["cert_dir", "n", "r", "cover_mode", "plain", "budget"]
+
+# command -> (handler, the options it reads)
 COMMANDS = {
-    "sd": cmd_sd,
-    "power": cmd_power,
-    "order-complex": cmd_order_complex,
-    "face-poset": cmd_face_poset,
-    "orbits": cmd_orbits,
-    "sym-contiguous": cmd_sym_contiguous,
-    "homotopic": cmd_homotopic,
-    "check-certificate": cmd_check_certificate,
-    "sc": cmd_sc,
-    "cc": cmd_cc,
-    "tc-finite": cmd_tc_finite,
-    "stabilize": cmd_stabilize,
+    "sd": (cmd_sd, ["iterations"]),
+    "power": (cmd_power, ["n", "budget"]),
+    "order-complex": (cmd_order_complex, []),
+    "face-poset": (cmd_face_poset, []),
+    "orbits": (cmd_orbits, ["n", "r", "budget"]),
+    "sym-contiguous": (cmd_sym_contiguous, _DECIDE),
+    "homotopic": (cmd_homotopic, _DECIDE),
+    "check-certificate": (cmd_check_certificate, []),
+    "sc": (cmd_sc, _COVER),
+    "cc": (cmd_cc, _COVER),
+    "tc-finite": (cmd_tc_finite, ["n", "budget"]),
+    "stabilize": (cmd_stabilize,
+                  ["n", "max_r", "cover_mode", "invariant", "budget"]),
 }
 
 
@@ -367,57 +385,24 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **extra):
+    for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="input JSON document")
         p.add_argument("--output", help="write the report here (default stdout)")
-        p.add_argument("--cert-dir", help="directory for certificate files")
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--r", "--iterations", dest="r", type=int, default=None)
-        p.add_argument("--max-r", type=int, default=1)
-        p.add_argument("--mode", choices=["exact", "upper", "auto", "bounded"],
-                       default="exact")
-        p.add_argument("--plain", action="store_true",
-                       help="drop the symmetry constraints")
-        p.add_argument("--budget", type=int)
+        for option in options:
+            flags, keywords = OPTIONS[option]
+            p.add_argument(*flags, **keywords)
         p.add_argument("--seedless", action="store_true",
                        help="accepted for compatibility; search order is "
                             "already deterministic")
         p.add_argument("--verbose", action="store_true")
-        if name == "stabilize":
-            p.add_argument(
-                "--invariant", required=True,
-                choices=sorted(complexity.STABILIZE_INVARIANTS),
-            )
-        return p
-
-    for name in COMMANDS:
-        add(name)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # `sd` subdivides once unless --iterations says otherwise
-    r = args.r if args.r is not None else (1 if args.command == "sd" else 0)
-    cfg = RunConfig(
-        command=args.command,
-        input=args.input,
-        output=args.output,
-        cert_dir=getattr(args, "cert_dir", None),
-        n=args.n,
-        r=r,
-        max_r=args.max_r,
-        mode=args.mode,
-        invariant=getattr(args, "invariant", None),
-        plain=args.plain,
-        budget=args.budget,
-        verbose=args.verbose,
-    )
+    cfg = build_parser().parse_args(argv, namespace=RunConfig())
     try:
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[cfg.command][0](cfg)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

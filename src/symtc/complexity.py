@@ -362,6 +362,8 @@ def _cover_engine(problem, mode, invariant_name):
     # upper mode: grow each universe seed one quantum at a time.
     # One first-fit pass suffices: goodness is anti-monotone in piece size,
     # so a rejected addition would be rejected against any larger piece too.
+    # A step whose decision overruns the node budget counts as rejected:
+    # the cover uses only pieces decided "yes", so the bound stays sound.
     grown = []
     for u in sorted(universe):
         S = problem.down_closure(1 << u)
@@ -369,7 +371,12 @@ def _cover_engine(problem, mode, invariant_name):
             if S >> w & 1:
                 continue
             T = S | problem.down_closure(1 << w)
-            if decide(T).yes:
+            try:
+                good = decide(T).yes
+            except BudgetExceeded:
+                stats["overrun_steps"] = stats.get("overrun_steps", 0) + 1
+                continue
+            if good:
                 S = T
         if S not in grown:
             grown.append(S)

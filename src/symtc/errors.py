@@ -86,7 +86,8 @@ class ParseError(SymtcError):
 
 
 class UnsupportedMode(SymtcError):
-    """A cover computation was asked for a mode other than exact or upper."""
+    """A mode the computation does not run: a cover computation takes exact
+    or upper, a decider exact, auto or bounded."""
 
 
 class ValidationError(SymtcError):

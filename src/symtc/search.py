@@ -7,7 +7,7 @@ Two graph searches underlie everything:
 * finite-space side: nodes are monotone maps Q -> P, edges join pointwise
   comparable maps.  Reflexivity lets a zigzag repeat nodes, so plain
   connectivity in the comparability graph is equivalent to the alternating
-  fence formulation; emitted certificates are re-normalized to alternating
+  fence formulation; ``_shortcut`` puts every emitted path in alternating
   form.
 
 In symmetric mode an equivariant n-tuple is represented by its first map,
@@ -30,7 +30,7 @@ constants) connects them in one step; on the symmetric side a constant c
 then connects to the start in two steps through ``bridge(c, start)``, a
 class-constant map adjacent to both.  Otherwise it runs the exact search.
 "bounded" runs the same two stages but reports "unknown" where exact would
-report "no"; it never answers "no".
+report "no"; it never answers "no".  Any other mode raises UnsupportedMode.
 
 The search packs each node, a class-constant map, into one int with a bit
 field per source point, and each class memoizes its moves by the fields
@@ -55,7 +55,12 @@ from .actions import (
     tuple_constraint_group,
 )
 from .complexes import base_of
-from .errors import BudgetExceeded, NotEquivariant, SourceMismatch
+from .errors import (
+    BudgetExceeded,
+    NotEquivariant,
+    SourceMismatch,
+    UnsupportedMode,
+)
 from .witnesses import CombinatorialHomotopy, ContiguityChain
 
 
@@ -83,6 +88,13 @@ class SearchResult:
     @property
     def yes(self):
         return self.status == "yes"
+
+
+def _check_mode(mode):
+    if mode not in ("exact", "auto", "bounded"):
+        raise UnsupportedMode(
+            f"search mode must be 'exact', 'auto' or 'bounded', not {mode!r}"
+        )
 
 
 def _check_tuple_inputs(maps, n):
@@ -195,12 +207,14 @@ def _constant_on(values, classes):
 
 def _shortcut(path, directions):
     """The subsequence of path, from its first node to its last, with the
-    shortest alternating form (a DP over the path's own nodes).
+    shortest alternating form (a DP over the path's own nodes), in that
+    form.
 
     ``directions(a, b)`` is a bitmask of the ways a may step to b: 1 when
     a <= b, 2 when a >= b, 0 when they are not adjacent.  A step keeps the
-    form 0 <= 1 >= 2 <= ... when it goes the needed way and costs a repeat
-    otherwise; contiguity steps go both ways, so there the DP counts hops.
+    form 0 <= 1 >= 2 <= ... when it goes the needed way; otherwise its
+    first node is repeated (valid either way) and it costs 2.  Contiguity
+    steps go both ways, so there the DP counts hops and repeats nothing.
     """
     links = [[directions(path[j], path[k]) for j in range(k)]
              for k in range(len(path))]
@@ -220,7 +234,10 @@ def _shortcut(path, directions):
     out = []
     while state is not None:
         out.append(path[state[0]])
-        state = best[state[0]][state[1]][1]
+        prev = best[state[0]][state[1]][1]
+        if prev is not None and prev[1] == state[1]:  # a step of cost 2
+            out.append(path[prev[0]])
+        state = prev
     return out[::-1]
 
 
@@ -322,14 +339,19 @@ def _decide_symmetric(space, sigma_classes, start, witness, mode, budget):
     """Start check, quick stage and component search of a symmetric decider.
 
     The goal is a map constant on ``sigma_classes``; ``witness(path)``
-    builds the certificate of a path from a goal to the start.
+    builds the certificate of a path from a goal to the start, which is
+    in alternating form (see ``_shortcut``).
     """
+    def yes(path, record):
+        return SearchResult("yes", witness(_shortcut(path, space.directions)),
+                            record)
+
     if _constant_on(start, sigma_classes):
-        return SearchResult("yes", witness([start]), {"stage": "start"})
+        return yes([start], {"stage": "start"})
     if mode in ("auto", "bounded"):
         quick = _quick_stage(space, [start], _constants(space), bridge=True)
         if quick is not None:
-            return SearchResult("yes", witness(quick[0]), {"stage": "quick"})
+            return yes(quick[0], {"stage": "quick"})
     if not _constant_on(start, space.classes):
         raise NotEquivariant("tuple's first map is not constraint-invariant")
     status, paths, record = _component_stage(
@@ -337,30 +359,34 @@ def _decide_symmetric(space, sigma_classes, start, witness, mode, budget):
     )
     if status != "yes":
         return SearchResult(status, record=record)
-    path = _shortcut(paths[0][::-1], space.directions)
-    return SearchResult("yes", witness(path), record)
+    return yes(paths[0][::-1], record)
 
 
 def _decide_plain(space, starts, witness, mode, budget):
     """Start check, quick stage and component search of a plain decider.
 
     The goal is one component holding every start; ``witness(paths)``
-    builds the certificate of one path per start from a common map.
+    builds the certificate of one path per start from a common map, each
+    in alternating form (see ``_shortcut``).
     """
+    def yes(paths, record):
+        return SearchResult(
+            "yes", witness([_shortcut(p, space.directions) for p in paths]),
+            record,
+        )
+
     if all(s == starts[0] for s in starts):
-        return SearchResult("yes", witness([[s] for s in starts]),
-                            {"stage": "start"})
+        return yes([[s] for s in starts], {"stage": "start"})
     if mode in ("auto", "bounded"):
         quick = _quick_stage(space, starts, starts + _constants(space))
         if quick is not None:
-            return SearchResult("yes", witness(quick), {"stage": "quick"})
+            return yes(quick, {"stage": "quick"})
     status, paths, record = _component_stage(
         space, starts[0], budget, mode, ends=starts
     )
     if status != "yes":
         return SearchResult(status, record=record)
-    branch_paths = [_shortcut(p, space.directions) for p in paths]
-    return SearchResult("yes", witness(branch_paths), record)
+    return yes(paths, record)
 
 
 class _PackedNodes:
@@ -546,6 +572,7 @@ def sym_contiguous(maps, n, depth, mode="exact", budget=50_000,
     Returns SearchResult; a yes carries a ContiguityChain from a diagonal
     invariant tuple to the given tuple.
     """
+    _check_mode(mode)
     source, target = _check_tuple_inputs(maps, n)
     if not is_invariant_simplices(source.simplices, symmetric_group(n), depth):
         raise NotEquivariant("source is not an invariant subcomplex")
@@ -587,6 +614,7 @@ def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
                      target_ordered=None):
     """Do the maps lie in one contiguity class?  Witness: chain from a
     diagonal tuple (no invariance requirement) to the given tuple."""
+    _check_mode(mode)
     n = len(maps)
     source, target = _check_tuple_inputs(maps, n)
     space = _SimplicialSpace(source, target)
@@ -723,23 +751,6 @@ class _MonotoneSpace(_PackedNodes):
         return None
 
 
-def _alternate(path, le):
-    """Re-normalize a comparability path to the fence's alternating form.
-
-    Position l of the result relates to position l-1 by <= when l is odd and
-    by >= when l is even, matching 0 <= 1 >= 2 <= ...
-    """
-    seq = [path[0]]
-    for u, w in zip(path, path[1:]):
-        while True:
-            need_up = len(seq) % 2 == 1
-            if (need_up and le(u, w)) or (not need_up and le(w, u)):
-                seq.append(w)
-                break
-            seq.append(u)  # repeat; valid in either direction
-    return seq
-
-
 # ---------------------------------------------------------------------------
 # symmetric / plain combinatorial homotopy deciders
 # ---------------------------------------------------------------------------
@@ -748,7 +759,8 @@ def _alternate(path, le):
 def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
     """Decide symmetric combinatorial homotopy of an equivariant tuple of
     monotone maps on an invariant open source.  Witness: a table over
-    J_{n,m} with m the re-normalized path length."""
+    J_{n,m} with m the alternating path length."""
+    _check_mode(mode)
     Q, P = _check_tuple_inputs(maps, n)
     if not is_invariant_elements(Q.elements, symmetric_group(n), depth):
         raise NotEquivariant("source is not an invariant subset")
@@ -764,13 +776,12 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
     )
 
     def homotopy_of(path):
-        seq = _alternate(path, space.pair_le)
-        m = len(seq) - 1
+        m = len(path) - 1
         table = {}
         for x in Q.elements:
-            table[(x, (0, 0))] = space.map_of(seq[0])[x]
+            table[(x, (0, 0))] = space.map_of(path[0])[x]
         for l in range(1, m + 1):
-            fl = space.map_of(seq[l])
+            fl = space.map_of(path[l])
             for j, act in enumerate(swaps, start=1):
                 for x in Q.elements:
                     table[(x, (l, j))] = fl[act[x]]
@@ -790,14 +801,14 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
 
 def plain_comb_homotopic(maps, depth=0, mode="exact", budget=50_000):
     """Are the monotone maps combinatorially homotopic (common fence start)?"""
+    _check_mode(mode)
     n = len(maps)
     Q, P = _check_tuple_inputs(maps, n)
     space = _MonotoneSpace(Q, P)
 
     def homotopy_of(branch_paths):
-        seqs = [_alternate(p, space.pair_le) for p in branch_paths]
-        m = max(len(s) - 1 for s in seqs)
-        seqs = [s + [s[-1]] * (m - (len(s) - 1)) for s in seqs]
+        m = max(len(p) - 1 for p in branch_paths)
+        seqs = [p + [p[-1]] * (m - (len(p) - 1)) for p in branch_paths]
         table = {}
         for x in Q.elements:
             table[(x, (0, 0))] = space.map_of(seqs[0][0])[x]

@@ -6,7 +6,8 @@ adjacency, posets by filtering relation matrices.  The chain-checker oracle
 tests every simplex by the frozenset of its vertex names, and the old map
 table writer sorts every table by ``ckey`` on its own.  The class-move
 oracle is the search kernel's former tuple form, run on move masks that the
-tests compute by brute force.
+tests compute by brute force.  The path normaliser oracle is the searchers'
+former two passes: ``shortcut_without_repeats``, then ``alternate``.
 """
 
 from collections import deque
@@ -332,3 +333,52 @@ def map_table_rows(table):
         [thaw(k), thaw(v)]
         for k, v in sorted(table.items(), key=lambda kv: ckey(kv[0]))
     ]
+
+
+def shortcut_without_repeats(path, directions):
+    """The subsequence of path, from its first node to its last, with the
+    shortest alternating form (a DP over the path's own nodes), as it stood
+    before the search emitted that form's repeats itself.
+
+    ``directions(a, b)`` is a bitmask of the ways a may step to b: 1 when
+    a <= b, 2 when a >= b, 0 when they are not adjacent.  A step keeps the
+    form 0 <= 1 >= 2 <= ... when it goes the needed way and costs a repeat
+    otherwise; contiguity steps go both ways, so there the DP counts hops.
+    """
+    links = [[directions(path[j], path[k]) for j in range(k)]
+             for k in range(len(path))]
+    best = [{0: (0, None)}]  # per node: length parity -> (length, previous)
+    for k in range(1, len(path)):
+        here = {}
+        for j, dirs in enumerate(links[k]):
+            if not dirs:
+                continue
+            for parity, (length, _) in best[j].items():
+                new = length + (1 if dirs & (1 << parity) else 2)
+                if new % 2 not in here or new < here[new % 2][0]:
+                    here[new % 2] = (new, (j, parity))
+        best.append(here)
+    k = len(path) - 1
+    state = (k, min(best[k], key=lambda parity: best[k][parity][0]))
+    out = []
+    while state is not None:
+        out.append(path[state[0]])
+        state = best[state[0]][state[1]][1]
+    return out[::-1]
+
+
+def alternate(path, le):
+    """Re-normalize a comparability path to the fence's alternating form.
+
+    Position l of the result relates to position l-1 by <= when l is odd and
+    by >= when l is even, matching 0 <= 1 >= 2 <= ...
+    """
+    seq = [path[0]]
+    for u, w in zip(path, path[1:]):
+        while True:
+            need_up = len(seq) % 2 == 1
+            if (need_up and le(u, w)) or (not need_up and le(w, u)):
+                seq.append(w)
+                break
+            seq.append(u)  # repeat; valid in either direction
+    return seq

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -241,9 +242,10 @@ def test_non_utf8_input_exit_code(tmp_path, capsys):
 def test_cover_rejects_search_modes(docs, capsys, command, mode):
     """sc, cc and stabilize compute covers: only exact and upper apply."""
     command = [str(docs / a) if a.endswith(".json") else a for a in command]
-    code = main(command + ["--mode", mode])
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--mode", mode])
     captured = capsys.readouterr()
-    assert code == 4
+    assert exc.value.code == 4
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and mode in captured.err
 
@@ -429,9 +431,32 @@ def test_negative_depth_exit_code(docs, capsys, command):
 @pytest.mark.parametrize("command, needle", [
     (["stabilize", "--input", "d1.json"], "--invariant"),
     (["sc", "--input", "d1.json", "--mode", "fastest"], "--mode"),
+    # a flag the command does not read, or a mode it does not run
+    (["tc-finite", "--input", "v.json", "--plain"], "--plain"),
+    (["tc-finite", "--input", "v.json", "--r", "1"], "--r"),
+    (["tc-finite", "--input", "v.json", "--mode", "upper"], "--mode"),
+    (["tc-finite", "--input", "v.json", "--cert-dir", "certs"], "--cert-dir"),
+    (["sym-contiguous", "--input", "d1.json", "--mode", "upper"], "--mode"),
+    (["sym-contiguous", "--input", "d1.json", "--max-r", "2"], "--max-r"),
+    (["homotopic", "--input", "v.json", "--mode", "upper"], "--mode"),
+    (["homotopic", "--input", "v.json", "--iterations", "1"], "--iterations"),
+    (["sc", "--input", "d1.json", "--max-r", "2"], "--max-r"),
+    (["cc", "--input", "v.json", "--max-r", "1"], "--max-r"),
+    (["stabilize", "--input", "d1.json", "--invariant", "sc-sigma",
+      "--plain"], "--plain"),
+    (["stabilize", "--input", "d1.json", "--invariant", "sc-sigma",
+      "--r", "1"], "--r"),
+    (["sd", "--input", "d1.json", "--n", "3"], "--n"),
+    (["sd", "--input", "d1.json", "--budget", "5"], "--budget"),
+    (["power", "--input", "d1.json", "--r", "1"], "--r"),
+    (["orbits", "--input", "d1.json", "--plain"], "--plain"),
+    (["order-complex", "--input", "v.json", "--n", "2"], "--n"),
+    (["face-poset", "--input", "d1.json", "--mode", "exact"], "--mode"),
+    (["check-certificate", "--input", "d1.json", "--budget", "5"], "--budget"),
 ])
 def test_usage_error_exit_code(docs, capsys, command, needle):
-    """Usage errors exit 4 with one line; exit 2 means infeasible."""
+    """Usage errors exit 4 with one line; exit 2 means infeasible.  A flag
+    the command does not read is one, not echoed and ignored."""
     command = [str(docs / a) if a.endswith(".json") else a for a in command]
     with pytest.raises(SystemExit) as exc:
         main(command)
@@ -439,3 +464,50 @@ def test_usage_error_exit_code(docs, capsys, command, needle):
     assert exc.value.code == 4
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and needle in captured.err
+
+
+# per command: an invocation, and the options it reads besides --input,
+# --output, --seedless and --verbose
+_DECIDE = ["--cert-dir", "--n", "--r", "--mode", "--plain", "--budget"]
+ACCEPTED = {
+    "sd": (["--input", "d1.json"], ["--r", "--iterations"]),
+    "power": (["--input", "d1.json"], ["--n", "--budget"]),
+    "order-complex": (["--input", "v.json"], []),
+    "face-poset": (["--input", "d1.json"], []),
+    "orbits": (["--input", "d1.json"], ["--n", "--r", "--budget"]),
+    "sym-contiguous": (["--input", "d1.json"], _DECIDE),
+    "homotopic": (["--input", "v.json"], _DECIDE),
+    "check-certificate": (["--input", "certs/homotopy.cert.json"], []),
+    "sc": (["--input", "d1.json"], _DECIDE),
+    "cc": (["--input", "v.json"], _DECIDE),
+    "tc-finite": (["--input", "v.json"], ["--n", "--budget"]),
+    "stabilize": (["--input", "d1.json", "--invariant", "sc-sigma"],
+                  ["--n", "--max-r", "--mode", "--invariant", "--budget"]),
+}
+# the report key of each option; --cert-dir only says where files go
+ECHO = {"--r": "r", "--iterations": "r", "--n": "n", "--max-r": "max_r",
+        "--mode": "mode", "--plain": "plain", "--invariant": "invariant",
+        "--budget": "budgets"}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED))
+def test_command_takes_and_echoes_only_its_options(command, docs, capsys):
+    """--help lists exactly the options the command reads, and the report's
+    config echoes exactly those (with the effective budgets for --budget)."""
+    args, options = ACCEPTED[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    common = {"--help", "--input", "--output", "--seedless", "--verbose"}
+    assert listed == common | set(options)
+
+    cert_dir = docs / "certs"
+    run(["homotopic", "--input", str(docs / "v.json"),
+         "--cert-dir", str(cert_dir)], capsys)
+    args = [str(docs / a) if a.endswith(".json") else a for a in args]
+    extra = ["--cert-dir", str(cert_dir)] if "--cert-dir" in options else []
+    code, doc = run([command, *args, *extra], capsys)
+    assert code == 0
+    keys = {"command", "input"} | {ECHO[o] for o in options if o in ECHO}
+    assert set(doc["config"]) == keys

@@ -15,7 +15,7 @@ from symtc.complexity import (
     tc_sigma_finite_sections,
 )
 from symtc.constructions import build_tower, poset_tower
-from symtc.errors import DisconnectedPoset
+from symtc.errors import BudgetExceeded, DisconnectedPoset
 from symtc.posets import order_complex, poset_from_relations
 from symtc.verify import validate
 
@@ -78,6 +78,24 @@ def test_hollow_triangle_sc_plain_bound(hollow_triangle):
     res = sc_plain(hollow_triangle, 2, 0, mode="upper")
     assert res.lower >= 2
     _check_cover(res)
+
+
+def test_upper_growth_counts_node_overruns(hollow_triangle):
+    """In upper mode a growth step whose decision overruns the node budget
+    is a rejected step, counted in stats; the bound still rests on pieces
+    decided "yes".  Exact mode still raises on the same budget."""
+    tight = {"nodes": 40}
+    res = sc_sigma(hollow_triangle, 2, 0, mode="upper", budget=tight)
+    assert (res.kind, res.upper) == ("upper", 3)
+    assert res.stats["overrun_steps"] > 0
+    assert len(res.cover) == res.upper
+    covered = set().union(*(p.units for p in res.cover))
+    assert set(res.stats["universe_units"]) <= covered
+    _check_cover(res)
+    assert "overrun_steps" not in sc_sigma(hollow_triangle, 2, 0,
+                                           mode="upper").stats
+    with pytest.raises(BudgetExceeded):
+        sc_sigma(hollow_triangle, 2, 0, mode="exact", budget=tight)
 
 
 def test_v_poset_cc(v_poset):

@@ -7,7 +7,7 @@ from symtc.constructions import (
     projection_pi,
     projection_rho,
 )
-from symtc.errors import NotEquivariant, SourceMismatch
+from symtc.errors import NotEquivariant, SourceMismatch, UnsupportedMode
 from symtc.posets import MonotoneMap, poset_from_relations
 from symtc.search import (
     one_contiguous,
@@ -416,3 +416,20 @@ def test_monotone_quick_stage_bridges_from_a_constant():
     assert res.record == {"stage": "quick"}
     assert validate(res.witness)
     assert sym_comb_homotopic(maps, 2, 0, mode="exact").yes
+
+
+@pytest.mark.parametrize("mode", ["upper", "Exact", "quick"])
+def test_deciders_refuse_modes_they_do_not_run(edge, v_poset, mode):
+    """Only exact, auto and bounded are searches; any other mode is refused
+    rather than run as exact."""
+    _, maps = proj_maps(edge, 2, 0)
+    _, pmaps = rho_maps(v_poset, 2, 0)
+    calls = [
+        lambda: sym_contiguous(maps, 2, 0, mode=mode),
+        lambda: plain_contiguous(maps, mode=mode),
+        lambda: sym_comb_homotopic(pmaps, 2, 0, mode=mode),
+        lambda: plain_comb_homotopic(pmaps, mode=mode),
+    ]
+    for call in calls:
+        with pytest.raises(UnsupportedMode, match=repr(mode)):
+            call()
