@@ -7,7 +7,9 @@ tests every simplex by the frozenset of its vertex names, and the old map
 table writer sorts every table by ``ckey`` on its own.  The class-move
 oracle is the search kernel's former tuple form, run on move masks that the
 tests compute by brute force.  The path normaliser oracle is the searchers'
-former two passes: ``shortcut_without_repeats``, then ``alternate``.
+former two passes: ``shortcut_without_repeats``, then ``alternate``.  The
+reference complex ``NameComplex`` keeps every simplex as a frozenset of
+names, the representation complexes used before they kept rank tuples.
 """
 
 from collections import deque
@@ -25,6 +27,36 @@ def subsets_closure(facets):
             for sub in combinations(f, k):
                 out.add(frozenset(sub))
     return out
+
+
+class NameComplex:
+    """Reference complex on names: every simplex a frozenset of vertex
+    labels, closed by subset enumeration, with pairwise order checks."""
+
+    def __init__(self, vertices, facets):
+        self.vertices = frozenset(vertices)
+        self.simplices = frozenset(
+            subsets_closure(facets) | {frozenset([v]) for v in self.vertices}
+        )
+
+    def facets(self):
+        return frozenset(
+            s for s in self.simplices if not any(s < t for t in self.simplices)
+        )
+
+    def is_simplex(self, s):
+        return frozenset(s) in self.simplices
+
+    def is_subcomplex_of(self, other):
+        return self.simplices <= other.simplices
+
+    def totally_ordered(self, le):
+        """Is every simplex a chain of ``le``?"""
+        return all(
+            le(a, b) or le(b, a)
+            for s in self.simplices
+            for a, b in combinations(s, 2)
+        )
 
 
 def brute_chains(elements, le):
