@@ -14,6 +14,7 @@ all (1, g(j)) g (1, j); the tuple is recovered by f_j(x) = f_1((1, j).x).
 from dataclasses import dataclass
 from itertools import permutations as ipermutations
 
+from .complexes import SimplicialComplex
 from .errors import LevelMismatch, NotEquivariant, NotGInvariant
 from .util import csorted, name_of
 
@@ -149,18 +150,10 @@ def orbit(group, x, depth):
 
 
 def symmetrize_simplices(simplices, group, depth):
-    """Smallest invariant, downward closed family containing the input."""
-    from itertools import combinations
-
-    out = set()
-    for s in simplices:
-        for g in group:
-            img = act_simplex(g, s, depth)
-            members = tuple(img)
-            for k in range(1, len(members) + 1):
-                for sub in combinations(members, k):
-                    out.add(frozenset(sub))
-    return frozenset(out)
+    """Smallest invariant, downward closed family containing the input: the
+    simplices of the complex spanned by every image of every input simplex."""
+    images = [act_simplex(g, s, depth) for s in simplices for g in group]
+    return SimplicialComplex(set().union(*images), images).simplices
 
 
 def symmetrize_open(P, S, group, depth):
@@ -195,9 +188,10 @@ def action_tables(group, names, depth):
     naming level down are acted on first, and a name's image is its
     members' images in canonical order.  Every sub-name is thus acted on
     and keyed once per group element, not once per name containing it,
-    and acting on a family of simplices costs one lookup per member.
+    and acting on a family of simplices costs one lookup per member.  Each
+    table lists the distinct names in the order given.
     """
-    levels = [set(names)]
+    levels = [dict.fromkeys(names)]
     for d in range(depth, 0, -1):
         below = set()
         for x in levels[-1]:
@@ -220,41 +214,70 @@ def action_tables(group, names, depth):
     return tables
 
 
+def _ranked_family(simplices):
+    """(vertices, rank, rank tuples) of a complex's simplices, or of a
+    family of simplices given as sets of names."""
+    if isinstance(simplices, SimplicialComplex):
+        return simplices.vertices, simplices.rank, simplices.ranked_simplices()
+    family = set(map(frozenset, simplices))
+    verts = tuple(csorted(set().union(*family)))
+    rank = {v: i for i, v in enumerate(verts)}
+    return verts, rank, sorted(tuple(sorted([rank[v] for v in s]))
+                               for s in family)
+
+
 def orbit_partition_simplices(group, simplices, depth):
-    """Orbits of a family of simplices (frozensets of names).
+    """Orbits of the simplices of a complex, or of a family of simplices
+    (sets of names), as frozensets of names.
 
     Orbits come in canonical order of their least member, members in
-    canonical order: simplices compare by the sorted tuples of their
-    vertices' ranks in the canonical order of the vertices and their images.
+    canonical order.  Each group element acts as a permutation of vertex
+    positions, and a simplex's image is the sorted tuple of its vertices'
+    image positions.  When images leave the vertex set, positions are taken
+    among the vertices and their images together; the embedding keeps every
+    rank tuple sorted and their order.
     """
-    simplices = set(simplices)
-    verts = set().union(*simplices)
+    verts, pos, ranked = _ranked_family(simplices)
     tables = action_tables(group, verts, depth)
-    names = set(verts)
+    images = set()
     for t in tables:
-        names.update(t.values())
-    rank = {x: i for i, x in enumerate(csorted(names))}
-
-    def key(s):
-        return sorted([rank[v] for v in s])
-
+        images.update(t.values())
+    names = verts
+    if not all(x in pos for x in images):
+        names = tuple(csorted(images.union(verts)))
+        pos = {x: i for i, x in enumerate(names)}
+        ranked = [tuple([pos[verts[i]] for i in s]) for s in ranked]
+    at = [pos[v] for v in verts] if names is not verts else range(len(verts))
+    perms = []  # perms[g][p]: position of g . names[p], p a vertex position
+    for t in tables:
+        perm = [None] * len(names)
+        for p, w in zip(at, t.values()):
+            perm[p] = pos[w]
+        perms.append(perm)
     seen = set()
     parts = []
-    for s in sorted(simplices, key=key):
+    for s in ranked:
         if s in seen:
             continue
-        orb = {frozenset([t[v] for v in s]) for t in tables}
-        seen |= orb
-        parts.append(tuple(sorted(orb, key=key)))
+        orb = sorted({tuple(sorted([p[i] for i in s])) for p in perms})
+        seen.update(orb)
+        parts.append(tuple(frozenset([names[i] for i in u]) for u in orb))
     return parts
 
 
 def is_invariant_simplices(simplices, group, depth):
-    """Is a set of simplices closed under the action?"""
-    simplices = set(simplices)
-    for t in action_tables(group, set().union(*simplices), depth):
-        for s in simplices:
-            if frozenset([t[v] for v in s]) not in simplices:
+    """Is a complex, or a family of simplices (sets of names), closed
+    under the action?  A complex is when its facets are."""
+    verts, rank, ranked = _ranked_family(simplices)
+    members = set(ranked)
+    if isinstance(simplices, SimplicialComplex):
+        ranked = simplices.ranked_facets()
+    for t in action_tables(group, verts, depth):
+        perm = [rank.get(w) for w in t.values()]
+        if None in perm:
+            return False
+        for s in ranked:
+            if tuple(sorted([perm[i] for i in s])) not in members:
                 return False
     return True
 

@@ -67,7 +67,14 @@ class RunConfig(argparse.Namespace):
         if self.budget is not None:
             return self.budget
         env = os.environ.get("SYMTC_BUDGET")
-        return int(env) if env else None
+        if not env:
+            return None
+        try:
+            return int(env)
+        except ValueError:
+            raise ValidationError(
+                f"SYMTC_BUDGET must be an integer, not {env!r}"
+            ) from None
 
     def budgets(self):
         return complexity.budgets_with(self.effective_budget())
@@ -239,11 +246,6 @@ def cmd_check_certificate(cfg):
     )
     _emit(cfg, report)
     return EXIT_OK if rep.ok else EXIT_INVALID
-
-
-def replay(path):
-    """Re-validate a stored certificate; returns the validation report."""
-    return validate(certificate_from_doc(load_json(path)))
 
 
 def _run_complexity(cfg, fn, instance, kwargs):

@@ -1,68 +1,110 @@
 """Finite (ordered) simplicial complexes, simplicial maps and their validation.
 
-Simplices are stored as frozensets of vertex labels; a complex keeps its full
-simplex set (the downward closure of the declared facets plus all singleton
-vertices) so that "is this set a simplex" is a set lookup.  All instances are
-immutable after construction.
+A complex numbers its canonically sorted vertices (``rank``) and stores each
+simplex once, as the sorted tuple of its vertex ranks: the downward closure
+of the declared facets plus every singleton vertex.  Faces are made from
+those tuples, so building a complex hashes each vertex name once, and "is
+this set a simplex" is one tuple lookup.  The simplices as frozensets of
+names (``simplices``) are built on first use only, for callers that read
+them.  All instances are immutable after construction.
 """
 
 from itertools import combinations
+
+import numpy as np
 
 from .errors import EmptyFacet, NotASubcomplex, UnknownVertex, UnorderedInput
 from .util import ckey, csorted, name_of
 
 
-def closure_of(facets):
-    """Downward closure: every nonempty subset of every facet.
+def closure_of(ranked):
+    """Downward closure of a family of sorted rank tuples: every nonempty
+    sub-tuple of each.  Returns the closure and the family's maximal
+    tuples, which are the closure's facets.
 
-    Larger sets go first, so a set already reached as a face of another
-    adds nothing and is skipped.
+    ``combinations`` of a sorted tuple come out sorted, so no face is sorted
+    or keyed by name.  Larger tuples go first, so one already reached as a
+    face of another adds nothing and is skipped; the tuples not skipped are
+    the maximal ones.
     """
-    out = set()
-    for f in sorted(map(frozenset, facets), key=len, reverse=True):
-        if f in out:
+    out, tops = set(), []
+    for t in sorted(ranked, key=len, reverse=True):
+        if t in out:
             continue
-        f = tuple(f)
-        for k in range(1, len(f) + 1):
-            for sub in combinations(f, k):
-                out.add(frozenset(sub))
+        tops.append(t)
+        for k in range(1, len(t) + 1):
+            out.update(combinations(t, k))
+    return out, tops
+
+
+def _rank_tuples(rank, family):
+    """Each member of ``family`` (a collection of vertex names) as the
+    sorted tuple of its vertex ranks."""
+    out = []
+    for s in family:
+        if len(s) == 0:
+            raise EmptyFacet("facets must be nonempty")
+        try:
+            out.append(tuple(sorted({rank[v] for v in s})))
+        except KeyError:
+            v = next(v for v in s if v not in rank)
+            raise UnknownVertex(
+                f"facet {sorted(s, key=ckey)!r} uses undeclared vertex {v!r}"
+            ) from None
     return out
 
 
 class SimplicialComplex:
     """Vertex set plus a family of nonempty subsets closed under subsets.
 
-    ``rank`` numbers the canonically sorted vertices; simplices are ordered
-    by the sorted tuples of their vertex ranks, which is the canonical order
+    ``rank`` numbers the canonically sorted vertices; simplices are stored
+    as sorted rank tuples and ordered by them, which is the canonical order
     of their names (see ``util``) without keying a name per simplex.
+    ``facets`` and ``simplices`` are raised to names on first use.
     """
 
     __slots__ = (
-        "vertices", "rank", "simplices", "_facets", "_facet_ranks", "_key"
+        "vertices", "rank", "_ranked", "_key", "_facet_ranks", "_facets",
+        "_simplices",
     )
 
     def __init__(self, vertices, facets=(), simplices=None):
         vertices = tuple(csorted(set(vertices)))
+        rank = {v: i for i, v in enumerate(vertices)}
         if simplices is None:
-            simplices = closure_of(facets)
-        simplices = frozenset(frozenset(s) for s in simplices) | frozenset(
-            frozenset([v]) for v in vertices
-        )
-        self.vertices = vertices
-        self.rank = {v: i for i, v in enumerate(vertices)}
-        self.simplices = simplices
-        self._facets = None
-        self._facet_ranks = None
-        self._key = (vertices, tuple(self._ranked(simplices)))
+            ranked, tops = closure_of(_rank_tuples(rank, facets))
+            tops += [(i,) for i in range(len(vertices)) if (i,) not in ranked]
+            self._store(vertices, rank, ranked, tuple(sorted(tops)))
+        else:
+            self._store(vertices, rank, set(_rank_tuples(rank, simplices)))
 
-    def _ranked(self, simplices):
-        """Sorted rank tuples of a family of simplices."""
-        rank = self.rank
-        return sorted(tuple(sorted([rank[v] for v in s])) for s in simplices)
+    @classmethod
+    def from_ranked(cls, vertices, ranked, rank=None):
+        """A complex from canonically sorted, distinct ``vertices`` and a
+        family of sorted rank tuples over them closed under faces; ``rank``
+        may pass the vertex numbering when the caller has it already."""
+        K = cls.__new__(cls)
+        if rank is None:
+            rank = {v: i for i, v in enumerate(vertices)}
+        K._store(tuple(vertices), rank, set(ranked))
+        return K
+
+    def _store(self, vertices, rank, ranked, facet_ranks=None):
+        ranked.update((i,) for i in range(len(vertices)))
+        self.vertices = vertices
+        self.rank = rank
+        self._ranked = ranked
+        self._key = (vertices, tuple(sorted(ranked)))
+        self._facet_ranks = facet_ranks
+        self._facets = self._simplices = None
 
     def _names(self, ranked):
         vs = self.vertices
         return [tuple([vs[i] for i in t]) for t in ranked]
+
+    def _sets(self, ranked):
+        vs = self.vertices
+        return frozenset(frozenset([vs[i] for i in t]) for t in ranked)
 
     def ranked_simplices(self):
         """All simplices as sorted rank tuples, canonically ordered."""
@@ -70,7 +112,8 @@ class SimplicialComplex:
 
     def ranked_facets(self):
         """Maximal simplices as sorted rank tuples, canonically ordered.
-        Computed lazily.
+        Kept from the closure when the complex is built from facets, else
+        computed lazily.
 
         A simplex is maximal iff no single-vertex extension of it is a
         simplex, so striking every codimension-1 face of every simplex
@@ -81,8 +124,7 @@ class SimplicialComplex:
             struck = set()
             for t in ranked:
                 if len(t) > 1:
-                    for i in range(len(t)):
-                        struck.add(t[:i] + t[i + 1:])
+                    struck.update(combinations(t, len(t) - 1))
             self._facet_ranks = tuple(t for t in ranked if t not in struck)
         return self._facet_ranks
 
@@ -90,17 +132,26 @@ class SimplicialComplex:
     def facets(self):
         """Maximal simplices, as frozensets of vertices.  Computed lazily."""
         if self._facets is None:
-            vs = self.vertices
-            self._facets = frozenset(
-                frozenset([vs[i] for i in t]) for t in self.ranked_facets()
-            )
+            self._facets = self._sets(self.ranked_facets())
         return self._facets
 
+    @property
+    def simplices(self):
+        """All simplices, as frozensets of vertices.  Computed lazily."""
+        if self._simplices is None:
+            self._simplices = self._sets(self._key[1])
+        return self._simplices
+
     def is_simplex(self, s):
-        return frozenset(s) in self.simplices
+        rank = self.rank
+        try:
+            t = tuple(sorted({rank[v] for v in s}))
+        except KeyError:
+            return False
+        return t in self._ranked
 
     def dim(self):
-        return max(len(s) for s in self.simplices) - 1
+        return max(map(len, self._key[1])) - 1
 
     def simplex_names(self):
         """All simplices as canonical sorted tuples, canonically ordered."""
@@ -113,7 +164,8 @@ class SimplicialComplex:
         """Combinatorial star: the simplices containing vertex v."""
         if v not in self.rank:
             raise UnknownVertex(f"vertex {v!r} not in complex")
-        return frozenset(s for s in self.simplices if v in s)
+        i = self.rank[v]
+        return self._sets(t for t in self._key[1] if i in t)
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self._key == other._key
@@ -124,35 +176,35 @@ class SimplicialComplex:
     def __repr__(self):
         return (
             f"SimplicialComplex({len(self.vertices)} vertices, "
-            f"{len(self.simplices)} simplices)"
+            f"{len(self._key[1])} simplices)"
         )
 
 
 def from_facets(vertices, facets):
     """Build and validate a complex from declared vertices and facets."""
-    vset = set(vertices)
-    facets = list(facets)
-    for f in facets:
-        if len(f) == 0:
-            raise EmptyFacet("facets must be nonempty")
-        for v in f:
-            if v not in vset:
-                raise UnknownVertex(
-                    f"facet {sorted(f, key=ckey)!r} uses undeclared vertex {v!r}"
-                )
-    return SimplicialComplex(vset, facets)
+    return SimplicialComplex(vertices, facets)
 
 
 def euler_characteristic(K):
     """Alternating sum of simplex counts by dimension."""
     K = base_of(K)
-    return sum((-1) ** (len(s) - 1) for s in K.simplices)
+    return sum((-1) ** (len(t) - 1) for t in K.ranked_simplices())
+
+
+def _comparability_masks(order):
+    """Per element index, the int bitmask of the indices comparable to it."""
+    leq = order.leq
+    rows = np.packbits(leq | leq.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 class OrderedComplex:
     """A complex with a vertex partial order, total on every simplex.
 
-    ``order`` is a FinitePoset over exactly the vertex set.
+    ``order`` is a FinitePoset over exactly the vertex set, so an element's
+    index in the order is its vertex rank.  A face of a chain is a chain,
+    so the order is checked on facets only: a facet is a chain when its
+    vertex mask lies inside the comparability mask of each of its vertices.
     """
 
     __slots__ = ("base", "order")
@@ -160,13 +212,20 @@ class OrderedComplex:
     def __init__(self, base, order):
         if tuple(order.elements) != tuple(base.vertices):
             raise UnorderedInput("vertex order must cover exactly the vertex set")
-        for s in base.simplices:
-            members = list(s)
-            for a, b in combinations(members, 2):
-                if not (order.le(a, b) or order.le(b, a)):
+        comparable = _comparability_masks(order)
+        for t in base.ranked_facets():
+            mask = 0
+            for i in t:
+                mask |= 1 << i
+            for i in t:
+                apart = mask & ~comparable[i]
+                if apart:
+                    vs = base.vertices
+                    b = (apart & -apart).bit_length() - 1
                     raise UnorderedInput(
-                        f"simplex {name_of(s)!r} is not totally ordered: "
-                        f"{a!r} and {b!r} incomparable"
+                        f"simplex {tuple(vs[j] for j in t)!r} is not "
+                        f"totally ordered: {vs[i]!r} and {vs[b]!r} "
+                        f"incomparable"
                     )
         self.base = base
         self.order = order
@@ -261,23 +320,36 @@ def identity_map(K):
 def validate_simplicial_map(f, report=False):
     """True iff every simplex of the source maps to a simplex of the target.
 
-    Degenerate images (lower dimension) are fine.  With ``report=True``
-    returns ``(ok, offending_simplex_or_None)``.
+    Degenerate images (lower dimension) are fine.  Images of faces lie in
+    images of facets, so facets are checked, in canonical order.  With
+    ``report=True`` returns ``(ok, offending_simplex_or_None)``.
     """
     for v in f.source.vertices:
         if v not in f.vertex_map:
             bad = frozenset([v])
             return (False, bad) if report else False
-    for s in f.source.simplices:
+    for s in f.source.facet_names():
         if not f.target.is_simplex(f.image(s)):
-            return (False, s) if report else False
+            return (False, frozenset(s)) if report else False
     return (True, None) if report else True
 
 
 def is_subcomplex(L, K):
-    """True iff every simplex of L is a simplex of K."""
+    """True iff every simplex of L is a simplex of K.
+
+    Checking L's facets suffices, K being closed under faces.  Both vertex
+    tuples are canonically sorted, so L's ranks map into K's in order and a
+    facet's rank tuple stays sorted.
+    """
     L, K = base_of(L), base_of(K)
-    return L.simplices <= K.simplices
+    if L is K:
+        return True
+    into = [K.rank.get(v) for v in L.vertices]
+    if None in into:
+        return False
+    return all(
+        tuple([into[i] for i in t]) in K._ranked for t in L.ranked_facets()
+    )
 
 
 def restrict_map(f, L):

@@ -141,11 +141,9 @@ class ComplexityResult:
 
 
 def _bits(mask):
-    """The unit ids of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The unit ids of a mask, ascending: the positions of the ones in its
+    binary digits, read in one pass however many units the mask spans."""
+    return [i for i, d in enumerate(reversed(bin(mask))) if d == "1"]
 
 
 class _UnitLattice:
@@ -171,7 +169,7 @@ class _UnitLattice:
             project = projection_rho
         else:
             self.units = orbit_partition_simplices(
-                group, base_of(level).simplices, self.depth
+                group, base_of(level), self.depth
             )
             tops = base_of(level).facets
             project = projection_pi
@@ -190,15 +188,21 @@ class _UnitLattice:
         unit's first member, so that member's faces (or down set) suffice.
         """
         if self._down is None:
-            unit_of = {x: ui for ui, orb in enumerate(self.units) for x in orb}
+            if self.poset:
+                unit_of = {x: ui for ui, orb in enumerate(self.units)
+                           for x in orb}
+                below = [self.level.down_set(orb[0]) for orb in self.units]
+            else:  # simplices as rank tuples, faces by their closure
+                rank = base_of(self.level).rank
+                unit_of, below = {}, []
+                for ui, orb in enumerate(self.units):
+                    ranked = [tuple(sorted([rank[v] for v in s])) for s in orb]
+                    unit_of.update(dict.fromkeys(ranked, ui))
+                    below.append(closure_of(ranked[:1])[0])
             down, up = [], [0] * len(self.units)
-            for ui, orb in enumerate(self.units):
-                below = (
-                    self.level.down_set(orb[0]) if self.poset
-                    else closure_of([orb[0]])
-                )
+            for ui, faces in enumerate(below):
                 mask = 0
-                for x in below:
+                for x in faces:
                     mask |= 1 << unit_of[x]
                 down.append(mask)
                 for u in _bits(mask):

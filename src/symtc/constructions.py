@@ -19,6 +19,7 @@ from .errors import BadArity, BudgetExceeded, NegativeDepth, UnorderedInput
 from .posets import (
     FinitePoset,
     MonotoneMap,
+    chain_walk,
     face_poset,
     order_complex,
     power_poset,
@@ -64,30 +65,20 @@ def ordered_power(K, n, budget=None):
     if n < 1:
         raise BadArity("power requires n >= 1")
     order = power_poset(K.order, n)
-    els = list(order.elements)
+    els = order.elements
     base = base_of(K)
 
     def projections_ok(chain):
-        for k in range(n):
-            if not base.is_simplex({t[k] for t in chain}):
-                return False
-        return True
+        return all(base.is_simplex({els[i][k] for i in chain})
+                   for k in range(n))
 
-    simplices = []
-
-    def extend(chain, last):
-        simplices.append(frozenset(chain))
-        if budget is not None and len(simplices) > budget:
-            raise BudgetExceeded(f"power exceeds {budget} simplices")
-        for y in els:
-            if y != last and order.lt(last, y) and projections_ok(chain + [y]):
-                extend(chain + [y], y)
-
-    for x in els:
-        if projections_ok([x]):
-            extend([x], x)
-
-    result = OrderedComplex(SimplicialComplex(els, simplices=simplices), order)
+    try:
+        ranked = chain_walk(order, budget, projections_ok)
+    except BudgetExceeded:
+        raise BudgetExceeded(f"power exceeds {budget} simplices") from None
+    result = OrderedComplex(
+        SimplicialComplex.from_ranked(els, ranked, order.index), order
+    )
     projs = tuple(
         SimplicialMap(result.base, base, {t: t[j] for t in els})
         for j in range(n)
@@ -218,7 +209,7 @@ def carrier_condition_holds(approx, sd_level):
     ``sd_level`` is the subdivided complex, whose simplices are chains of
     the previous level's simplices (as canonical name tuples).
     """
-    for chain in base_of(sd_level).simplices:
+    for chain in base_of(sd_level).simplex_names():
         top = max((frozenset(c) for c in chain), key=len)
         img = {approx(c) for c in chain}
         if not img <= top:

@@ -162,22 +162,22 @@ def interned(x, names):
 def complex_from_doc(doc):
     """Parse and validate a complex document.
 
-    Each declared vertex is frozen once; facet members and order pairs are
-    interned onto those vertex objects.
+    Each declared vertex is frozen once, and the complex takes its names
+    from those objects; a facet member is frozen only to look up its rank.
+    Order pairs are interned onto the declared vertices.
     """
     try:
         vertices = [freeze(v) for v in doc["vertices"]]
-        declared = {v: v for v in vertices}
-        facets = [[interned(v, declared) for v in f] for f in doc["facets"]]
+        facets = [[freeze(v) for v in f] for f in doc["facets"]]
+        K = from_facets(vertices, facets)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed complex document: {exc}") from exc
-    try:
-        K = from_facets(vertices, facets)
     except (UnknownVertex, EmptyFacet) as exc:
         # a facet referencing an undeclared vertex is a document defect
         raise ParseError(str(exc)) from exc
     if "order" not in doc:
         return K
+    declared = {v: v for v in vertices}
     try:
         pairs = [
             (interned(a, declared), interned(b, declared))

@@ -388,36 +388,53 @@ def mapping_poset(Q, P, budget=None):
 # -- chains, order complex, face poset --------------------------------------
 
 
-def all_chains(P, budget=None):
-    """Every nonempty chain of P, as frozensets, in depth-first order.
+def chain_walk(P, budget=None, admits=None):
+    """Every nonempty chain of P as a sorted tuple of element indices, in
+    depth-first order.
 
     The walk extends a chain by the strict successors of its last element,
-    read once per element from ``leq``.  Raises BudgetExceeded as soon as
-    more than ``budget`` chains have been found.
+    read once per element from ``leq``.  With ``admits``, a chain is kept
+    and extended only when ``admits(chain)`` holds for its list of indices;
+    the test must hold on every subchain of a chain it admits.  Raises
+    BudgetExceeded as soon as more than ``budget`` chains have been found.
     """
-    els = P.elements
-    lt = P.leq & ~np.eye(len(els), dtype=bool)
+    n = len(P.elements)
+    lt = P.leq & ~np.eye(n, dtype=bool)
     succ = [np.flatnonzero(row).tolist() for row in lt]
     chains, chain = [], []
-    stack = [iter(range(len(els)))]
+    stack = [iter(range(n))]
     while stack:
         y = next(stack[-1], None)
         if y is None:
             stack.pop()
             del chain[-1:]
             continue
-        chain.append(els[y])
-        chains.append(frozenset(chain))
+        chain.append(y)
+        if admits is not None and not admits(chain):
+            chain.pop()
+            continue
+        chains.append(tuple(sorted(chain)))
         if budget is not None and len(chains) > budget:
             raise BudgetExceeded(f"more than {budget} chains")
         stack.append(iter(succ[y]))
     return chains
 
 
+def all_chains(P, budget=None):
+    """Every nonempty chain of P, as frozensets, in depth-first order."""
+    els = P.elements
+    return [frozenset([els[i] for i in c]) for c in chain_walk(P, budget)]
+
+
 def order_complex(P, budget=None):
-    """K(P): simplices are the nonempty chains of P, ordered by P itself."""
-    chains = all_chains(P, budget=budget)
-    base = SimplicialComplex(P.elements, simplices=chains)
+    """K(P): simplices are the nonempty chains of P, ordered by P itself.
+
+    The chains go over as sorted index tuples: P's elements are the
+    complex's canonically sorted vertices, so an index is a vertex rank.
+    """
+    base = SimplicialComplex.from_ranked(
+        P.elements, chain_walk(P, budget=budget), P.index
+    )
     return OrderedComplex(base, P)
 
 
@@ -425,25 +442,23 @@ def face_poset(K):
     """X(K): simplices of K ordered by face inclusion.
 
     Elements are canonical sorted vertex tuples.  The relation is filled
-    from the subsets of each simplex, so it costs the number of faces, not
-    the square of the number of simplices.
+    from the faces of each simplex's rank tuple, so it costs the number of
+    faces, not the square of the number of simplices.
     """
     if isinstance(K, OrderedComplex):
         K = K.base
-    elements = K.simplex_names()
-    index = {frozenset(e): i for i, e in enumerate(elements)}
+    ranked = K.ranked_simplices()
+    index = {t: i for i, t in enumerate(ranked)}
     rows, cols = [], []
-    for j, e in enumerate(elements):
-        for k in range(1, len(e) + 1):
-            for sub in combinations(e, k):
-                i = index.get(frozenset(sub))
-                if i is not None:
-                    rows.append(i)
-                    cols.append(j)
-    n = len(elements)
+    for j, t in enumerate(ranked):
+        for k in range(1, len(t) + 1):
+            for sub in combinations(t, k):
+                rows.append(index[sub])
+                cols.append(j)
+    n = len(ranked)
     leq = np.zeros((n, n), dtype=bool)
     leq[rows, cols] = True
-    return FinitePoset(elements, leq)
+    return FinitePoset(K.simplex_names(), leq)
 
 
 def sd_poset(P, budget=None):

@@ -459,11 +459,11 @@ class _SimplicialSpace(_PackedNodes):
         # m | 1 << w is a simplex mask too, so every face of a simplex gets
         # the simplex's remaining vertex
         self.ext = {}
-        for s in target.simplices:
-            mask = sum(1 << self.tvi[v] for v in s)
+        for t in target.ranked_simplices():  # ranks are tvi positions
+            mask = sum(1 << i for i in t)
             self.ext[mask] = self.ext.get(mask, 0) | mask
-            for v in s:
-                bit = 1 << self.tvi[v]
+            for i in t:
+                bit = 1 << i
                 if mask != bit:
                     self.ext[mask ^ bit] = self.ext.get(mask ^ bit, 0) | bit
         self.classes = (
@@ -574,7 +574,7 @@ def sym_contiguous(maps, n, depth, mode="exact", budget=50_000,
     """
     _check_mode(mode)
     source, target = _check_tuple_inputs(maps, n)
-    if not is_invariant_simplices(source.simplices, symmetric_group(n), depth):
+    if not is_invariant_simplices(source, symmetric_group(n), depth):
         raise NotEquivariant("source is not an invariant subcomplex")
     tables = [f.vertex_map for f in maps]
     ok, viol = check_equivariant_tuple(tables, n, depth, domain=source.vertices)

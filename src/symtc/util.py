@@ -6,11 +6,13 @@ Labels may be ints, strings, or arbitrarily nested tuples of those (product
 vertices are tuples, subdivision vertices are tuples of tuples, and so on).
 
 Complexes key their vertices once: a complex sorts its vertex set with
-``ckey`` and orders its simplices by the sorted tuples of their vertex
-ranks.  Since ``ckey`` of a name compares its members' keys
-lexicographically and ranks preserve that order, this is the order of
-``csorted`` over the canonical names, at no cost per simplex beyond
-comparing small ints.
+``ckey`` and stores each simplex only as the sorted tuple of its vertex
+ranks, building frozensets of names (``simplices``) on first use.  Since
+``ckey`` of a name compares its members' keys lexicographically and ranks
+preserve that order, sorting those tuples gives the order of ``csorted``
+over the canonical names, at no cost per simplex beyond comparing small
+ints.  An order complex and a power take their vertex positions from the
+poset they are built on, so a tower's names are keyed once per level.
 """
 
 

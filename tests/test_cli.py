@@ -315,6 +315,19 @@ def test_symtc_budget_env(docs, capsys, monkeypatch, tmp_path):
     assert doc["config"]["budgets"]["simplices"] == 200000
 
 
+@pytest.mark.parametrize("command", ["sc", "power", "orbits"])
+def test_symtc_budget_env_not_an_integer(docs, capsys, monkeypatch, command):
+    """A malformed SYMTC_BUDGET is a one-line invalid-input exit, never a
+    traceback."""
+    monkeypatch.setenv("SYMTC_BUDGET", "abc")
+    code = main([command, "--input", str(docs / "d1.json")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "SYMTC_BUDGET" in captured.err and "'abc'" in captured.err
+
+
 def test_check_certificate_failures_ignore_hash_seed(tmp_path):
     """A chain that fails on many simplices lists its failures in the same
     order whatever the interpreter's string hash seed."""

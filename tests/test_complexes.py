@@ -136,3 +136,39 @@ def test_subcomplex_from_simplices(hollow_triangle):
     )
     with pytest.raises(NotASubcomplex):
         subcomplex_from_simplices(hollow_triangle, [frozenset("abc")])
+
+
+def test_unordered_message_ignores_hash_seed(tmp_path):
+    """An order that is not total on some facet names the canonically first
+    such facet and its first incomparable pair, whatever the interpreter's
+    string hash seed."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import symtc
+
+    path = tmp_path / "unordered.json"
+    path.write_text(json.dumps({
+        "vertices": ["p", "q", "r", "s", "t", "u"],
+        "order": [["p", "q"], ["s", "t"]],
+        "facets": [["s", "t", "u"], ["p", "q", "r"], ["r", "u"], ["q", "s"]],
+    }))
+    src = os.path.dirname(os.path.dirname(symtc.__file__))
+    lines = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from symtc.cli import main; sys.exit(main())",
+             "sd", "--input", str(path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 4, proc.stderr
+        lines.append(proc.stderr)
+    assert lines[0] == lines[1]
+    assert lines[0] == (
+        f"invalid input: {path}: simplex ('p', 'q', 'r') is not totally "
+        f"ordered: 'p' and 'r' incomparable\n"
+    )
