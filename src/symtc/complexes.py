@@ -79,13 +79,11 @@ class SimplicialComplex:
             self._store(vertices, rank, set(_rank_tuples(rank, simplices)))
 
     @classmethod
-    def from_ranked(cls, vertices, ranked, rank=None):
-        """A complex from canonically sorted, distinct ``vertices`` and a
-        family of sorted rank tuples over them closed under faces; ``rank``
-        may pass the vertex numbering when the caller has it already."""
+    def from_ranked(cls, vertices, rank, ranked):
+        """A complex from canonically sorted, distinct ``vertices``, their
+        numbering ``rank`` (a poset's ``index``) and a family of sorted rank
+        tuples over them closed under faces."""
         K = cls.__new__(cls)
-        if rank is None:
-            rank = {v: i for i, v in enumerate(vertices)}
         K._store(tuple(vertices), rank, set(ranked))
         return K
 
@@ -191,13 +189,6 @@ def euler_characteristic(K):
     return sum((-1) ** (len(t) - 1) for t in K.ranked_simplices())
 
 
-def _comparability_masks(order):
-    """Per element index, the int bitmask of the indices comparable to it."""
-    leq = order.leq
-    rows = np.packbits(leq | leq.T, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-
 class OrderedComplex:
     """A complex with a vertex partial order, total on every simplex.
 
@@ -212,7 +203,9 @@ class OrderedComplex:
     def __init__(self, base, order):
         if tuple(order.elements) != tuple(base.vertices):
             raise UnorderedInput("vertex order must cover exactly the vertex set")
-        comparable = _comparability_masks(order)
+        # comparable[i]: the int bitmask of the vertices comparable to i
+        rows = np.packbits(order.leq | order.leq.T, axis=1, bitorder="little")
+        comparable = [int.from_bytes(row.tobytes(), "little") for row in rows]
         for t in base.ranked_facets():
             mask = 0
             for i in t:

@@ -77,7 +77,7 @@ def ordered_power(K, n, budget=None):
     except BudgetExceeded:
         raise BudgetExceeded(f"power exceeds {budget} simplices") from None
     result = OrderedComplex(
-        SimplicialComplex.from_ranked(els, ranked, order.index), order
+        SimplicialComplex.from_ranked(els, order.index, ranked), order
     )
     projs = tuple(
         SimplicialMap(result.base, base, {t: t[j] for t in els})

@@ -421,7 +421,8 @@ def chain_walk(P, budget=None, admits=None):
 
 
 def all_chains(P, budget=None):
-    """Every nonempty chain of P, as frozensets, in depth-first order."""
+    """Every nonempty chain of P, as frozensets, in depth-first order;
+    ``budget`` as in ``chain_walk``."""
     els = P.elements
     return [frozenset([els[i] for i in c]) for c in chain_walk(P, budget)]
 
@@ -433,7 +434,7 @@ def order_complex(P, budget=None):
     complex's canonically sorted vertices, so an index is a vertex rank.
     """
     base = SimplicialComplex.from_ranked(
-        P.elements, chain_walk(P, budget=budget), P.index
+        P.elements, P.index, chain_walk(P, budget=budget)
     )
     return OrderedComplex(base, P)
 
