@@ -68,15 +68,12 @@ class SimplicialComplex:
         "_simplices",
     )
 
-    def __init__(self, vertices, facets=(), simplices=None):
+    def __init__(self, vertices, facets=()):
         vertices = tuple(csorted(set(vertices)))
         rank = {v: i for i, v in enumerate(vertices)}
-        if simplices is None:
-            ranked, tops = closure_of(_rank_tuples(rank, facets))
-            tops += [(i,) for i in range(len(vertices)) if (i,) not in ranked]
-            self._store(vertices, rank, ranked, tuple(sorted(tops)))
-        else:
-            self._store(vertices, rank, set(_rank_tuples(rank, simplices)))
+        ranked, tops = closure_of(_rank_tuples(rank, facets))
+        tops += [(i,) for i in range(len(vertices)) if (i,) not in ranked]
+        self._store(vertices, rank, ranked, tuple(sorted(tops)))
 
     @classmethod
     def from_ranked(cls, vertices, rank, ranked):
@@ -157,6 +154,10 @@ class SimplicialComplex:
 
     def facet_names(self):
         return self._names(self.ranked_facets())
+
+    def faces(self, s):
+        """All faces of the simplex ``s``, as frozensets of vertices."""
+        return self._sets(closure_of(_rank_tuples(self.rank, [s]))[0])
 
     def star(self, v):
         """Combinatorial star: the simplices containing vertex v."""

@@ -30,7 +30,6 @@ from .actions import (
 )
 from .complexes import (
     base_of,
-    closure_of,
     restrict_map,
     subcomplex_from_simplices,
 )
@@ -141,9 +140,11 @@ class ComplexityResult:
 
 
 def _bits(mask):
-    """The unit ids of a mask, ascending: the positions of the ones in its
-    binary digits, read in one pass however many units the mask spans."""
-    return [i for i, d in enumerate(reversed(bin(mask))) if d == "1"]
+    """The unit ids of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _UnitLattice:
@@ -188,21 +189,14 @@ class _UnitLattice:
         unit's first member, so that member's faces (or down set) suffice.
         """
         if self._down is None:
-            if self.poset:
-                unit_of = {x: ui for ui, orb in enumerate(self.units)
-                           for x in orb}
-                below = [self.level.down_set(orb[0]) for orb in self.units]
-            else:  # simplices as rank tuples, faces by their closure
-                rank = base_of(self.level).rank
-                unit_of, below = {}, []
-                for ui, orb in enumerate(self.units):
-                    ranked = [tuple(sorted([rank[v] for v in s])) for s in orb]
-                    unit_of.update(dict.fromkeys(ranked, ui))
-                    below.append(closure_of(ranked[:1])[0])
+            unit_of = {x: ui for ui, orb in enumerate(self.units) for x in orb}
+            below = (
+                self.level.down_set if self.poset else base_of(self.level).faces
+            )
             down, up = [], [0] * len(self.units)
-            for ui, faces in enumerate(below):
+            for ui, orb in enumerate(self.units):
                 mask = 0
-                for x in faces:
+                for x in below(orb[0]):
                     mask |= 1 << unit_of[x]
                 down.append(mask)
                 for u in _bits(mask):
