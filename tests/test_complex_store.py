@@ -4,8 +4,8 @@ Complexes keep their simplices as sorted tuples of vertex ranks; the
 reference in ``helpers.NameComplex`` keeps frozensets of names, closes by
 subset enumeration and checks vertex orders pairwise on every simplex.  On
 complexes over mixed int, string and nested labels the two must agree on
-every simplex query, on subcomplexes and on which vertex orders are total
-on every simplex.
+every simplex query, on the faces of a simplex, on subcomplexes and on
+which vertex orders are total on every simplex.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,7 @@ from symtc.errors import UnorderedInput
 from symtc.posets import all_chains, order_complex, poset_from_relations
 from symtc.util import csorted, name_of
 
-from helpers import NameComplex
+from helpers import NameComplex, subsets_closure
 
 MIXED = [0, 1, 2, "a", "b", (0, "a"), ("a", 0), (1,), ((0,), "b"), (("a",),)]
 OUTSIDE = "not-a-vertex"
@@ -68,6 +68,15 @@ def test_store_matches_name_reference(spec, data):
     ))
     for s in probes:
         assert K.is_simplex(s) == ref.is_simplex(s)
+
+
+@given(complex_specs())
+@settings(max_examples=60, deadline=None)
+def test_faces_match_name_reference(spec):
+    verts, facets = spec
+    K, ref = from_facets(verts, facets), NameComplex(verts, facets)
+    for s in ref.simplices:
+        assert K.faces(s) == subsets_closure([s])
 
 
 @given(complex_specs(), st.data())
