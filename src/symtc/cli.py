@@ -45,7 +45,6 @@ from .io import (
 from .posets import face_poset, order_complex
 from .search import plain_contiguous, sym_comb_homotopic, sym_contiguous
 from .search import plain_comb_homotopic
-from .util import thaw
 from .verify import validate
 from .witnesses import certificate_from_doc
 
@@ -180,10 +179,7 @@ def cmd_orbits(cfg):
         tower = build_tower(K, cfg.n, cfg.r, budget=cfg.budgets()["simplices"])
         names = tower.top().vertices
     parts = orbit_partition(group, names, cfg.r)
-    report = RunReport(
-        cfg.echo(),
-        result=[[thaw(x) for x in part] for part in parts],
-    )
+    report = RunReport(cfg.echo(), result=parts)
     _emit(cfg, report)
     return EXIT_OK
 

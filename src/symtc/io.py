@@ -9,6 +9,12 @@ two-space indent, trailing newline.  ``canonical_json`` writes the text
 itself and reproduces ``json.dumps(doc, indent=2, sort_keys=True)`` byte for
 byte: CPython's C encoder does not run when ``indent`` is set, and the
 pure-Python encoder it falls back to builds a new string per list item.
+
+Documents built here and in ``witnesses`` carry the package's own name
+objects: a nested name is one tuple, shared by every place it occurs in a
+report (vertex lists, facets, map rows), and the writer renders each shared
+tuple once per call.  Readers turn parsed lists back into tuples with
+``freeze``.
 """
 
 import json
@@ -17,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from .complexes import OrderedComplex, from_facets
 from .errors import EmptyFacet, ParseError, UnknownVertex, ValidationError
 from .posets import poset_from_relations
-from .util import freeze, thaw
+from .util import freeze
 
 
 def _float_text(x):
@@ -57,12 +63,23 @@ def canonical_json(doc):
     list.  The separators of each depth (an opener with its line break, the
     item separator, the closing line) are built once per call and shared by
     every container at that depth.
+
+    A tuple object is rendered once per call.  Its first rendering is the
+    slice of ``out`` it took, and a repeat emits that slice joined, with its
+    line breaks re-indented for the new depth: no quoted string holds a raw
+    line break, and every line inside a container at depth d is indented by
+    at least 2d spaces, so one ``str.replace`` moves it to any depth.
+    Documents carry the package's name tuples, one object per name however
+    often it occurs, so each name is written once per report.  The memo
+    keys on ``id``, which is unique among objects alive in ``doc``; lists
+    are not memoized, since the writers build them fresh.
     """
     out = []
     emit = out.append
     quote = encode_basestring_ascii
     int_text = int.__repr__
     layout = []  # per depth: "[\n  ..", ",\n  ..", "\n..]", "{\n  ..", "\n..}"
+    seen = {}  # id of a tuple -> [start, end, depth, {depth: text}]
 
     def separators(depth):
         while len(layout) <= depth:
@@ -72,6 +89,16 @@ def canonical_json(doc):
                            "{" + inner, outer + "}"))
         return layout[depth]
 
+    def again(hit, depth):
+        texts = hit[3]
+        if texts is None:
+            texts = hit[3] = {hit[2]: "".join(out[hit[0]:hit[1]])}
+        text = texts.get(depth)
+        if text is None:
+            text = texts[depth] = texts[hit[2]].replace(
+                "\n" + "  " * hit[2], "\n" + "  " * depth)
+        return text
+
     # list, tuple and dict share no instances with str, int or float, so
     # testing containers first gives json's answer for every type
     def value(x, depth):
@@ -79,6 +106,13 @@ def canonical_json(doc):
             if not x:
                 emit("[]")
                 return
+            memo = type(x) is tuple
+            if memo:
+                hit = seen.get(id(x))
+                if hit is not None:
+                    emit(again(hit, depth))
+                    return
+                start = len(out)
             try:
                 lead, sep, close, _, _ = layout[depth]
             except IndexError:
@@ -91,9 +125,13 @@ def canonical_json(doc):
                     emit(quote(item))
                 elif t is int:
                     emit(int_text(item))
+                elif t is tuple and (hit := seen.get(id(item))) is not None:
+                    emit(again(hit, depth + 1))
                 else:
                     value(item, depth + 1)
             emit(close)
+            if memo:
+                seen[id(x)] = [start, len(out), depth, None]
         elif isinstance(x, dict):
             if not x:
                 emit("{}")
@@ -131,16 +169,18 @@ def canonical_json(doc):
 def complex_to_doc(K):
     """Serialize a plain or ordered complex.
 
-    Each vertex is thawed once; the facet lists share those values.
+    The document carries the complex's own name objects: ``vertices`` is
+    ``K.vertices`` and each facet lists those same names, so the writer
+    renders each name once (see ``canonical_json``).
     """
     order_pairs = None
     if isinstance(K, OrderedComplex):
-        order_pairs = [[thaw(a), thaw(b)] for a, b in K.order.covers()]
+        order_pairs = [[a, b] for a, b in K.order.covers()]
         K = K.base
-    thawed = {v: thaw(v) for v in K.vertices}
+    vs = K.vertices
     doc = {
-        "vertices": list(thawed.values()),
-        "facets": [[thawed[v] for v in f] for f in K.facet_names()],
+        "vertices": vs,
+        "facets": [[vs[i] for i in t] for t in K.ranked_facets()],
     }
     if order_pairs is not None:
         doc["order"] = order_pairs
@@ -190,9 +230,10 @@ def complex_from_doc(doc):
 
 
 def poset_to_doc(P):
+    """Serialize a poset; the document carries its own element objects."""
     return {
-        "elements": [thaw(x) for x in P.elements],
-        "relations": [[thaw(a), thaw(b)] for a, b in P.covers()],
+        "elements": P.elements,
+        "relations": [[a, b] for a, b in P.covers()],
     }
 
 
@@ -245,8 +286,15 @@ def parse_poset(path):
 
 def map_table_from_doc(rows, keys, values):
     """A vertex map from its pair list, keys interned onto ``keys`` and
-    values onto ``values`` (dicts from each name to itself)."""
+    values onto ``values`` (dicts from each name to itself).  A key listed
+    twice is a ParseError: the later row would silently replace the
+    earlier one."""
     try:
-        return {interned(k, keys): interned(v, values) for k, v in rows}
+        table = {interned(k, keys): interned(v, values) for k, v in rows}
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed map table: {exc}") from exc
+    if len(table) != len(rows):
+        raise ParseError(
+            f"map table repeats a key: {len(rows)} rows, {len(table)} keys"
+        )
+    return table

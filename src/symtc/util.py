@@ -69,10 +69,3 @@ def freeze(x):
     if type(x) is list:
         return tuple([freeze(m) if type(m) is list else m for m in x])
     return x
-
-
-def thaw(x):
-    """Recursively turn tuples back into lists for JSON output."""
-    if isinstance(x, tuple):
-        return [thaw(m) for m in x]
-    return x

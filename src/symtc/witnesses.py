@@ -20,7 +20,7 @@ from .io import (
     poset_to_doc,
 )
 from .posets import multi_fence
-from .util import ckey, csorted, freeze, thaw
+from .util import ckey, csorted
 
 _MISSING = object()
 
@@ -61,25 +61,21 @@ class ContiguityChain:
     def _levels_to_doc(self):
         """Each map as pair rows in the canonical order of its keys.
 
-        The union of the keys is sorted once and every name is thawed once;
-        each map then lists its own keys in that order, which is the order
-        a ``ckey`` sort of the map alone would give.
+        The union of the keys is sorted once; each map then lists its own
+        keys in that order, which is the order a ``ckey`` sort of the map
+        alone would give.  Rows carry the maps' own name objects, shared
+        with the source and target documents, so the writer renders each
+        name once per report.
         """
-        maps = [m for level in self.levels for m in level]
         keys = set()
-        for m in maps:
-            keys.update(m)
+        for level in self.levels:
+            for m in level:
+                keys.update(m)
         order = csorted(keys)
-        pairs = list(zip(order, map(thaw, order)))
-        values = {}
-        for m in maps:
-            for v in m.values():
-                if v not in values:
-                    values[v] = thaw(v)
         return [
             [
                 [
-                    [tk, values[v]] for k, tk in pairs
+                    [k, v] for k in order
                     if (v := m.get(k, _MISSING)) is not _MISSING
                 ]
                 for m in level
@@ -138,10 +134,14 @@ class CombinatorialHomotopy:
         return multi_fence(self.n, self.m)
 
     def to_doc(self):
-        rows = sorted(
-            ([thaw(x), fence_point_to_doc(t), thaw(v)] for (x, t), v in self.table.items()),
-            key=lambda row: (ckey(freeze(row[0])), ckey(freeze(row[1]))),
-        )
+        # each name and fence point is keyed once, not once per row
+        xs = {x for x, _ in self.table}
+        ts = {t for _, t in self.table}
+        xkey = {x: ckey(x) for x in xs}
+        tkey = {t: ckey(fence_point_to_doc(t)) for t in ts}
+        cells = sorted(self.table.items(),
+                       key=lambda kv: (xkey[kv[0][0]], tkey[kv[0][1]]))
+        rows = [[x, fence_point_to_doc(t), v] for (x, t), v in cells]
         return {
             "type": "combinatorial_homotopy",
             "n": self.n,
@@ -160,10 +160,16 @@ class CombinatorialHomotopy:
             source = poset_from_doc(doc["source"])
             target = poset_from_doc(doc["target"])
             xs, ps = _names(source.elements), _names(target.elements)
+            rows = doc["table"]
             table = {
                 (interned(x, xs), fence_point_from_doc(t)): interned(v, ps)
-                for x, t, v in doc["table"]
+                for x, t, v in rows
             }
+            if len(table) != len(rows):
+                raise ParseError(
+                    f"homotopy table repeats a cell: {len(rows)} rows, "
+                    f"{len(table)} cells"
+                )
             return cls(
                 n=int(doc["n"]),
                 m=int(doc["m"]),
@@ -200,7 +206,7 @@ class SectionWitness:
         rows = []
         for x in self.source.elements:
             gamma = self.paths[x]
-            rows.append([thaw(x), [thaw(gamma[t]) for t in points]])
+            rows.append([x, [gamma[t] for t in points]])
         return {
             "type": "section_witness",
             "n": self.n,
@@ -221,13 +227,21 @@ class SectionWitness:
             target = poset_from_doc(doc["target"])
             xs, ps = _names(source.elements), _names(target.elements)
             points = [fence_point_from_doc(t) for t in doc["points"]]
+            if len(set(points)) != len(points):
+                raise ParseError("section point list repeats a point")
+            rows = doc["paths"]
             paths = {}
-            for x, values in doc["paths"]:
+            for x, values in rows:
                 if len(values) != len(points):
                     raise ParseError("path length does not match point list")
                 paths[interned(x, xs)] = {
                     t: interned(v, ps) for t, v in zip(points, values)
                 }
+            if len(paths) != len(rows):
+                raise ParseError(
+                    f"section repeats a path key: {len(rows)} rows, "
+                    f"{len(paths)} keys"
+                )
             return cls(
                 n=int(doc["n"]),
                 m=int(doc["m"]),

@@ -359,7 +359,10 @@ def chain_failures(cert):
 def map_table_rows(table):
     """A vertex map as pair rows sorted by ``ckey`` of the key, each key and
     value thawed on its own: the per-table chain level writer."""
-    from symtc.util import ckey, thaw
+    from symtc.util import ckey
+
+    def thaw(x):
+        return [thaw(m) for m in x] if isinstance(x, tuple) else x
 
     return [
         [thaw(k), thaw(v)]

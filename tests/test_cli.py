@@ -421,6 +421,19 @@ def test_check_certificate_rejects_object_in_section_path(
     _check_one_line_rejection(path, capsys)
 
 
+@pytest.mark.parametrize("kind", ["chain", "homotopy", "section"])
+def test_check_certificate_rejects_repeated_key(kind, capsys, tmp_path,
+                                                request):
+    """A certificate listing a map key, homotopy cell or path key twice is
+    a one-line exit 4, not a silently dropped row."""
+    from test_verify import REPEATS
+
+    make, fixture, _ = REPEATS[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(make(request.getfixturevalue(fixture))))
+    _check_one_line_rejection(path, capsys)
+
+
 @pytest.mark.parametrize("command", [
     ["sc", "--input", "d1.json", "--r", "-1"],
     ["cc", "--input", "v.json", "--r", "-2"],

@@ -5,6 +5,7 @@ from symtc.complexes import from_facets
 from symtc.complexity import (
     INFINITY,
     _UnitLattice,
+    _bits,
     budgets_with,
     cc_plain,
     cc_sigma,
@@ -250,6 +251,26 @@ def _lattice(instance, n, symmetric):
         for w in range(len(units))
     ]
     return lat, below
+
+
+def _bits_reference(m):
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+@pytest.mark.parametrize("m", [
+    0, 1, 2, 5, (1 << 64) - 1, 1 << 63,
+    (1 << 10_001) - 1,
+    (1 << 12_000) | (1 << 6_000) | 1,
+    int.from_bytes(bytes(range(256)) * 6, "little"),
+], ids=lambda m: f"{m.bit_length()}bits-{m.bit_count()}set")
+def test_bits_is_the_set_bits_ascending(m):
+    assert _bits(m) == _bits_reference(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 1 << 70), st.integers(0, 1 << 11_000)))
+def test_bits_matches_the_reference_on_random_masks(m):
+    assert _bits(m) == _bits_reference(m)
 
 
 def _fixpoint_closure(below, S):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from symtc.complexes import OrderedComplex, from_facets
 from symtc.io import canonical_json, complex_from_doc, complex_to_doc
-from symtc.util import freeze, thaw
+from symtc.util import freeze
 from symtc.witnesses import ContiguityChain
 
 from helpers import map_table_rows
@@ -36,24 +36,88 @@ keys = st.one_of(
     st.lists(texts, max_size=4),
     st.lists(st.integers(min_value=-(10**20), max_value=10**20), max_size=4),
 )
-documents = st.recursive(
-    scalars,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.builds(
-            lambda ks, vs: dict(zip(ks, vs)),
-            keys,
-            st.lists(inner, min_size=4, max_size=4),
+
+
+def _documents(leaves, max_leaves=25):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.builds(
+                lambda ks, vs: dict(zip(ks, vs)),
+                keys,
+                st.lists(inner, min_size=4, max_size=4),
+            ),
         ),
-    ),
-    max_leaves=25,
-)
+        max_leaves=max_leaves,
+    )
+
+
+documents = _documents(scalars)
 
 
 @settings(max_examples=200, deadline=None)
 @given(documents)
 def test_canonical_json_is_json_dumps(doc):
+    assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class _Slot(int):
+    """A leaf that ``_fill`` replaces by one of the shared tuples."""
+
+
+def _fill(x, shared):
+    if type(x) is _Slot:
+        return shared[x % len(shared)]
+    if isinstance(x, list):
+        return [_fill(m, shared) for m in x]
+    if isinstance(x, tuple):
+        return tuple(_fill(m, shared) for m in x)
+    if isinstance(x, dict):
+        return {k: _fill(v, shared) for k, v in x.items()}
+    return x
+
+
+# Documents in which a few tuple objects recur at several depths, as list
+# items and as dict values.  The shared tuples hold lists, dicts and tuples,
+# so their text spans lines.
+documents_sharing_tuples = st.builds(
+    _fill,
+    _documents(st.one_of(scalars, st.integers(0, 2).map(_Slot))),
+    st.lists(st.lists(_documents(scalars, max_leaves=6), min_size=1,
+                      max_size=3).map(tuple), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents_sharing_tuples)
+def test_canonical_json_with_shared_tuples_is_json_dumps(doc):
+    assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_NAME = ((1, "a"), ("b", (2, [3, {"k": (4, "\n")}])), ())
+
+
+@pytest.mark.parametrize("doc", [
+    # first at depth 4, then shallower as a dict value and a list item
+    {"a": [[[_NAME]]], "b": _NAME, "c": [_NAME, {"d": [[_NAME]]}]},
+    # first shallow, then deeper, then at the first depth again
+    [_NAME, [[{"x": _NAME}]], (_NAME, _NAME[1]), _NAME],
+    # a member of the shared tuple first, the tuple itself after
+    {"a": [[_NAME[1][1]]], "b": {"c": _NAME}, "d": _NAME[1]},
+    (_NAME, _NAME),
+])
+def test_canonical_json_reuses_tuple_text_at_any_depth(doc):
+    assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_deep_report_is_json_dumps(edge):
+    """The whole ``sc_sigma(edge, 2, 3)`` report, where every name is one
+    tuple shared by vertex lists, facets and map rows."""
+    from symtc.complexity import sc_sigma
+
+    doc = sc_sigma(edge, 2, 3).to_doc()
     assert canonical_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -83,8 +147,10 @@ labels = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(labels)
 def test_freeze_inverts_thaw(x):
-    assert freeze(thaw(x)) == x
-    assert thaw(freeze(thaw(x))) == thaw(x)
+    """A label written and parsed back freezes to itself."""
+    thawed = json.loads(canonical_json(x))
+    assert freeze(thawed) == x
+    assert json.loads(canonical_json(freeze(thawed))) == thawed
 
 
 @pytest.mark.parametrize("doc", [

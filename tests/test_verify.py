@@ -1,8 +1,11 @@
 import copy
+import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from symtc.actions import act_name, symmetric_group
+from symtc.complexity import cc_sigma, sc_sigma
 from symtc.constructions import (
     build_tower,
     poset_tower,
@@ -13,6 +16,7 @@ from symtc.io import canonical_json
 from symtc.search import sym_comb_homotopic, sym_contiguous
 from symtc.translate import section_from_homotopy
 from symtc.util import name_of
+from symtc.errors import ParseError
 from symtc.verify import projection_of_name, validate
 from symtc.witnesses import certificate_from_doc
 
@@ -206,3 +210,68 @@ def test_checker_action_agrees_with_act_name(data):
         assert set(table) == set(family)
         for x in family:
             assert table[x] == act_name(g, x, depth)
+
+
+# -- a key listed twice ----------------------------------------------------
+# Each reader builds a dict from rows; a repeated key would let a later row
+# replace an earlier, contradicting one unseen, so it is a parse error.
+
+
+def chain_with_repeated_key(edge):
+    """``sc_sigma(edge, 2, 1)``'s chain, its first map also sending its
+    first key to another target vertex, in a row before the original."""
+    res = sc_sigma(edge, 2, 1)
+    doc = json.loads(canonical_json(res.cover[0].witness.to_doc()))
+    table = doc["levels"][0][0]
+    k, v = table[0]
+    other = next(x for x in doc["target"]["vertices"] if x != v)
+    table.insert(0, [k, other])
+    return doc
+
+
+def homotopy_with_repeated_cell(v_poset):
+    """``cc_sigma(V, 2, 0)``'s homotopy with a contradicting first row."""
+    res = cc_sigma(v_poset, 2, 0)
+    doc = json.loads(canonical_json(res.cover[0].witness.to_doc()))
+    x, t, v = doc["table"][0]
+    other = next(p for p in doc["target"]["elements"] if p != v)
+    doc["table"].insert(0, [x, t, other])
+    return doc
+
+
+def section_with_repeated_path(v_poset):
+    """A section of ``cc_sigma(V, 2, 0)``'s homotopy whose first source
+    point has a second, different path listed before its own."""
+    res = cc_sigma(v_poset, 2, 0)
+    doc = json.loads(canonical_json(
+        section_from_homotopy(res.cover[0].witness).to_doc()))
+    x, values = doc["paths"][0]
+    other = next(p for p in doc["target"]["elements"] if p != values[0])
+    doc["paths"].insert(0, [x, [other] + values[1:]])
+    return doc
+
+
+REPEATS = {
+    "chain": (chain_with_repeated_key, "edge", "map table repeats a key"),
+    "homotopy": (homotopy_with_repeated_cell, "v_poset",
+                 "homotopy table repeats a cell"),
+    "section": (section_with_repeated_path, "v_poset",
+                "section repeats a path key"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATS))
+def test_repeated_key_is_a_parse_error(kind, request):
+    make, fixture, message = REPEATS[kind]
+    doc = make(request.getfixturevalue(fixture))
+    with pytest.raises(ParseError, match=message):
+        certificate_from_doc(doc)
+
+
+def test_section_point_list_repeating_a_point_is_a_parse_error(v_poset):
+    res = cc_sigma(v_poset, 2, 0)
+    doc = json.loads(canonical_json(
+        section_from_homotopy(res.cover[0].witness).to_doc()))
+    doc["points"][1] = doc["points"][0]
+    with pytest.raises(ParseError, match="repeats a point"):
+        certificate_from_doc(doc)
