@@ -56,6 +56,7 @@ from .search import (
     sym_comb_homotopic,
     sym_contiguous,
 )
+from .util import bits
 
 INFINITY = math.inf
 
@@ -139,16 +140,6 @@ class ComplexityResult:
 # ---------------------------------------------------------------------------
 
 
-def _bits(mask):
-    """The unit ids of a mask, ascending.
-
-    One scan of its binary digits, lowest first: peeling the low bit off
-    instead costs a copy of the whole int per bit, quadratic on the
-    whole-space mask of a deep tower.
-    """
-    return [i for i, d in enumerate(bin(mask)[:1:-1]) if d == "1"]
-
-
 class _UnitLattice:
     """The orbit units of a tower's top level, with pieces as bitmasks.
 
@@ -210,23 +201,23 @@ class _UnitLattice:
         """One pass closes: the unit order is transitive (see _masks)."""
         down = self._masks()[0]
         out = 0
-        for u in _bits(mask):
+        for u in bits(mask):
             out |= down[u]
         return out
 
     def maximal_units(self, mask):
         up = self._masks()[1]
-        return [u for u in _bits(mask) if up[u] & mask == 1 << u]
+        return [u for u in bits(mask) if up[u] & mask == 1 << u]
 
     def grow_units(self):
         """Upper-mode growth quanta: every unit, or every facet orbit."""
-        return range(len(self.units)) if self.poset else _bits(self.universe)
+        return range(len(self.units)) if self.poset else bits(self.universe)
 
     def piece(self, mask):
         if mask == self.all and not self.poset:
             return base_of(self.level)
         members = set()
-        for ui in _bits(mask):
+        for ui in bits(mask):
             members.update(self.units[ui])
         if self.poset:
             return self.level.restrict(members)
@@ -269,7 +260,7 @@ class _UnitLattice:
 
 def _cover_engine(problem, mode, invariant_name):
     budgets = problem.budgets
-    universe = frozenset(_bits(problem.universe))
+    universe = frozenset(bits(problem.universe))
     memo = {}
     # goodness passes to sub-pieces and badness to super-pieces, so the
     # maximal known-good and minimal known-bad pieces settle every
@@ -307,7 +298,7 @@ def _cover_engine(problem, mode, invariant_name):
             res = problem.decide(S)
             stats["pieces_tested"] += 1
             memo[S] = res
-        units = tuple(_bits(S))
+        units = tuple(bits(S))
         return GoodPiece(
             units=units,
             size=sum(len(problem.units[u]) for u in units),
@@ -334,7 +325,7 @@ def _cover_engine(problem, mode, invariant_name):
         )
 
     def cover_by(pieces):
-        sets = [frozenset(_bits(S & problem.universe)) for S in pieces]
+        sets = [frozenset(bits(S & problem.universe)) for S in pieces]
         return min_cover(universe, sets, budget=budgets["cover"])
 
     whole = decide(problem.all)
@@ -357,7 +348,7 @@ def _cover_engine(problem, mode, invariant_name):
         else:
             out = result("exact", k, k, [maxima[i] for i in chosen], False,
                          value=k)
-        out.candidates = [tuple(_bits(S)) for S in maxima]
+        out.candidates = [tuple(bits(S)) for S in maxima]
         return out
 
     # upper mode: grow each universe seed one quantum at a time.
@@ -422,7 +413,7 @@ def _maximal_good_sets(problem, decide, stats):
         if not any(S & T == S for T in maxima):
             maxima.append(S)
     # deterministic order
-    maxima.sort(key=lambda S: (S.bit_count(), list(_bits(S))))
+    maxima.sort(key=lambda S: (S.bit_count(), list(bits(S))))
     return maxima
 
 

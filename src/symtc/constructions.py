@@ -15,7 +15,13 @@ from .complexes import (
     SimplicialMap,
     base_of,
 )
-from .errors import BadArity, BudgetExceeded, NegativeDepth, UnorderedInput
+from .errors import (
+    BadArity,
+    BudgetExceeded,
+    EmptySpace,
+    NegativeDepth,
+    UnorderedInput,
+)
 from .posets import (
     FinitePoset,
     MonotoneMap,
@@ -64,6 +70,8 @@ def ordered_power(K, n, budget=None):
         raise UnorderedInput("ordered_power requires an ordered complex")
     if n < 1:
         raise BadArity("power requires n >= 1")
+    if not K.vertices:
+        raise EmptySpace("the complex has no vertices to take a power of")
     order = power_poset(K.order, n)
     els = order.elements
     base = base_of(K)
@@ -178,6 +186,8 @@ def projection_pi(tower, j):
 def poset_tower(P, n, r, budget=200_000):
     """Tower of iterated subdivisions of the product order P^n."""
     check_depth(r)
+    if not P.elements:
+        raise EmptySpace("the poset has no elements to take a power of")
     power = power_poset(P, n)
     levels = [power]
     maps = []

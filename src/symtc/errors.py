@@ -69,6 +69,10 @@ class DisconnectedPoset(SymtcError):
     pass
 
 
+class EmptySpace(SymtcError):
+    """A power asked of a complex or poset with no points."""
+
+
 class InvalidTable(SymtcError):
     pass
 

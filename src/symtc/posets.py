@@ -123,9 +123,11 @@ class FinitePoset:
         ]
 
     def is_connected(self):
+        """Is the comparability graph connected?  The empty poset is not: it
+        has no component at all."""
         n = len(self.elements)
         if n == 0:
-            return True
+            return False
         comp = self.leq | self.leq.T
         seen = np.zeros(n, dtype=bool)
         seen[0] = True
@@ -196,7 +198,7 @@ def power_poset(P, n):
     m = len(elements)
     idx = np.array(
         [[P.index[t[k]] for k in range(n)] for t in elements], dtype=int
-    )
+    ).reshape(m, n)  # (0, n) when P is empty
     leq = np.ones((m, m), dtype=bool)
     for k in range(n):
         leq &= P.leq[np.ix_(idx[:, k], idx[:, k])]

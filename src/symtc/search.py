@@ -22,15 +22,30 @@ Modes: every mode answers "yes" at once when the start is already a goal.
 value of one orbit class at a time, until a goal turns up or the start's
 component is exhausted.  That component is the start's whole component in
 the graph above, so a "no" carries an exhaustion record, and the budget
-bounds the explored nodes, never the size of the map space.  "auto" first
-runs a quick stage over the constant maps, which are maps of either kind
-and invariant under every group: the first candidate equal or adjacent to
-every start (the plain deciders try the starts themselves before the
-constants) connects them in one step; on the symmetric side a constant c
-then connects to the start in two steps through ``bridge(c, start)``, a
-class-constant map adjacent to both.  Otherwise it runs the exact search.
-"bounded" runs the same two stages but reports "unknown" where exact would
-report "no"; it never answers "no".  Any other mode raises UnsupportedMode.
+bounds the explored nodes, never the size of the map space.  On the
+finite-space side the search runs on the core C of the source Q instead:
+what is left once beat points are removed, a whole orbit of the symmetric
+group at a time (plain deciders: one point at a time).  Removing a beat
+point is a strong deformation retraction (Stong, "Finite topological
+spaces", Trans. AMS 123, 1966), so the inclusion i: C -> Q and the
+retraction r: Q -> C give i.r joined to the identity of Q by a fence of
+partial retractions, each comparable with the next; the orbits being
+antichains, every step commutes with the group.  Two maps on Q therefore
+lie in one component exactly when their restrictions to C do (Barmak,
+Algebraic Topology of Finite Topological Spaces and Applications, LNM
+2032, ch. 1), a goal restricts to a goal on C, and h -> h.r lifts a goal
+and a path on C back to Q.  So a "no" says that the start's component was
+exhausted on the core, whose size every such record holds as ``core``; a
+piece without beat points is its own core.  "auto" first runs a quick stage
+over the constant maps, which are maps of either kind and invariant under
+every group: the first candidate equal or adjacent to every start (the
+plain deciders try the starts themselves before the constants) connects
+them in one step; on the symmetric side a constant c then connects to the
+start in two steps through ``bridge(c, start)``, a class-constant map
+adjacent to both.  The start check and the quick stage work on Q itself.
+Otherwise "auto" runs the exact search.  "bounded" runs the same two stages
+but reports "unknown" where exact would report "no"; it never answers "no".
+Any other mode raises UnsupportedMode.
 
 The search packs each node, a class-constant map, into one int with a bit
 field per source point, and each class memoizes its moves by the fields
@@ -41,8 +56,7 @@ operations and hashes once; only the nodes of an emitted path are unpacked.
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from itertools import compress
 
 from .actions import (
     action_tables,
@@ -61,6 +75,7 @@ from .errors import (
     SourceMismatch,
     UnsupportedMode,
 )
+from .util import bits
 from .witnesses import CombinatorialHomotopy, ContiguityChain
 
 
@@ -142,6 +157,18 @@ def _class_bfs(space, start, stop, budget):
       phi <= phi' <= psi with one class fewer to change (cf. Barmak,
       Algebraic Topology of Finite Topological Spaces and Applications,
       LNM 2032, ch. 1).  Swap the roles when psi <= phi.
+
+    On the finite-space side the deciders run this search over maps on the
+    core C of the source Q (``_beat_core``), and that loses nothing.  Each
+    removal step R sends the points of one orbit to their beat values and
+    fixes the rest; it is monotone, R <= id or R >= id, and commutes with
+    the group.  So for any map f on Q, f, f.R_1, f.R_2.R_1, ..., f.r is a
+    path of invariant maps when f is invariant, each comparable with the
+    next, ending at f|C . r (Stong, Trans. AMS 123, 1966).  If f|C and g|C
+    are joined on C, lifting that path by h -> h.r joins f to g on Q;
+    conversely restriction to C keeps maps adjacent.  A map on C constant
+    on the Sigma_n classes lifts to one on Q, and such a map on Q restricts
+    to one on C, so the goal is reachable on Q iff it is on C.
     """
     width, full = space.width, space.full
     allowed = space.moves()
@@ -252,19 +279,21 @@ def _sees_all(targets):
     return stop
 
 
-def _component_stage(space, start, budget, mode, goal=None, ends=()):
+def _component_stage(space, start, budget, mode, goal_classes=None, ends=()):
     """Run _class_bfs for a decider; returns (status, paths, record).
 
-    The search packs the value tuple ``start`` and runs until ``goal``, a
-    test on packed nodes, holds or, without one, until every value tuple of
-    ``ends`` was seen.  On "yes", ``paths`` holds the unpacked path from
-    start to the hit, or to each of ``ends``.  Exact mode answers "no" on an
-    exhausted component; bounded mode keeps its contract and answers
-    "unknown" instead.
+    The search packs the value tuple ``start`` and runs until it reaches a
+    map constant on every class of ``goal_classes`` or, without them, until
+    every value tuple of ``ends`` was seen.  On "yes", ``paths`` holds the
+    unpacked path from start to the hit, or to each of ``ends``.  Exact
+    mode answers "no" on an exhausted component; bounded mode keeps its
+    contract and answers "unknown" instead.
     """
     targets = [space.pack(e) for e in ends]
-    if goal is None:
+    if goal_classes is None:
         goal = _sees_all(targets)
+    else:
+        goal = space.constant_test(goal_classes)
     parents, hit = _class_bfs(space, space.pack(start), goal, budget)
     explored = len(parents)
     paths = None
@@ -354,8 +383,8 @@ def _decide_symmetric(space, sigma_classes, start, witness, mode, budget):
             return yes(quick[0], {"stage": "quick"})
     if not _constant_on(start, space.classes):
         raise NotEquivariant("tuple's first map is not constraint-invariant")
-    status, paths, record = _component_stage(
-        space, start, budget, mode, goal=space.constant_test(sigma_classes)
+    status, paths, record = space.component_stage(
+        start, budget, mode, goal_classes=sigma_classes
     )
     if status != "yes":
         return SearchResult(status, record=record)
@@ -381,8 +410,8 @@ def _decide_plain(space, starts, witness, mode, budget):
         quick = _quick_stage(space, starts, starts + _constants(space))
         if quick is not None:
             return yes(quick, {"stage": "quick"})
-    status, paths, record = _component_stage(
-        space, starts[0], budget, mode, ends=starts
+    status, paths, record = space.component_stage(
+        starts[0], budget, mode, ends=starts
     )
     if status != "yes":
         return SearchResult(status, record=record)
@@ -394,7 +423,9 @@ class _PackedNodes:
 
     The value of source index i sits in the field of ``width`` bits at
     ``width * i``, so a node is one int and hashes as one.  A space sets
-    ``size``, the number of source indices, and ``nvalues``.
+    ``size``, the number of source indices, and ``nvalues``.  Its
+    ``component_stage`` is the deciders' exact stage; the monotone spaces
+    run theirs on the core of the source.
     """
 
     @cached_property
@@ -432,6 +463,11 @@ class _PackedNodes:
                        for fields, shift, rep in checks)
 
         return test
+
+    def component_stage(self, start, budget, mode, goal_classes=None,
+                        ends=()):
+        """The exact stage of a decider over this space: _component_stage."""
+        return _component_stage(self, start, budget, mode, goal_classes, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -642,40 +678,120 @@ def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
 # ---------------------------------------------------------------------------
 
 
-class _MonotoneSpace(_PackedNodes):
-    """Moves, bridges and comparability tests over monotone maps Q -> P
-    constant on the orbit classes of ``group`` (singletons without one)."""
+def _strict_masks(leq):
+    """Per point of a poset given by its ``leq`` matrix, the bitmask of the
+    points strictly below it and the bitmask of those strictly above it."""
+    rows = leq.tolist()
+    below = [0] * len(rows)
+    above = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in compress(range(len(rows)), row):
+            if i != j:
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    return below, above
 
-    def __init__(self, Q, P, group=None, depth=0):
-        self.Q = Q
-        self.P = P
-        self.els = list(Q.elements)
-        self.ei = {x: i for i, x in enumerate(self.els)}
-        self.tels = list(P.elements)
-        self.ti = {x: i for i, x in enumerate(self.tels)}
-        self.size, self.nvalues = len(self.els), len(self.tels)
-        leq_p = P.leq
-        self.up = [sum(1 << w for w in range(self.nvalues) if leq_p[v, w])
-                   for v in range(self.nvalues)]
-        self.down = [sum(1 << w for w in range(self.nvalues) if leq_p[w, v])
-                     for v in range(self.nvalues)]
-        self.classes = (
-            [[i] for i in range(self.size)] if group is None
-            else _index_classes(self.els, self.ei, group, depth)
-        )
+
+def _beat_value(x, alive, below, above):
+    """The point the beat point x of the ``alive`` points retracts to: the
+    maximum of the alive points below x, else the minimum of those above
+    it; None when x is no beat point of them."""
+    for side in (below, above):
+        near = side[x] & alive
+        rest = near
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            y = low.bit_length() - 1
+            if near & ~side[y] == low:  # every other near point is past y
+                return y
+    return None
+
+
+def _beat_core(below, above, orbits):
+    """The core of a finite poset: what is left once beat points are
+    removed, a whole orbit at a time, until none is left (Stong, Trans.
+    AMS 123, 1966).
+
+    ``below[i]`` and ``above[i]`` are the bitmasks of the points strictly
+    below and above point i.  ``orbits`` are the orbits of a group of
+    automorphisms, hence antichains, and a group element carries a beat
+    point and its beat value onto another such pair, so the points of an
+    orbit are beat points together.  Passes go through ``orbits`` in their
+    order and remove each orbit of beat points of what is still there, until
+    a pass removes none; the loop needs no recursion.
+
+    Returns (keep, steps): the points left, ascending, and per removed orbit
+    a dict from each of its points to its beat value.  The step moving
+    those points and fixing the rest is monotone (a point below a removed x
+    lies below its maximum, a point above it above x), lies below or above
+    the identity, and commutes with the group.
+    """
+    alive = (1 << len(below)) - 1
+    steps = []
+    removed = True
+    while removed:
+        removed = False
+        for orbit in orbits:
+            if not alive >> orbit[0] & 1:
+                continue
+            step = {x: _beat_value(x, alive, below, above) for x in orbit}
+            if None in step.values():
+                continue
+            steps.append(step)
+            for x in orbit:
+                alive ^= 1 << x
+            removed = True
+    return bits(alive), steps
+
+
+def _classes_on(classes, pos):
+    """The classes that lie in the keys of ``pos``, renumbered by it."""
+    return [[pos[i] for i in cls] for cls in classes if cls[0] in pos]
+
+
+def _without_loops(path):
+    """``path`` with the stretch between two visits of a node cut out, so
+    no node appears twice."""
+    out, at = [], {}
+    for node in path:
+        if node in at:
+            for dropped in out[at[node] + 1:]:
+                del at[dropped]
+            del out[at[node] + 1:]
+        else:
+            at[node] = len(out)
+            out.append(node)
+    return out
+
+
+class _MonotoneMoves(_PackedNodes):
+    """Moves, bridges and comparability tests over monotone maps from a
+    finite poset to P constant on ``classes``.
+
+    The source is given by ``below[i]`` and ``above[i]``, the bitmasks of
+    the points strictly below and strictly above point i; P by ``up[v]``
+    and ``down[v]``, the bitmasks of the values at least and at most v.
+    """
+
+    def __init__(self, below, above, up, down, classes):
+        self.below, self.above = below, above
+        self.up, self.down = up, down
+        self.classes = classes
+        self.size, self.nvalues = len(below), len(up)
 
     @cached_property
     def _neighbours(self):
         """Per class, the points outside it below some member, and those
         above some member."""
-        leq_q = self.Q.leq
         below, above = [], []
         for cls in self.classes:
-            members = set(cls)
-            for rel, out in ((leq_q[:, cls].any(axis=1), below),
-                             (leq_q[cls].any(axis=0), above)):
-                out.append([j for j in np.flatnonzero(rel).tolist()
-                            if j not in members])
+            members = sum(1 << i for i in cls)
+            for masks, out in ((self.below, below), (self.above, above)):
+                near = 0
+                for i in cls:
+                    near |= masks[i]
+                out.append(bits(near & ~members))
         return below, above
 
     @cached_property
@@ -716,12 +832,6 @@ class _MonotoneSpace(_PackedNodes):
     def pair_le(self, a, b):
         return all(self.up[x] >> y & 1 for x, y in zip(a, b))
 
-    def values_of(self, mapping):
-        return tuple(self.ti[mapping[x]] for x in self.els)
-
-    def map_of(self, values):
-        return {x: self.tels[v] for x, v in zip(self.els, values)}
-
     def bridge(self, a, b):
         """The lex-first class-constant monotone map above both a and b,
         else the lex-first one below both, or None."""
@@ -749,6 +859,97 @@ class _MonotoneSpace(_PackedNodes):
                 if found is not None:
                     return found
         return None
+
+    def core(self, orbits):
+        """(core, pos, steps): this space on the source's core, with
+        ``steps`` from ``_beat_core`` over ``orbits`` and ``pos`` sending
+        each kept source point, ascending, to its index in the core.  The
+        classes must refine the orbits, so the core is a union of
+        classes."""
+        keep, steps = _beat_core(self.below, self.above, orbits)
+        pos = {i: k for k, i in enumerate(keep)}
+
+        def on_core(masks):
+            return [sum(1 << pos[j] for j in keep if masks[i] >> j & 1)
+                    for i in keep]
+
+        core = _MonotoneMoves(
+            on_core(self.below), on_core(self.above), self.up, self.down,
+            _classes_on(self.classes, pos),
+        )
+        return core, pos, steps
+
+    def component_stage(self, start, budget, mode, goal_classes=None,
+                        ends=()):
+        """_component_stage on the core of the source, its paths lifted.
+
+        The core C comes from ``_beat_core`` over the orbits of
+        ``goal_classes`` (the symmetric group's), or over single points
+        without them, and the record gains ``"core": |C|``.  Starts, ends
+        and goal classes restrict to C, and a path found there lifts back
+        by h -> h.r.  It is joined to each end e (the start included) by
+        e, e.R_1, e.R_2.R_1, ..., e.r, whose last map is the lift of e|C
+        (see _class_bfs for why these are paths).  On a core equal to the
+        source the paths are the search's own.
+        """
+        core, pos, steps = self.core(
+            [[i] for i in range(self.size)] if goal_classes is None
+            else goal_classes
+        )
+
+        def on_core(values):
+            return tuple(values[i] for i in pos)
+
+        status, paths, record = _component_stage(
+            core, on_core(start), budget, mode,
+            goal_classes=None if goal_classes is None
+            else _classes_on(goal_classes, pos),
+            ends=[on_core(e) for e in ends],
+        )
+        record["core"] = core.size
+        if paths is None:
+            return status, paths, record
+        images = [list(range(self.size))]  # the partial retractions
+        for step in steps:
+            images.append([step.get(x, x) for x in images[-1]])
+        r = [pos[x] for x in images[-1]]
+
+        def fence(values):
+            return [tuple(values[x] for x in image) for image in images]
+
+        lifted = [fence(start) + [tuple(h[k] for k in r) for h in p[1:]]
+                  for p in paths]
+        if ends:
+            lifted = [p + fence(e)[-2::-1] for p, e in zip(lifted, ends)]
+        return status, [_without_loops(p) for p in lifted], record
+
+
+class _MonotoneSpace(_MonotoneMoves):
+    """_MonotoneMoves over monotone maps Q -> P constant on the orbit
+    classes of ``group`` (singletons without one), with the names of Q
+    and P."""
+
+    def __init__(self, Q, P, group=None, depth=0):
+        self.Q = Q
+        self.P = P
+        self.els = list(Q.elements)
+        self.ei = {x: i for i, x in enumerate(self.els)}
+        self.tels = list(P.elements)
+        self.ti = {x: i for i, x in enumerate(self.tels)}
+        under, over = _strict_masks(P.leq)
+        super().__init__(
+            *_strict_masks(Q.leq),
+            [m | 1 << v for v, m in enumerate(over)],
+            [m | 1 << v for v, m in enumerate(under)],
+            [[i] for i in range(len(self.els))] if group is None
+            else _index_classes(self.els, self.ei, group, depth),
+        )
+
+    def values_of(self, mapping):
+        return tuple(self.ti[mapping[x]] for x in self.els)
+
+    def map_of(self, values):
+        return {x: self.tels[v] for x, v in zip(self.els, values)}
 
 
 # ---------------------------------------------------------------------------

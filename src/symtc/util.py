@@ -69,3 +69,13 @@ def freeze(x):
     if type(x) is list:
         return tuple([freeze(m) if type(m) is list else m for m in x])
     return x
+
+
+def bits(mask):
+    """The positions of the set bits of an int, ascending.
+
+    One scan of its binary digits, lowest first: peeling the low bit off
+    instead costs a copy of the whole int per bit, quadratic on the
+    whole-space mask of a deep tower.
+    """
+    return [i for i, d in enumerate(bin(mask)[:1:-1]) if d == "1"]

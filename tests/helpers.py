@@ -8,6 +8,7 @@ table writer sorts every table by ``ckey`` on its own.  The class-move
 oracle is the search kernel's former tuple form, run on move masks that the
 tests compute by brute force.  The path normaliser oracle is the searchers'
 former two passes: ``shortcut_without_repeats``, then ``alternate``.  The
+beat-point oracle tests every point against every pair of points.  The
 reference complex ``NameComplex`` keeps every simplex as a frozenset of
 names, the representation complexes used before they kept rank tuples.
 """
@@ -157,6 +158,20 @@ def tuple_class_bfs(classes, start, allowed, stop, budget):
                     return parents, nxt
                 queue.append(nxt)
     return parents, None
+
+
+def beat_points(points, le):
+    """The beat points of the poset on ``points`` ordered by ``le``: those
+    whose strictly smaller points have a maximum, or whose strictly larger
+    points have a minimum, by comparing every pair."""
+    out = set()
+    for x in points:
+        below = [y for y in points if y != x and le(y, x)]
+        above = [y for y in points if y != x and le(x, y)]
+        if (any(all(le(z, y) for z in below) for y in below)
+                or any(all(le(y, z) for z in above) for y in above)):
+            out.add(x)
+    return out
 
 
 def all_posets(n):

@@ -537,3 +537,23 @@ def test_command_takes_and_echoes_only_its_options(command, docs, capsys):
     assert code == 0
     keys = {"command", "input"} | {ECHO[o] for o in options if o in ECHO}
     assert set(doc["config"]) == keys
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("cc", {"elements": [], "relations": []}),
+    ("tc-finite", {"elements": [], "relations": []}),
+    ("orbits", {"elements": [], "relations": []}),
+    ("sc", {"vertices": [], "facets": []}),
+    ("power", {"vertices": [], "facets": []}),
+    ("orbits", {"vertices": [], "facets": []}),
+])
+def test_empty_input_exit_code(tmp_path, capsys, command, doc):
+    """An empty poset or complex has no power to work on: one line, exit 4,
+    not a traceback."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1

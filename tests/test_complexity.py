@@ -5,7 +5,6 @@ from symtc.complexes import from_facets
 from symtc.complexity import (
     INFINITY,
     _UnitLattice,
-    _bits,
     budgets_with,
     cc_plain,
     cc_sigma,
@@ -18,6 +17,7 @@ from symtc.complexity import (
 from symtc.constructions import build_tower, poset_tower
 from symtc.errors import BudgetExceeded, DisconnectedPoset
 from symtc.posets import order_complex, poset_from_relations
+from symtc.util import bits
 from symtc.verify import validate
 
 from helpers import brute_force_min_cover, connected_posets_up_to_iso
@@ -264,13 +264,13 @@ def _bits_reference(m):
     int.from_bytes(bytes(range(256)) * 6, "little"),
 ], ids=lambda m: f"{m.bit_length()}bits-{m.bit_count()}set")
 def test_bits_is_the_set_bits_ascending(m):
-    assert _bits(m) == _bits_reference(m)
+    assert bits(m) == _bits_reference(m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(st.integers(0, 1 << 70), st.integers(0, 1 << 11_000)))
 def test_bits_matches_the_reference_on_random_masks(m):
-    assert _bits(m) == _bits_reference(m)
+    assert bits(m) == _bits_reference(m)
 
 
 def _fixpoint_closure(below, S):

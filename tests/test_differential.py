@@ -9,10 +9,14 @@ pieces of the level-0 power, kept small enough to enumerate, so n = 3 is
 covered too.  Every "yes" witness must pass the independent checker.  Each
 decider runs in every mode: "exact" and "auto" must give the oracle's answer,
 "bounded" must answer "yes" where the oracle does and "unknown" elsewhere.
+The monotone deciders search the core of the piece; the oracles never do,
+and two tests per decider require drawn pieces with a core smaller than
+the piece that answer "yes" and that answer "no".
 """
 
 from itertools import permutations
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from symtc.complexes import from_facets, restrict_map, subcomplex_from_simplices
@@ -242,3 +246,37 @@ def test_plain_comb_homotopic_matches_oracle(case):
     expected = _plain_oracle(names, nodes, adjacent,
                              [f.mapping for f in maps])
     _check(lambda mode: plain_comb_homotopic(maps, mode=mode), expected)
+
+
+def _monotone_decider(symmetric, n, maps):
+    if symmetric:
+        return lambda mode: sym_comb_homotopic(maps, n, 0, mode=mode)
+    return lambda mode: plain_comb_homotopic(maps, mode=mode)
+
+
+@pytest.mark.parametrize("expected", [True, False], ids=["yes", "no"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "plain"])
+@settings(SETTINGS, max_examples=25,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(poset_cases())
+def test_comb_homotopic_on_proper_cores(symmetric, expected, case):
+    """Pieces whose exact search ran on a core smaller than the piece and
+    answered ``expected`` get that answer from the whole-piece oracle too,
+    and their lifted witnesses validate.  Hypothesis fails the test as
+    unsatisfiable unless some drawn piece has such a core and answer; the
+    two values of ``expected`` together cover every such piece."""
+    n, P, maps = case
+    decide = _monotone_decider(symmetric, n, maps)
+    res = decide("exact")
+    assume(res.record.get("stage") == "exact")
+    assume(res.record["core"] < len(maps[0].source.elements))
+    assume(res.yes == expected)
+    names, nodes, adjacent = _monotone_component(maps)
+    if symmetric:
+        answer = _sym_oracle(n, names, nodes, adjacent, maps[0].mapping)
+    else:
+        answer = _plain_oracle(names, nodes, adjacent,
+                               [f.mapping for f in maps])
+    assert answer == expected
+    _check(decide, expected)

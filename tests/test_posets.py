@@ -242,6 +242,11 @@ def test_power_poset(chain2):
     assert not grid.le((0, 1), (1, 0))
 
 
+def test_power_of_the_empty_poset():
+    empty = poset_from_relations([], [])
+    assert len(power_poset(empty, 2)) == 0
+
+
 def test_poset_doc_round_trip(v_poset, circle_poset):
     for P in (v_poset, circle_poset):
         doc = poset_to_doc(P)
@@ -253,6 +258,7 @@ def test_connectivity(v_poset):
     assert v_poset.is_connected()
     two = poset_from_relations("ab", [])
     assert not two.is_connected()
+    assert not poset_from_relations([], []).is_connected()
 
 
 def test_value_tuples_depth_is_not_recursion_depth():
