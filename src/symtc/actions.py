@@ -283,12 +283,10 @@ def is_invariant_simplices(simplices, group, depth):
 
 
 def is_invariant_elements(elements, group, depth):
-    elements = set(elements)
-    for g in group:
-        for x in elements:
-            if act_name(g, x, depth) not in elements:
-                return False
-    return True
+    """Is a set of names closed under the action?"""
+    members = set(elements)
+    return all(members.issuperset(t.values())
+               for t in action_tables(group, members, depth))
 
 
 # -- equivariant tuples ------------------------------------------------------
@@ -315,33 +313,23 @@ class EquivariantTuple:
     def domain(self):
         return list(self.maps[0].keys())
 
-    def check(self, exhaustive=True):
+    def check(self):
         return check_equivariant_tuple(
-            self.maps, self.n, self.depth, domain=self.domain(),
-            exhaustive=exhaustive,
+            self.maps, self.n, self.depth, domain=self.domain()
         )
 
     def reduce(self):
         return reduce_tuple(self.maps, self.n, self.depth, domain=self.domain())
 
 
-def check_equivariant_tuple(maps, n, depth, domain=None, exhaustive=True):
-    """Check f_j(g.x) = f_{g(j)}(x); returns (ok, violation_or_None).
-
-    With ``exhaustive=False`` only the transposition generators (1, j) plus
-    one non-generator guard are checked, which suffices since the relation
-    is multiplicative in g.
-    """
+def check_equivariant_tuple(maps, n, depth, domain=None):
+    """Check f_j(g.x) = f_{g(j)}(x) for every g in Sigma_n; returns
+    (ok, violation_or_None)."""
     if len(maps) != n:
         raise LevelMismatch(f"expected {n} maps, got {len(maps)}")
     if domain is None:
         domain = maps[0].keys()
-    if exhaustive:
-        group = symmetric_group(n)
-    else:
-        group = [transposition(n, 1, j) for j in range(2, n + 1)]
-        if n >= 3:
-            group.append(Permutation([2, 3, 1] + list(range(4, n + 1))))
+    group = symmetric_group(n)
     for g, act in zip(group, action_tables(group, domain, depth)):
         for j in range(1, n + 1):
             fj, fgj = maps[j - 1], maps[g(j) - 1]

@@ -17,35 +17,39 @@ components differ by precomposition with a bijection of the invariant
 source), and the goal is any node invariant under the full symmetric group,
 which expands to a diagonal tuple.
 
-Modes: every mode answers "yes" at once when the start is already a goal.
-"exact" then runs ``_class_bfs`` from the start: moves that change the
-value of one orbit class at a time, until a goal turns up or the start's
-component is exhausted.  That component is the start's whole component in
-the graph above, so a "no" carries an exhaustion record, and the budget
-bounds the explored nodes, never the size of the map space.  On the
-finite-space side the search runs on the core C of the source Q instead:
-what is left once beat points are removed, a whole orbit of the symmetric
-group at a time (plain deciders: one point at a time).  Removing a beat
-point is a strong deformation retraction (Stong, "Finite topological
-spaces", Trans. AMS 123, 1966), so the inclusion i: C -> Q and the
-retraction r: Q -> C give i.r joined to the identity of Q by a fence of
-partial retractions, each comparable with the next; the orbits being
-antichains, every step commutes with the group.  Two maps on Q therefore
-lie in one component exactly when their restrictions to C do (Barmak,
-Algebraic Topology of Finite Topological Spaces and Applications, LNM
-2032, ch. 1), a goal restricts to a goal on C, and h -> h.r lifts a goal
-and a path on C back to Q.  So a "no" says that the start's component was
-exhausted on the core, whose size every such record holds as ``core``; a
-piece without beat points is its own core.  "auto" first runs a quick stage
-over the constant maps, which are maps of either kind and invariant under
+Modes: one driver, ``_decide``, serves all four deciders.  Every mode
+answers "yes" at once when the start is already a goal (plain deciders:
+when all starts are equal).  "exact" then runs ``_class_bfs`` from the
+start: moves that change the value of one orbit class at a time, until a
+goal turns up or the start's component is exhausted.  That component is
+the start's whole component in the graph above, so a "no" carries an
+exhaustion record, and the budget bounds the explored nodes, never the
+size of the map space.  On the finite-space side the search runs on the
+core C of the source Q instead: what is left once beat points are
+removed, a whole orbit of the symmetric group at a time (plain deciders:
+one point at a time).  Removing a beat point is a strong deformation
+retraction (Stong, "Finite topological spaces", Trans. AMS 123, 1966), so
+the inclusion i: C -> Q and the retraction r: Q -> C give i.r joined to
+the identity of Q by a fence of partial retractions, each comparable with
+the next; the orbits being antichains, every step commutes with the
+group.  Two maps on Q therefore lie in one component exactly when their
+restrictions to C do (Barmak, Algebraic Topology of Finite Topological
+Spaces and Applications, LNM 2032, ch. 1), a goal restricts to a goal on
+C, and h -> h.r lifts a goal and a path on C back to Q.  So a "no" says
+that the start's component was exhausted on the core, whose size every
+such record holds as ``core``; a piece without beat points is its own
+core.  "auto" first runs a quick stage over the goals among the starts
+and the constant maps, which are maps of either kind and invariant under
 every group: the first candidate equal or adjacent to every start (the
 plain deciders try the starts themselves before the constants) connects
 them in one step; on the symmetric side a constant c then connects to the
-start in two steps through ``bridge(c, start)``, a class-constant map
-adjacent to both.  The start check and the quick stage work on Q itself.
-Otherwise "auto" runs the exact search.  "bounded" runs the same two stages
-but reports "unknown" where exact would report "no"; it never answers "no".
-Any other mode raises UnsupportedMode.
+start in two steps through ``bridge(c, start, budget)``, a class-constant
+map adjacent to both.  The bridge's first-fit walk gives up once it has
+tried more values than the node budget, and the exact search then decides
+under the same budget.  The start check and the quick stage work on Q
+itself.  Otherwise "auto" runs the exact search.  "bounded" runs the same
+two stages but reports "unknown" where exact would report "no"; it never
+answers "no".  Any other mode raises UnsupportedMode.
 
 The search packs each node, a class-constant map, into one int with a bit
 field per source point, and each class memoizes its moves by the fields
@@ -105,21 +109,38 @@ class SearchResult:
         return self.status == "yes"
 
 
-def _check_mode(mode):
+def _check_inputs(maps, n, depth, mode, symmetric, simplicial):
+    """(source, target, tables) of a decider's tuple, the tables its maps
+    as dicts, after the checks each decider makes: the mode and the tuple's
+    shape, and for a symmetric decider an invariant source (simplices or
+    elements) and an equivariant tuple."""
     if mode not in ("exact", "auto", "bounded"):
         raise UnsupportedMode(
             f"search mode must be 'exact', 'auto' or 'bounded', not {mode!r}"
         )
-
-
-def _check_tuple_inputs(maps, n):
     if len(maps) != n:
         raise SourceMismatch(f"expected {n} maps, got {len(maps)}")
     src, tgt = maps[0].source, maps[0].target
     for f in maps[1:]:
         if f.source != src or f.target != tgt:
             raise SourceMismatch("tuple maps must share source and target")
-    return src, tgt
+    tables = [f.vertex_map if simplicial else f.mapping for f in maps]
+    if symmetric:
+        group = symmetric_group(n)
+        if simplicial:
+            names = src.vertices
+            if not is_invariant_simplices(src, group, depth):
+                raise NotEquivariant("source is not an invariant subcomplex")
+        else:
+            names = src.elements
+            if not is_invariant_elements(names, group, depth):
+                raise NotEquivariant("source is not an invariant subset")
+        ok, viol = check_equivariant_tuple(tables, n, depth, domain=names)
+        if not ok:
+            raise NotEquivariant(
+                f"tuple is not equivariant: violated at {viol!r}"
+            )
+    return src, tgt, tables
 
 
 def _class_bfs(space, start, stop, budget):
@@ -221,13 +242,6 @@ def _path_to(parents, end):
     return path
 
 
-def _index_classes(names, name_index, group, depth):
-    return [
-        [name_index[x] for x in part]
-        for part in orbit_partition(group, names, depth)
-    ]
-
-
 def _constant_on(values, classes):
     return all(all(values[i] == values[cls[0]] for i in cls) for cls in classes)
 
@@ -279,48 +293,20 @@ def _sees_all(targets):
     return stop
 
 
-def _component_stage(space, start, budget, mode, goal_classes=None, ends=()):
-    """Run _class_bfs for a decider; returns (status, paths, record).
-
-    The search packs the value tuple ``start`` and runs until it reaches a
-    map constant on every class of ``goal_classes`` or, without them, until
-    every value tuple of ``ends`` was seen.  On "yes", ``paths`` holds the
-    unpacked path from start to the hit, or to each of ``ends``.  Exact
-    mode answers "no" on an exhausted component; bounded mode keeps its
-    contract and answers "unknown" instead.
-    """
-    targets = [space.pack(e) for e in ends]
-    if goal_classes is None:
-        goal = _sees_all(targets)
-    else:
-        goal = space.constant_test(goal_classes)
-    parents, hit = _class_bfs(space, space.pack(start), goal, budget)
-    explored = len(parents)
-    paths = None
-    if hit is not None:
-        paths = [[space.unpack(x) for x in _path_to(parents, end)]
-                 for end in (targets or [hit])]
-    if mode == "bounded":
-        status = "yes" if hit is not None else "unknown"
-        return status, paths, {"stage": "bounded", "explored": explored}
-    record = {"total_nodes": explored, "explored": explored, "stage": "exact"}
-    if hit is None:
-        record["exhausted_component"] = True
-    return ("yes" if hit is not None else "no"), paths, record
-
-
-def _first_fit(space, fits):
+def _first_fit(space, fits, budget=None):
     """The lex-first value tuple constant on ``space.classes`` that fits,
     built class by class, or None.
 
     ``fits(ci, values)`` judges the value just written into class ci against
     the classes before it; later classes still hold -1.  ``trial`` keeps the
     next value to try for each class, so the walk needs no recursion: one
-    frame per class would overflow Python's stack on large sources.
+    frame per class would overflow Python's stack on large sources.  Once
+    it has tried more than ``budget`` values the walk gives up with None.
     """
     classes = space.classes
     values = [-1] * space.size
     trial = [0] * len(classes)
+    tried = 0
     ci = 0
     while 0 <= ci < len(classes):
         cls = classes[ci]
@@ -329,6 +315,9 @@ def _first_fit(space, fits):
             for i in cls:
                 values[i] = v
             v += 1
+            tried += 1
+            if budget is not None and tried > budget:
+                return None
             if fits(ci, values):
                 break
         else:
@@ -342,80 +331,60 @@ def _first_fit(space, fits):
     return tuple(values) if ci == len(classes) else None
 
 
-def _constants(space):
-    """The constant maps: simplicial (monotone) and invariant under every
-    group, so each is a goal of the symmetric deciders."""
-    return [(w,) * space.size for w in range(space.nvalues)]
+def _decide(space, starts, n, depth, mode, budget, symmetric):
+    """Start check, quick stage and component search of every decider.
 
-
-def _quick_stage(space, starts, candidates, bridge=False):
-    """Branch paths, one per start, from a candidate equal or adjacent to
-    every start; else, with ``bridge`` and one start, a path candidate ->
-    ``space.bridge(candidate, start)`` -> start; else None."""
-    for cand in candidates:
-        if all(cand == s or space.directions(cand, s) for s in starts):
-            return [[cand] if s == cand else [cand, s] for s in starts]
-    if bridge:
-        start, = starts
-        for cand in candidates:
-            mid = space.bridge(cand, start)
-            if mid is not None:
-                return [[cand, mid, start]]
-    return None
-
-
-def _decide_symmetric(space, sigma_classes, start, witness, mode, budget):
-    """Start check, quick stage and component search of a symmetric decider.
-
-    The goal is a map constant on ``sigma_classes``; ``witness(path)``
-    builds the certificate of a path from a goal to the start, which is
-    in alternating form (see ``_shortcut``).
+    A symmetric decider has one start, and its goal is a map constant on
+    the Sigma_n classes; a plain decider's goal is one component holding
+    every start, from any map.  On "yes" the witness is ``levels``, where
+    ``levels[l][j]`` is the l-th map of branch j as a dict on the source
+    names, a shorter branch held at its last map.  Plain branch j is a path
+    from a common map to start j; symmetric branch j is the one path from a
+    goal to the start, precomposed with the transposition (1, j + 1).  Each
+    path is in alternating form (see ``_shortcut``).
     """
-    def yes(path, record):
-        return SearchResult("yes", witness(_shortcut(path, space.directions)),
-                            record)
+    goal = space.classes_of(symmetric_group(n), depth) if symmetric else None
 
-    if _constant_on(start, sigma_classes):
-        return yes([start], {"stage": "start"})
+    def is_goal(values):
+        return goal is None or _constant_on(values, goal)
+
+    def yes(paths, record):
+        branches = [_shortcut(p, space.directions) for p in paths]
+        if symmetric:
+            perms = [[space.index[act[x]] for x in space.names]
+                     for act in action_tables(
+                         [transposition(n, 1, j) for j in range(1, n + 1)],
+                         space.names, depth)]
+            branches = [[tuple(values[i] for i in perm)
+                         for values in branches[0]] for perm in perms]
+        levels = [[space.map_of(b[min(l, len(b) - 1)]) for b in branches]
+                  for l in range(max(map(len, branches)))]
+        return SearchResult("yes", levels, record)
+
+    start = starts[0]
+    if is_goal(start) and all(s == start for s in starts):
+        return yes([[s] for s in starts], {"stage": "start"})
     if mode in ("auto", "bounded"):
-        quick = _quick_stage(space, [start], _constants(space), bridge=True)
-        if quick is not None:
-            return yes(quick[0], {"stage": "quick"})
+        constants = [(w,) * space.size for w in range(space.nvalues)]
+        candidates = [c for c in starts + constants if is_goal(c)]
+        for cand in candidates:
+            if all(cand == s or space.directions(cand, s) for s in starts):
+                return yes([[cand] if s == cand else [cand, s]
+                            for s in starts], {"stage": "quick"})
+        if symmetric:
+            for cand in candidates:
+                mid = space.bridge(cand, start, budget)
+                if mid is not None:
+                    return yes([[cand, mid, start]], {"stage": "quick"})
     if not _constant_on(start, space.classes):
         raise NotEquivariant("tuple's first map is not constraint-invariant")
     status, paths, record = space.component_stage(
-        start, budget, mode, goal_classes=sigma_classes
+        start, budget, mode, goal_classes=goal,
+        ends=() if symmetric else starts,
     )
     if status != "yes":
         return SearchResult(status, record=record)
-    return yes(paths[0][::-1], record)
-
-
-def _decide_plain(space, starts, witness, mode, budget):
-    """Start check, quick stage and component search of a plain decider.
-
-    The goal is one component holding every start; ``witness(paths)``
-    builds the certificate of one path per start from a common map, each
-    in alternating form (see ``_shortcut``).
-    """
-    def yes(paths, record):
-        return SearchResult(
-            "yes", witness([_shortcut(p, space.directions) for p in paths]),
-            record,
-        )
-
-    if all(s == starts[0] for s in starts):
-        return yes([[s] for s in starts], {"stage": "start"})
-    if mode in ("auto", "bounded"):
-        quick = _quick_stage(space, starts, starts + _constants(space))
-        if quick is not None:
-            return yes(quick, {"stage": "quick"})
-    status, paths, record = space.component_stage(
-        starts[0], budget, mode, ends=starts
-    )
-    if status != "yes":
-        return SearchResult(status, record=record)
-    return yes(paths, record)
+    return yes([paths[0][::-1]] if symmetric else paths, record)
 
 
 class _PackedNodes:
@@ -423,9 +392,10 @@ class _PackedNodes:
 
     The value of source index i sits in the field of ``width`` bits at
     ``width * i``, so a node is one int and hashes as one.  A space sets
-    ``size``, the number of source indices, and ``nvalues``.  Its
-    ``component_stage`` is the deciders' exact stage; the monotone spaces
-    run theirs on the core of the source.
+    ``size``, the number of source indices, and ``nvalues``; a space over
+    named maps sets the names through ``_set_names``, for ``values_of`` and
+    ``map_of``.  Its ``component_stage`` is the deciders' exact stage; the
+    monotone spaces run theirs on the core of the source.
     """
 
     @cached_property
@@ -466,8 +436,57 @@ class _PackedNodes:
 
     def component_stage(self, start, budget, mode, goal_classes=None,
                         ends=()):
-        """The exact stage of a decider over this space: _component_stage."""
-        return _component_stage(self, start, budget, mode, goal_classes, ends)
+        """Run _class_bfs for a decider; returns (status, paths, record).
+
+        The search packs the value tuple ``start`` and runs until it
+        reaches a map constant on every class of ``goal_classes`` or,
+        without them, until every value tuple of ``ends`` was seen.  On
+        "yes", ``paths`` holds the unpacked path from start to the hit, or
+        to each of ``ends``.  Exact mode answers "no" on an exhausted
+        component; bounded mode keeps its contract and answers "unknown"
+        instead.
+        """
+        targets = [self.pack(e) for e in ends]
+        if goal_classes is None:
+            goal = _sees_all(targets)
+        else:
+            goal = self.constant_test(goal_classes)
+        parents, hit = _class_bfs(self, self.pack(start), goal, budget)
+        explored = len(parents)
+        paths = None
+        if hit is not None:
+            paths = [[self.unpack(x) for x in _path_to(parents, end)]
+                     for end in (targets or [hit])]
+        if mode == "bounded":
+            status = "yes" if hit is not None else "unknown"
+            return status, paths, {"stage": "bounded", "explored": explored}
+        record = {"total_nodes": explored, "explored": explored,
+                  "stage": "exact"}
+        if hit is None:
+            record["exhausted_component"] = True
+        return ("yes" if hit is not None else "no"), paths, record
+
+    def _set_names(self, names, tnames):
+        """Name the source indices and the values: ``names[i]`` and
+        ``tnames[v]``, with their inverses ``index`` and ``tindex``."""
+        self.names, self.tnames = list(names), list(tnames)
+        self.index = {x: i for i, x in enumerate(self.names)}
+        self.tindex = {y: v for v, y in enumerate(self.tnames)}
+
+    def classes_of(self, group, depth):
+        """The source indices by orbit of ``group`` on the names, in the
+        order of ``orbit_partition``; one class per index without a group."""
+        if group is None:
+            return [[i] for i in range(len(self.names))]
+        return [[self.index[x] for x in part]
+                for part in orbit_partition(group, self.names, depth)]
+
+    def values_of(self, mapping):
+        """The value tuple of a map given as a dict on the source names."""
+        return tuple(self.tindex[mapping[x]] for x in self.names)
+
+    def map_of(self, values):
+        return {x: self.tnames[v] for x, v in zip(self.names, values)}
 
 
 # ---------------------------------------------------------------------------
@@ -483,34 +502,28 @@ class _SimplicialSpace(_PackedNodes):
         source, target = base_of(source), base_of(target)
         self.source = source
         self.target = target
-        self.sverts = list(source.vertices)
-        self.svi = {v: i for i, v in enumerate(self.sverts)}
-        self.tverts = list(target.vertices)
-        self.tvi = {v: i for i, v in enumerate(self.tverts)}
-        self.size, self.nvalues = len(self.sverts), len(self.tverts)
+        self._set_names(source.vertices, target.vertices)
+        self.size, self.nvalues = len(self.names), len(self.tnames)
         self.facets = [
-            tuple(self.svi[v] for v in f) for f in source.facet_names()
+            tuple(self.index[v] for v in f) for f in source.facet_names()
         ]
         # keys are the target's simplex masks; ext[m] has bit w set when
         # m | 1 << w is a simplex mask too, so every face of a simplex gets
         # the simplex's remaining vertex
         self.ext = {}
-        for t in target.ranked_simplices():  # ranks are tvi positions
+        for t in target.ranked_simplices():  # ranks are tindex positions
             mask = sum(1 << i for i in t)
             self.ext[mask] = self.ext.get(mask, 0) | mask
             for i in t:
                 bit = 1 << i
                 if mask != bit:
                     self.ext[mask ^ bit] = self.ext.get(mask ^ bit, 0) | bit
-        self.classes = (
-            [[i] for i in range(self.size)] if group is None
-            else _index_classes(self.sverts, self.svi, group, depth)
-        )
+        self.classes = self.classes_of(group, depth)
 
     @cached_property
     def _touched(self):
         """Per class, the facets holding one of its vertices."""
-        facets_of_vertex = [[] for _ in self.sverts]
+        facets_of_vertex = [[] for _ in range(self.size)]
         for fi, f in enumerate(self.facets):
             for i in f:
                 facets_of_vertex[i].append(fi)
@@ -542,7 +555,7 @@ class _SimplicialSpace(_PackedNodes):
         """
         ext, facets = self.ext, self.facets
         touched = self._touched
-        every = (1 << len(self.tverts)) - 1
+        every = (1 << self.nvalues) - 1
 
         def allowed(ci, values):
             out = every
@@ -568,16 +581,11 @@ class _SimplicialSpace(_PackedNodes):
         """Contiguity is symmetric: both ways or neither (see _shortcut)."""
         return 3 if self.pair_contiguous(a, b) else 0
 
-    def values_of(self, vertex_map):
-        return tuple(self.tvi[vertex_map[v]] for v in self.sverts)
-
-    def map_of(self, values):
-        return {v: self.tverts[w] for v, w in zip(self.sverts, values)}
-
-    def bridge(self, a, b):
+    def bridge(self, a, b, budget=None):
         """The lex-first class-constant map 1-contiguous with both a and b,
-        or None.  Such a map is simplicial, the simplex set being closed
-        under faces."""
+        or None, also once the walk has tried more than ``budget`` values.
+        Such a map is simplicial, the simplex set being closed under
+        faces."""
         am = self.full_masks(a)
         bm = self.full_masks(b)
         touched = self._touched
@@ -593,7 +601,7 @@ class _SimplicialSpace(_PackedNodes):
                     return False
             return True
 
-        return _first_fit(self, fits)
+        return _first_fit(self, fits, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -608,69 +616,36 @@ def sym_contiguous(maps, n, depth, mode="exact", budget=50_000,
     Returns SearchResult; a yes carries a ContiguityChain from a diagonal
     invariant tuple to the given tuple.
     """
-    _check_mode(mode)
-    source, target = _check_tuple_inputs(maps, n)
-    if not is_invariant_simplices(source, symmetric_group(n), depth):
-        raise NotEquivariant("source is not an invariant subcomplex")
-    tables = [f.vertex_map for f in maps]
-    ok, viol = check_equivariant_tuple(tables, n, depth, domain=source.vertices)
-    if not ok:
-        raise NotEquivariant(f"tuple is not equivariant: violated at {viol!r}")
-
-    space = _SimplicialSpace(
-        source, target, tuple_constraint_group(n).elements, depth
-    )
-    sigma_classes = _index_classes(
-        space.sverts, space.svi, symmetric_group(n), depth
-    )
-    swaps = action_tables(
-        [transposition(n, 1, j) for j in range(1, n + 1)], space.sverts, depth
-    )
-
-    def chain_of(path_values):
-        levels = []
-        for vals in path_values:
-            f1 = space.map_of(vals)
-            levels.append([
-                {v: f1[act[v]] for v in space.sverts} for act in swaps
-            ])
-        return ContiguityChain(
-            n=n, depth=depth, symmetric=True, source=source,
-            target=target_ordered if target_ordered is not None else target,
-            levels=levels,
-        )
-
-    return _decide_symmetric(
-        space, sigma_classes, space.values_of(tables[0]), chain_of, mode,
-        budget,
-    )
+    return _contiguity(maps, n, depth, mode, budget, target_ordered, True)
 
 
 def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
                      target_ordered=None):
     """Do the maps lie in one contiguity class?  Witness: chain from a
     diagonal tuple (no invariance requirement) to the given tuple."""
-    _check_mode(mode)
-    n = len(maps)
-    source, target = _check_tuple_inputs(maps, n)
-    space = _SimplicialSpace(source, target)
+    return _contiguity(maps, len(maps), depth, mode, budget, target_ordered,
+                       False)
 
-    def chain_of(branch_paths):
-        c = max(len(p) for p in branch_paths)
-        levels = []
-        for l in range(c):
-            levels.append([
-                space.map_of(p[l] if l < len(p) else p[-1])
-                for p in branch_paths
-            ])
-        return ContiguityChain(
-            n=n, depth=depth, symmetric=False, source=source,
+
+def _contiguity(maps, n, depth, mode, budget, target_ordered, symmetric):
+    """The contiguity deciders: the driver over simplicial maps, its levels
+    the ContiguityChain of a yes."""
+    source, target, tables = _check_inputs(maps, n, depth, mode, symmetric,
+                                           simplicial=True)
+    space = _SimplicialSpace(
+        source, target,
+        tuple_constraint_group(n).elements if symmetric else None, depth,
+    )
+    starts = [space.values_of(t)
+              for t in (tables[:1] if symmetric else tables)]
+    res = _decide(space, starts, n, depth, mode, budget, symmetric)
+    if res.yes:
+        res.witness = ContiguityChain(
+            n=n, depth=depth, symmetric=symmetric, source=source,
             target=target_ordered if target_ordered is not None else target,
-            levels=levels,
+            levels=res.witness,
         )
-
-    starts = [space.values_of(f.vertex_map) for f in maps]
-    return _decide_plain(space, starts, chain_of, mode, budget)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -832,9 +807,10 @@ class _MonotoneMoves(_PackedNodes):
     def pair_le(self, a, b):
         return all(self.up[x] >> y & 1 for x, y in zip(a, b))
 
-    def bridge(self, a, b):
+    def bridge(self, a, b, budget=None):
         """The lex-first class-constant monotone map above both a and b,
-        else the lex-first one below both, or None."""
+        else the lex-first one below both, or None; each walk gives up once
+        it has tried more than ``budget`` values."""
         below, above = self._neighbours
         for bound in (self.up, self.down):
             limits = [-1] * len(self.classes)
@@ -855,7 +831,7 @@ class _MonotoneMoves(_PackedNodes):
                 return True
 
             if all(limits):
-                found = _first_fit(self, fits)
+                found = _first_fit(self, fits, budget)
                 if found is not None:
                     return found
         return None
@@ -881,7 +857,8 @@ class _MonotoneMoves(_PackedNodes):
 
     def component_stage(self, start, budget, mode, goal_classes=None,
                         ends=()):
-        """_component_stage on the core of the source, its paths lifted.
+        """The base component_stage on the core of the source, its paths
+        lifted.
 
         The core C comes from ``_beat_core`` over the orbits of
         ``goal_classes`` (the symmetric group's), or over single points
@@ -900,7 +877,7 @@ class _MonotoneMoves(_PackedNodes):
         def on_core(values):
             return tuple(values[i] for i in pos)
 
-        status, paths, record = _component_stage(
+        status, paths, record = _PackedNodes.component_stage(
             core, on_core(start), budget, mode,
             goal_classes=None if goal_classes is None
             else _classes_on(goal_classes, pos),
@@ -932,24 +909,14 @@ class _MonotoneSpace(_MonotoneMoves):
     def __init__(self, Q, P, group=None, depth=0):
         self.Q = Q
         self.P = P
-        self.els = list(Q.elements)
-        self.ei = {x: i for i, x in enumerate(self.els)}
-        self.tels = list(P.elements)
-        self.ti = {x: i for i, x in enumerate(self.tels)}
+        self._set_names(Q.elements, P.elements)
         under, over = _strict_masks(P.leq)
         super().__init__(
             *_strict_masks(Q.leq),
             [m | 1 << v for v, m in enumerate(over)],
             [m | 1 << v for v, m in enumerate(under)],
-            [[i] for i in range(len(self.els))] if group is None
-            else _index_classes(self.els, self.ei, group, depth),
+            self.classes_of(group, depth),
         )
-
-    def values_of(self, mapping):
-        return tuple(self.ti[mapping[x]] for x in self.els)
-
-    def map_of(self, values):
-        return {x: self.tels[v] for x, v in zip(self.els, values)}
 
 
 # ---------------------------------------------------------------------------
@@ -961,67 +928,38 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
     """Decide symmetric combinatorial homotopy of an equivariant tuple of
     monotone maps on an invariant open source.  Witness: a table over
     J_{n,m} with m the alternating path length."""
-    _check_mode(mode)
-    Q, P = _check_tuple_inputs(maps, n)
-    if not is_invariant_elements(Q.elements, symmetric_group(n), depth):
-        raise NotEquivariant("source is not an invariant subset")
-    tables = [f.mapping for f in maps]
-    ok, viol = check_equivariant_tuple(tables, n, depth, domain=Q.elements)
-    if not ok:
-        raise NotEquivariant(f"tuple is not equivariant: violated at {viol!r}")
-
-    space = _MonotoneSpace(Q, P, tuple_constraint_group(n).elements, depth)
-    sigma_classes = _index_classes(space.els, space.ei, symmetric_group(n), depth)
-    swaps = action_tables(
-        [transposition(n, 1, j) for j in range(1, n + 1)], Q.elements, depth
-    )
-
-    def homotopy_of(path):
-        m = len(path) - 1
-        table = {}
-        for x in Q.elements:
-            table[(x, (0, 0))] = space.map_of(path[0])[x]
-        for l in range(1, m + 1):
-            fl = space.map_of(path[l])
-            for j, act in enumerate(swaps, start=1):
-                for x in Q.elements:
-                    table[(x, (l, j))] = fl[act[x]]
-        return CombinatorialHomotopy(
-            n=n, m=m, depth=depth, symmetric=True,
-            source=Q, target=P, table=table,
-        )
-
-    res = _decide_symmetric(
-        space, sigma_classes, space.values_of(tables[0]), homotopy_of, mode,
-        budget,
-    )
-    if res.record.get("stage") == "exact" and not Q.is_connected():
-        res.record["disconnected_source"] = True
-    return res
+    return _homotopy(maps, n, depth, mode, budget, True)
 
 
 def plain_comb_homotopic(maps, depth=0, mode="exact", budget=50_000):
     """Are the monotone maps combinatorially homotopic (common fence start)?"""
-    _check_mode(mode)
-    n = len(maps)
-    Q, P = _check_tuple_inputs(maps, n)
-    space = _MonotoneSpace(Q, P)
+    return _homotopy(maps, len(maps), depth, mode, budget, False)
 
-    def homotopy_of(branch_paths):
-        m = max(len(p) - 1 for p in branch_paths)
-        seqs = [p + [p[-1]] * (m - (len(p) - 1)) for p in branch_paths]
-        table = {}
-        for x in Q.elements:
-            table[(x, (0, 0))] = space.map_of(seqs[0][0])[x]
-        for j in range(1, n + 1):
-            for l in range(1, m + 1):
-                fl = space.map_of(seqs[j - 1][l])
-                for x in Q.elements:
-                    table[(x, (l, j))] = fl[x]
-        return CombinatorialHomotopy(
-            n=n, m=m, depth=depth, symmetric=False,
+
+def _homotopy(maps, n, depth, mode, budget, symmetric):
+    """The homotopy deciders: the driver over monotone maps, its levels the
+    CombinatorialHomotopy of a yes, with cell (x, (0, 0)) from level 0's
+    first map and cell (x, (l, j)) from level l's j-th."""
+    Q, P, tables = _check_inputs(maps, n, depth, mode, symmetric,
+                                 simplicial=False)
+    space = _MonotoneSpace(
+        Q, P, tuple_constraint_group(n).elements if symmetric else None, depth
+    )
+    starts = [space.values_of(t)
+              for t in (tables[:1] if symmetric else tables)]
+    res = _decide(space, starts, n, depth, mode, budget, symmetric)
+    if res.yes:
+        levels = res.witness
+        table = {(x, (0, 0)): v for x, v in levels[0][0].items()}
+        for l, level in enumerate(levels[1:], start=1):
+            for j, f in enumerate(level, start=1):
+                for x, v in f.items():
+                    table[(x, (l, j))] = v
+        res.witness = CombinatorialHomotopy(
+            n=n, m=len(levels) - 1, depth=depth, symmetric=symmetric,
             source=Q, target=P, table=table,
         )
-
-    starts = [space.values_of(f.mapping) for f in maps]
-    return _decide_plain(space, starts, homotopy_of, mode, budget)
+    if (symmetric and res.record.get("stage") == "exact"
+            and not Q.is_connected()):
+        res.record["disconnected_source"] = True
+    return res

@@ -258,6 +258,29 @@ def test_budget_exit_code(docs, capsys):
     assert code == 3
 
 
+def test_bridge_walk_bounded_by_the_budget(docs, tmp_path):
+    """On the circle at r = 1 (96 source points, 96 constraint classes, 4
+    values) the quick stage's bridge walk backtracks without end; the node
+    budget stops it, and the exact search then exceeds the same budget:
+    exit 3, not a hang."""
+    import subprocess
+    import sys
+
+    import symtc
+
+    src = os.path.dirname(os.path.dirname(symtc.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from symtc.cli import main; sys.exit(main())",
+         "homotopic", "--input", str(docs / "circle.json"), "--r", "1",
+         "--mode", "auto", "--cert-dir", str(tmp_path)],
+        capture_output=True, text=True, check=False, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("budget exceeded: ")
+
+
 def test_report_determinism(docs, capsys, tmp_path):
     """Identical config and inputs give byte-identical reports modulo timing."""
     outs = []

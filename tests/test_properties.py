@@ -8,6 +8,7 @@ from symtc.actions import (
     act_name,
     act_simplex,
     identity,
+    is_invariant_elements,
     is_invariant_simplices,
     orbit_partition_simplices,
     symmetric_group,
@@ -152,6 +153,17 @@ def test_action_tables_against_act_simplex(family):
         act_simplex(g, s, depth) in simplices for g in group for s in simplices
     )
     assert is_invariant_simplices(simplices, group, depth) == invariant
+
+
+@given(acted_families())
+@settings(max_examples=60, deadline=None)
+def test_is_invariant_elements_against_act_name(family):
+    group, simplices, depth = family
+    for elements in (set().union(*simplices), min(simplices, key=len)):
+        invariant = all(
+            act_name(g, x, depth) in elements for g in group for x in elements
+        )
+        assert is_invariant_elements(elements, group, depth) == invariant
 
 
 

@@ -374,7 +374,7 @@ def test_class_walks_are_not_recursion():
         assert monotone.bridge((0,) * size, (1,) * size) == (1,) * size
         # a and b have no upper bound in c < a, b, only the lower bound c
         monotone = _MonotoneSpace(chain, vee)
-        a, b, c = (monotone.ti[x] for x in "abc")
+        a, b, c = (monotone.tindex[x] for x in "abc")
         assert monotone.bridge((a,) * size, (b,) * size) == (c,) * size
         res = sym_comb_homotopic(tuple_maps, 2, 0, mode="exact")
     finally:
@@ -385,6 +385,25 @@ def test_class_walks_are_not_recursion():
         "stage": "exact", "core": 1, "explored": 1, "total_nodes": 1,
     }
     assert validate(res.witness)
+
+
+def test_bridge_walk_stops_at_the_budget():
+    """A first-fit walk that would try 2**30 values gives up with None
+    instead of trying one value more than its budget."""
+    from symtc.complexes import from_facets
+    from symtc.search import _first_fit, _SimplicialSpace
+
+    size = 30
+    path = from_facets(range(size), [(i, i + 1) for i in range(size - 1)])
+    space = _SimplicialSpace(path, from_facets("ab", [("a", "b")]))
+    tried = []
+
+    def fits(ci, values):  # every class fits but the last
+        tried.append(ci)
+        return ci < size - 1
+
+    assert _first_fit(space, fits, budget=100) is None
+    assert len(tried) == 100
 
 
 def test_quick_stage_bridges_from_a_constant(square_cycle):

@@ -36,7 +36,7 @@ def _class_constant_maps(space, fits):
 
 def _simplicial_oracle(space):
     """(fits, allowed) from the definitions, on target vertex bitmasks."""
-    simplices = {sum(1 << space.tvi[v] for v in s) for s in space.target.simplices}
+    simplices = {sum(1 << space.tindex[v] for v in s) for s in space.target.simplices}
 
     def image(values, f):
         return sum({1 << values[i] for i in f})
