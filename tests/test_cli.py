@@ -260,9 +260,9 @@ def test_budget_exit_code(docs, capsys):
 
 def test_bridge_walk_bounded_by_the_budget(docs, tmp_path):
     """On the circle at r = 1 (96 source points, 96 constraint classes, 4
-    values) the quick stage's bridge walk backtracks without end; the node
-    budget stops it, and the exact search then exceeds the same budget:
-    exit 3, not a hang."""
+    values) the quick stage's bridge walk could backtrack through up to
+    4**96 value tuples; the node budget stops it, and the exact search
+    then exceeds the same budget: exit 3, not a hang."""
     import subprocess
     import sys
 
