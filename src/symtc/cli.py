@@ -6,8 +6,8 @@ budgets where it takes ``--budget``; any other flag, or a ``--mode`` the
 command does not run, is a usage error.
 
 Exit codes: 0 success, 2 infeasible (the value is infinite), 3 budget
-exceeded, 4 validation, parse or usage failure (one line on standard
-error).  The environment variable
+exceeded, 4 validation, parse, usage or file system failure (one line on
+standard error).  The environment variable
 SYMTC_BUDGET overrides the default caps.  All output is canonical JSON;
 timing fields live under a separate key so reports are otherwise
 byte-reproducible.
@@ -170,7 +170,7 @@ def cmd_face_poset(cfg):
 def cmd_orbits(cfg):
     doc = load_json(cfg.input)
     group = symmetric_group(cfg.n)
-    if "elements" in doc:
+    if isinstance(doc, dict) and "elements" in doc:
         P = _load_poset(cfg)
         tower = poset_tower(P, cfg.n, cfg.r, budget=cfg.budgets()["simplices"])
         names = tower.top().elements
@@ -321,7 +321,7 @@ def cmd_stabilize(cfg):
         },
     )
     _emit(cfg, report)
-    return EXIT_OK
+    return EXIT_INFEASIBLE if running == complexity.INFINITY else EXIT_OK
 
 
 # option -> (flags, argparse keywords)
@@ -407,7 +407,7 @@ def main(argv=None):
     except (ParseError, ValidationError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except SymtcError as exc:
+    except (SymtcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -11,8 +11,6 @@ them.  All instances are immutable after construction.
 
 from itertools import combinations
 
-import numpy as np
-
 from .errors import EmptyFacet, NotASubcomplex, UnknownVertex, UnorderedInput
 from .util import ckey, csorted, name_of
 
@@ -205,8 +203,7 @@ class OrderedComplex:
         if tuple(order.elements) != tuple(base.vertices):
             raise UnorderedInput("vertex order must cover exactly the vertex set")
         # comparable[i]: the int bitmask of the vertices comparable to i
-        rows = np.packbits(order.leq | order.leq.T, axis=1, bitorder="little")
-        comparable = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        comparable = [u | d for u, d in zip(order.up, order.down)]
         for t in base.ranked_facets():
             mask = 0
             for i in t:

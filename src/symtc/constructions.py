@@ -7,8 +7,6 @@ largest member under that level's order.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .complexes import (
     OrderedComplex,
     SimplicialComplex,
@@ -39,9 +37,10 @@ def totalize(K):
     if isinstance(K, OrderedComplex):
         return K
     els = tuple(csorted(K.vertices))
-    n = len(els)
-    leq = np.triu(np.ones((n, n), dtype=bool))
-    return OrderedComplex(K, FinitePoset(els, leq))
+    full = (1 << len(els)) - 1
+    return OrderedComplex(
+        K, FinitePoset(els, [full >> i << i for i in range(len(els))])
+    )
 
 
 def barycentric_subdivide(K, budget=None):

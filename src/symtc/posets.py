@@ -1,14 +1,15 @@
 """Finite posets viewed as finite T0 spaces.
 
-Order is stored as a full boolean matrix after reflexive-transitive closure,
-so comparability queries are O(1).  Open sets are down-sets: the minimal open
-set containing x is ``U_x = {y : y <= x}``.
+Order is stored after reflexive-transitive closure as one int bitmask per
+element and direction: ``up[i]`` has bit j set when element i <= element j,
+and ``down`` is its transpose.  A comparability query is one shift, and the
+map searches, the section sweep, the order complex and the checker read
+these masks as they are.  Open sets are down-sets: the minimal open set
+containing x is ``U_x = {y : y <= x}``, the bits of ``down``.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
-
-import numpy as np
 
 from .complexes import OrderedComplex, SimplicialComplex
 from .errors import (
@@ -18,23 +19,30 @@ from .errors import (
     SizeLimitExceeded,
     UnknownElement,
 )
-from .util import csorted
+from .util import bits, csorted
 
 
 class FinitePoset:
-    """Immutable finite poset over canonically sorted elements."""
+    """Immutable finite poset over canonically sorted elements.
 
-    __slots__ = ("elements", "index", "leq", "_key")
+    ``elements`` must already be in canonical order.  ``up[i]`` is the int
+    bitmask of the elements above element i (bit j set when i <= j) and
+    ``down[i]`` that of the elements below it, the transpose.
+    """
 
-    def __init__(self, elements, leq_matrix):
-        elements = tuple(csorted(set(elements)))
-        n = len(elements)
-        leq = np.array(leq_matrix, dtype=bool).reshape(n, n).copy()
-        leq.setflags(write=False)
-        self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)}
-        self.leq = leq
-        self._key = (elements, leq.tobytes())
+    __slots__ = ("elements", "index", "up", "down", "_key")
+
+    def __init__(self, elements, up):
+        self.elements = tuple(elements)
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.up = tuple(up)
+        down = [0] * len(self.up)
+        for i, mask in enumerate(self.up):
+            bit = 1 << i
+            for j in bits(mask):
+                down[j] |= bit
+        self.down = tuple(down)
+        self._key = (self.elements, self.up)
 
     # -- basic queries ---------------------------------------------------
 
@@ -51,27 +59,21 @@ class FinitePoset:
             raise UnknownElement(f"element {x!r} not in poset") from None
 
     def le(self, a, b):
-        return bool(self.leq[self._i(a), self._i(b)])
+        return bool(self.up[self._i(a)] >> self._i(b) & 1)
 
     def lt(self, a, b):
         return a != b and self.le(a, b)
 
     def comparable(self, a, b):
         i, j = self._i(a), self._i(b)
-        return bool(self.leq[i, j] or self.leq[j, i])
+        return bool((self.up[i] | self.down[i]) >> j & 1)
 
     def down_set(self, x):
         """U_x = {y : y <= x}."""
-        i = self._i(x)
-        return frozenset(
-            self.elements[j] for j in np.flatnonzero(self.leq[:, i])
-        )
+        return frozenset(self.elements[j] for j in bits(self.down[self._i(x)]))
 
     def up_set(self, x):
-        i = self._i(x)
-        return frozenset(
-            self.elements[j] for j in np.flatnonzero(self.leq[i, :])
-        )
+        return frozenset(self.elements[j] for j in bits(self.up[self._i(x)]))
 
     def is_open(self, S):
         """A subset is open iff it is downward closed."""
@@ -113,36 +115,40 @@ class FinitePoset:
         return best
 
     def covers(self):
-        """Hasse diagram pairs (a, b) with a < b and nothing in between."""
-        lt = self.leq & ~np.eye(len(self.elements), dtype=bool)
-        between = lt @ lt
-        child = lt & ~between
-        return [
-            (self.elements[i], self.elements[j])
-            for i, j in zip(*np.nonzero(child))
-        ]
+        """Hasse diagram pairs (a, b) with a < b and nothing in between,
+        in row-major order of the element indices."""
+        above = [m ^ 1 << i for i, m in enumerate(self.up)]
+        out = []
+        for i, over in enumerate(above):
+            between = 0
+            for k in bits(over):
+                between |= above[k]
+            out.extend((self.elements[i], self.elements[j])
+                       for j in bits(over & ~between))
+        return out
 
     def is_connected(self):
         """Is the comparability graph connected?  The empty poset is not: it
         has no component at all."""
-        n = len(self.elements)
-        if n == 0:
+        if not self.up:
             return False
-        comp = self.leq | self.leq.T
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
+        seen = frontier = 1
         while frontier:
-            nxt = np.flatnonzero(comp[frontier].any(axis=0) & ~seen)
-            seen[nxt] = True
-            frontier = list(nxt)
-        return bool(seen.all())
+            reach = 0
+            for i in bits(frontier):
+                reach |= self.up[i] | self.down[i]
+            frontier = reach & ~seen
+            seen |= frontier
+        return seen == (1 << len(self.up)) - 1
 
     def restrict(self, S):
         """Induced sub-poset on a subset of elements."""
         S = csorted(set(S))
         idx = [self._i(x) for x in S]
-        return FinitePoset(S, self.leq[np.ix_(idx, idx)])
+        return FinitePoset(S, [
+            sum(1 << k for k, j in enumerate(idx) if self.up[i] >> j & 1)
+            for i in idx
+        ])
 
     def __eq__(self, other):
         return isinstance(other, FinitePoset) and self._key == other._key
@@ -158,27 +164,27 @@ def poset_from_relations(elements, generators):
     """Reflexive-transitive closure of generating pairs (a, b) meaning a <= b."""
     elements = tuple(csorted(set(elements)))
     index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    leq = np.eye(n, dtype=bool)
+    up = [1 << i for i in range(len(elements))]
     for a, b in generators:
         if a not in index:
             raise UnknownElement(f"relation uses unknown element {a!r}")
         if b not in index:
             raise UnknownElement(f"relation uses unknown element {b!r}")
-        leq[index[a], index[b]] = True
-    # Warshall closure
-    changed = True
-    while changed:
-        nxt = leq | (leq @ leq)
-        changed = bool((nxt != leq).any())
-        leq = nxt
-    cyc = leq & leq.T & ~np.eye(n, dtype=bool)
-    if cyc.any():
-        i, j = map(int, np.argwhere(cyc)[0])
-        raise CycleDetected(
-            f"antisymmetry violated: {elements[i]!r} <= {elements[j]!r} <= {elements[i]!r}"
-        )
-    return FinitePoset(elements, leq)
+        up[index[a]] |= 1 << index[b]
+    # Warshall closure: whatever reaches k reaches all k reaches
+    for k in range(len(up)):
+        bit = 1 << k
+        for i, mask in enumerate(up):
+            if mask & bit:
+                up[i] = mask | up[k]
+    for i, mask in enumerate(up):
+        for j in bits(mask ^ 1 << i):
+            if up[j] >> i & 1:
+                raise CycleDetected(
+                    f"antisymmetry violated: {elements[i]!r} <= "
+                    f"{elements[j]!r} <= {elements[i]!r}"
+                )
+    return FinitePoset(elements, up)
 
 
 def principal_down_set(P, x):
@@ -189,20 +195,35 @@ def is_open(P, S):
     return P.is_open(S)
 
 
+def _componentwise(P, rows):
+    """The up masks of the componentwise order of P on index tuples
+    ``rows``: row a lies below row b when each coordinate of a lies below
+    that of b in P."""
+    width = len(rows[0]) if rows else 0
+    # above[k][v]: the rows whose k-th coordinate lies above value v
+    above = [[0] * len(P.elements) for _ in range(width)]
+    for b, row in enumerate(rows):
+        bit = 1 << b
+        for col, v in zip(above, row):
+            for u in bits(P.down[v]):
+                col[u] |= bit
+    full = (1 << len(rows)) - 1
+    up = []
+    for row in rows:
+        mask = full
+        for col, v in zip(above, row):
+            mask &= col[v]
+        up.append(mask)
+    return up
+
+
 def power_poset(P, n):
     """P^n with componentwise order; elements are n-tuples."""
     if n < 1:
         raise BadArity("power requires n >= 1")
-    elements = [tuple(t) for t in iproduct(P.elements, repeat=n)]
-    elements = csorted(elements)
-    m = len(elements)
-    idx = np.array(
-        [[P.index[t[k]] for k in range(n)] for t in elements], dtype=int
-    ).reshape(m, n)  # (0, n) when P is empty
-    leq = np.ones((m, m), dtype=bool)
-    for k in range(n):
-        leq &= P.leq[np.ix_(idx[:, k], idx[:, k])]
-    return FinitePoset(elements, leq)
+    elements = csorted(tuple(t) for t in iproduct(P.elements, repeat=n))
+    rows = [[P.index[x] for x in t] for t in elements]
+    return FinitePoset(elements, _componentwise(P, rows))
 
 
 class MonotoneMap:
@@ -284,16 +305,13 @@ class MonotoneWalk:
         nq, npp = len(Q.elements), len(P.elements)
         if classes is None:
             classes = [[i] for i in range(nq)]
-        leq_q, leq_p = Q.leq.tolist(), P.leq.tolist()
-        up = [sum(1 << w for w in range(npp) if leq_p[v][w])
-              for v in range(npp)]
-        down = [sum(1 << w for w in range(npp) if leq_p[w][v])
-                for v in range(npp)]
+        up, down = P.up, P.down
         bounds, earlier = [], []
         for cls in classes:
+            members = sum(1 << i for i in cls)
             bounds.append(
-                [(j, up) for j in earlier if any(leq_q[j][i] for i in cls)]
-                + [(j, down) for j in earlier if any(leq_q[i][j] for i in cls)]
+                [(j, up) for j in earlier if Q.up[j] & members]
+                + [(j, down) for j in earlier if Q.down[j] & members]
             )
             earlier.extend(cls)
         self.nq, self.full = nq, (1 << npp) - 1
@@ -379,12 +397,7 @@ def mapping_poset(Q, P, budget=None):
     """
     tuples = monotone_value_tuples(Q, P, budget=budget)
     elements = [tuple(P.elements[v] for v in vals) for vals in tuples]
-    m = len(elements)
-    leq = np.ones((m, m), dtype=bool)
-    arr = np.array(tuples, dtype=int).reshape(m, len(Q.elements))
-    for k in range(len(Q.elements)):
-        leq &= P.leq[np.ix_(arr[:, k], arr[:, k])]
-    return FinitePoset(elements, leq)
+    return FinitePoset(elements, _componentwise(P, tuples))
 
 
 # -- chains, order complex, face poset --------------------------------------
@@ -395,14 +408,13 @@ def chain_walk(P, budget=None, admits=None):
     depth-first order.
 
     The walk extends a chain by the strict successors of its last element,
-    read once per element from ``leq``.  With ``admits``, a chain is kept
+    read once per element from ``up``.  With ``admits``, a chain is kept
     and extended only when ``admits(chain)`` holds for its list of indices;
     the test must hold on every subchain of a chain it admits.  Raises
     BudgetExceeded as soon as more than ``budget`` chains have been found.
     """
     n = len(P.elements)
-    lt = P.leq & ~np.eye(n, dtype=bool)
-    succ = [np.flatnonzero(row).tolist() for row in lt]
+    succ = [bits(m ^ 1 << i) for i, m in enumerate(P.up)]
     chains, chain = [], []
     stack = [iter(range(n))]
     while stack:
@@ -452,16 +464,13 @@ def face_poset(K):
         K = K.base
     ranked = K.ranked_simplices()
     index = {t: i for i, t in enumerate(ranked)}
-    rows, cols = [], []
+    up = [0] * len(ranked)
     for j, t in enumerate(ranked):
+        bit = 1 << j
         for k in range(1, len(t) + 1):
             for sub in combinations(t, k):
-                rows.append(index[sub])
-                cols.append(j)
-    n = len(ranked)
-    leq = np.zeros((n, n), dtype=bool)
-    leq[rows, cols] = True
-    return FinitePoset(K.simplex_names(), leq)
+                up[index[sub]] |= bit
+    return FinitePoset(K.simplex_names(), up)
 
 
 def sd_poset(P, budget=None):

@@ -60,7 +60,6 @@ operations and hashes once; only the nodes of an emitted path are unpacked.
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 
 from .actions import (
     action_tables,
@@ -653,20 +652,6 @@ def _contiguity(maps, n, depth, mode, budget, target_ordered, symmetric):
 # ---------------------------------------------------------------------------
 
 
-def _strict_masks(leq):
-    """Per point of a poset given by its ``leq`` matrix, the bitmask of the
-    points strictly below it and the bitmask of those strictly above it."""
-    rows = leq.tolist()
-    below = [0] * len(rows)
-    above = [0] * len(rows)
-    for i, row in enumerate(rows):
-        for j in compress(range(len(rows)), row):
-            if i != j:
-                above[i] |= 1 << j
-                below[j] |= 1 << i
-    return below, above
-
-
 def _beat_value(x, alive, below, above):
     """The point the beat point x of the ``alive`` points retracts to: the
     maximum of the alive points below x, else the minimum of those above
@@ -910,11 +895,11 @@ class _MonotoneSpace(_MonotoneMoves):
         self.Q = Q
         self.P = P
         self._set_names(Q.elements, P.elements)
-        under, over = _strict_masks(P.leq)
         super().__init__(
-            *_strict_masks(Q.leq),
-            [m | 1 << v for v, m in enumerate(over)],
-            [m | 1 << v for v, m in enumerate(under)],
+            [m ^ 1 << i for i, m in enumerate(Q.down)],
+            [m ^ 1 << i for i, m in enumerate(Q.up)],
+            P.up,
+            P.down,
             self.classes_of(group, depth),
         )
 

@@ -221,12 +221,14 @@ class _Sweep:
 
     def __init__(self, Q, walk, sigma_classes, budget):
         classes = walk.classes
-        leq = Q.leq.tolist()
         nc, npp = len(classes), len(walk.up)
+        members = [sum(1 << i for i in cls) for cls in classes]
+        under = [0] * nc
+        for c, cls in enumerate(classes):
+            for x in cls:
+                under[c] |= Q.down[x]
         below = [
-            [d for d in range(nc) if d != c and any(
-                leq[y][x] for x in classes[c] for y in classes[d]
-            )]
+            [d for d in range(nc) if d != c and under[c] & members[d]]
             for c in range(nc)
         ]
         above = [[d for d in range(nc) if c in below[d]] for c in range(nc)]

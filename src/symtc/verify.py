@@ -11,7 +11,7 @@ resulting tuple is the projection value.
 The checker acts on names with its own table (``_name_action``), built once
 per validation call, level by level, so each nested sub-name is acted on
 once per group element.  Order relations are compared through the posets'
-``leq`` matrices by element index, each label looked up once per call.
+``up`` masks by element index, each label looked up once per call.
 
 A contiguity chain is checked by vertex position.  Source vertices are
 numbered by their rank in the source, target vertices by one bit each, and
@@ -29,8 +29,6 @@ permutation of positions per element.
 
 from dataclasses import dataclass, field
 from itertools import combinations
-
-import numpy as np
 
 from .actions import act_fence_point, symmetric_group
 from .complexes import OrderedComplex, base_of
@@ -149,8 +147,13 @@ def _name_action(group, names, depth):
 
 def _leq_pairs(poset):
     """Index pairs (a, b) with a <= b, in row-major order of the elements."""
-    rows, cols = np.nonzero(poset.leq)
-    return list(zip(rows.tolist(), cols.tolist()))
+    pairs = []
+    for a, mask in enumerate(poset.up):
+        while mask:
+            low = mask & -mask
+            pairs.append((a, low.bit_length() - 1))
+            mask ^= low
+    return pairs
 
 
 def validate(cert):
@@ -351,11 +354,11 @@ def _fence_table_monotone(rep, table, Q, J, P, what):
                 return None
             row.append(i)
         vals.append(row)
-    ple = P.leq.tolist()
+    pup = P.up
     fence = _leq_pairs(J.poset)
     for x, row in zip(Q.elements, vals):
         for a, b in fence:
-            if not ple[row[a]][row[b]]:
+            if not pup[row[a]] >> row[b] & 1:
                 rep.fail(
                     f"{what} not monotone along the fence at {x!r}: "
                     f"{points[a]!r} <= {points[b]!r}"
@@ -364,7 +367,7 @@ def _fence_table_monotone(rep, table, Q, J, P, what):
     below = _leq_pairs(Q)
     for k, t in enumerate(points):
         for a, b in below:
-            if not ple[vals[a][k]][vals[b][k]]:
+            if not pup[vals[a][k]] >> vals[b][k] & 1:
                 rep.fail(
                     f"{what} not monotone in the source at {t!r}: "
                     f"{Q.elements[a]!r} <= {Q.elements[b]!r}"
@@ -437,7 +440,7 @@ def _validate_section(cert):
     J = multi_fence(n, m)
     points = list(J.poset.elements)
     index = P.index
-    ple = P.leq.tolist()
+    pup = P.up
     fence = _leq_pairs(J.poset)
     vals = []
     for x in Q.elements:
@@ -456,7 +459,7 @@ def _validate_section(cert):
                 return rep
             row.append(i)
         for a, b in fence:
-            if not ple[row[a]][row[b]]:
+            if not pup[row[a]] >> row[b] & 1:
                 rep.fail(
                     f"path for {x!r} is not monotone: "
                     f"{points[a]!r} <= {points[b]!r}"
@@ -467,7 +470,7 @@ def _validate_section(cert):
     for a, b in _leq_pairs(Q):
         ra, rb = vals[a], vals[b]
         for k, t in enumerate(points):
-            if not ple[ra[k]][rb[k]]:
+            if not pup[ra[k]] >> rb[k] & 1:
                 rep.fail(
                     f"section not monotone: {Q.elements[a]!r} <= "
                     f"{Q.elements[b]!r} at {t!r}"

@@ -60,6 +60,12 @@ class NameComplex:
         )
 
 
+def le_table(P):
+    """The order of a poset as rows of bools by element index, read
+    through ``P.le`` one pair at a time."""
+    return [[P.le(a, b) for b in P.elements] for a in P.elements]
+
+
 def brute_chains(elements, le):
     """All nonempty chains of a poset given as a le predicate."""
     chains = []

@@ -217,6 +217,48 @@ def test_stabilize(docs, capsys):
     assert [row["value"] for row in doc["result"]["per_r"]] == [1, 1]
 
 
+def test_stabilize_infinite_minimum_exit_code(docs, capsys):
+    """An infinite running minimum exits 2, as sc and cc do."""
+    code, doc = run(
+        ["stabilize", "--input", str(docs / "circle.json"),
+         "--invariant", "cc-sigma", "--max-r", "0"],
+        capsys,
+    )
+    assert code == 2
+    assert doc["result"]["min"] == "infinity"
+
+
+def _fails_in_one_line(args, capsys):
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
+def test_output_under_a_missing_directory_exit_code(docs, capsys):
+    _fails_in_one_line(
+        ["sd", "--input", str(docs / "d1.json"),
+         "--output", str(docs / "missing" / "out.json")],
+        capsys,
+    )
+
+
+def test_cert_dir_naming_a_file_exit_code(docs, capsys):
+    _fails_in_one_line(
+        ["sc", "--input", str(docs / "d1.json"),
+         "--cert-dir", str(docs / "d1.json")],
+        capsys,
+    )
+
+
+@pytest.mark.parametrize("doc", [3, 2.5, True, None])
+def test_orbits_on_a_scalar_document_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(doc))
+    _fails_in_one_line(["orbits", "--input", str(path)], capsys)
+
+
 def test_parse_error_exit_code(docs, capsys):
     code = main(["sc", "--input", str(docs / "bad.json")])
     capsys.readouterr()

@@ -71,7 +71,7 @@ def test_core_has_no_beat_point_and_retracts_by_steps(drawn):
     group = list(permutations(range(n))) if n > 1 else []
 
     def le(i, j):
-        return bool(Q.leq[i, j])
+        return Q.le(Q.elements[i], Q.elements[j])
 
     alive = set(range(len(Q)))
     for step in steps:

@@ -5,9 +5,16 @@
 imports, at module level or inside a function.  The checker in
 ``verify.py`` acts on names with its own table, not with ``act_name`` or
 ``action_tables`` from ``actions``.
+
+The package needs nothing beyond the standard library: its modules import
+only standard modules and each other, so importing it and its command line
+loads no numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import symtc
@@ -64,3 +71,30 @@ def test_checker_has_its_own_name_action():
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     assert not used & {"act_name", "action_tables"}
+
+
+def test_package_imports_only_the_standard_library():
+    outside = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "symtc" and top not in sys.stdlib_module_names:
+                    outside.setdefault(path.name, []).append(name)
+    assert not outside, outside
+
+
+def test_import_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, symtc, symtc.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -11,15 +11,15 @@ from symtc.posets import MonotoneMap, poset_from_relations, power_poset
 from symtc.search import sym_comb_homotopic, sym_contiguous
 from symtc.sections import invariant_open_pieces
 
-from helpers import brute_monotone_maps, brute_simplicial_maps, connected_posets_up_to_iso, reachable
+from helpers import brute_monotone_maps, brute_simplicial_maps, connected_posets_up_to_iso, le_table, reachable
 
 
 def _oracle_sym_homotopic(Q, P, rho_tables, n):
     """Zigzag reachability from the projection to an invariant map.
 
     Maps are enumerated and compared through element indices, with the
-    order relations read from ``leq`` tables once."""
-    lq, lp = Q.leq.tolist(), P.leq.tolist()
+    order relations read through ``le`` into tables once."""
+    lq, lp = le_table(Q), le_table(P)
     nq = len(Q.elements)
     maps = brute_monotone_maps(
         range(nq), lambda i, j: lq[i][j],

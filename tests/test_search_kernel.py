@@ -18,7 +18,7 @@ from symtc.errors import BudgetExceeded
 from symtc.posets import poset_from_relations, power_poset
 from symtc.search import _class_bfs, _MonotoneSpace, _SimplicialSpace
 
-from helpers import tuple_class_bfs
+from helpers import le_table, tuple_class_bfs
 
 
 def _class_constant_maps(space, fits):
@@ -59,13 +59,13 @@ def _simplicial_oracle(space):
 
 
 def _monotone_oracle(space):
-    """(fits, allowed) from the definitions, on the relation matrices."""
-    q_le, p_le = space.Q.leq, space.P.leq
+    """(fits, allowed) from the definitions, on the relation tables."""
+    q_le, p_le = le_table(space.Q), le_table(space.P)
     pairs = [(i, j) for i in range(space.size) for j in range(space.size)
-             if q_le[i, j]]
+             if q_le[i][j]]
 
     def fits(values):
-        return all(p_le[values[i], values[j]] for i, j in pairs)
+        return all(p_le[values[i]][values[j]] for i, j in pairs)
 
     def allowed(ci, cur):
         out = 0
@@ -73,8 +73,8 @@ def _monotone_oracle(space):
             nxt = list(cur)
             for i in space.classes[ci]:
                 nxt[i] = w
-            comparable = (all(p_le[a, b] for a, b in zip(cur, nxt))
-                          or all(p_le[b, a] for a, b in zip(cur, nxt)))
+            comparable = (all(p_le[a][b] for a, b in zip(cur, nxt))
+                          or all(p_le[b][a] for a, b in zip(cur, nxt)))
             if comparable and fits(nxt):
                 out |= 1 << w
         return out

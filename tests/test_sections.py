@@ -12,7 +12,7 @@ from symtc.posets import poset_from_relations, power_poset
 from symtc.sections import cc_by_sections, invariant_open_pieces, section_search
 from symtc.verify import validate
 
-from helpers import brute_monotone_maps, connected_posets_up_to_iso
+from helpers import brute_monotone_maps, connected_posets_up_to_iso, le_table
 
 
 def test_invariant_open_pieces_are_opens(v_poset):
@@ -269,7 +269,8 @@ def _oracle_sweep(Q, P):
     ("yes", m, reached) at the first m whose A_m holds a symmetric map, or
     ("no", stabilized_at, reached) once A_m, B_m equal A_{m-2}, B_{m-2}.
     """
-    lq, lp = Q.leq.tolist(), P.leq.tolist()
+    lq, lp = le_table(Q), le_table(P)
+    leq = np.array(lp, dtype=bool).reshape(len(P.elements), -1)
     nq = len(Q.elements)
     maps = brute_monotone_maps(
         range(nq), lambda i, j: lq[i][j],
@@ -284,7 +285,7 @@ def _oracle_sweep(Q, P):
     def cones(layer, below):
         out = np.zeros(len(rows), dtype=bool)
         for g in np.flatnonzero(layer):
-            rel = P.leq[rows, rows[g]] if below else P.leq[rows[g], rows]
+            rel = leq[rows, rows[g]] if below else leq[rows[g], rows]
             out |= rel.all(axis=1)
         return out
 
