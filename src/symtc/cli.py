@@ -122,14 +122,6 @@ def _write_cert(cfg, name, cert):
     return path
 
 
-def _load_complex(cfg):
-    return parse_complex(cfg.input)
-
-
-def _load_poset(cfg):
-    return parse_poset(cfg.input)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -137,7 +129,7 @@ def _load_poset(cfg):
 
 def cmd_sd(cfg):
     check_depth(cfg.r)
-    K = totalize(_load_complex(cfg))
+    K = totalize(parse_complex(cfg.input))
     for _ in range(cfg.r):
         K = barycentric_subdivide(K)
     report = RunReport(cfg.echo(), result=complex_to_doc(K))
@@ -146,7 +138,7 @@ def cmd_sd(cfg):
 
 
 def cmd_power(cfg):
-    K = totalize(_load_complex(cfg))
+    K = totalize(parse_complex(cfg.input))
     power = ordered_power(K, cfg.n, budget=cfg.budgets()["simplices"])
     report = RunReport(cfg.echo(), result=complex_to_doc(power.result))
     _emit(cfg, report)
@@ -154,14 +146,14 @@ def cmd_power(cfg):
 
 
 def cmd_order_complex(cfg):
-    P = _load_poset(cfg)
+    P = parse_poset(cfg.input)
     report = RunReport(cfg.echo(), result=complex_to_doc(order_complex(P)))
     _emit(cfg, report)
     return EXIT_OK
 
 
 def cmd_face_poset(cfg):
-    K = _load_complex(cfg)
+    K = parse_complex(cfg.input)
     report = RunReport(cfg.echo(), result=poset_to_doc(face_poset(base_of(K))))
     _emit(cfg, report)
     return EXIT_OK
@@ -171,11 +163,11 @@ def cmd_orbits(cfg):
     doc = load_json(cfg.input)
     group = symmetric_group(cfg.n)
     if isinstance(doc, dict) and "elements" in doc:
-        P = _load_poset(cfg)
+        P = parse_poset(cfg.input, doc)
         tower = poset_tower(P, cfg.n, cfg.r, budget=cfg.budgets()["simplices"])
         names = tower.top().elements
     else:
-        K = _load_complex(cfg)
+        K = parse_complex(cfg.input, doc)
         tower = build_tower(K, cfg.n, cfg.r, budget=cfg.budgets()["simplices"])
         names = tower.top().vertices
     parts = orbit_partition(group, names, cfg.r)
@@ -185,7 +177,7 @@ def cmd_orbits(cfg):
 
 
 def cmd_sym_contiguous(cfg):
-    K = _load_complex(cfg)
+    K = parse_complex(cfg.input)
     budgets = cfg.budgets()
     tower = build_tower(K, cfg.n, cfg.r, budget=budgets["simplices"])
     maps = [projection_pi(tower, j) for j in range(1, cfg.n + 1)]
@@ -210,7 +202,7 @@ def cmd_sym_contiguous(cfg):
 
 
 def cmd_homotopic(cfg):
-    P = _load_poset(cfg)
+    P = parse_poset(cfg.input)
     budgets = cfg.budgets()
     tower = poset_tower(P, cfg.n, cfg.r, budget=budgets["simplices"])
     maps = [projection_rho(tower, j) for j in range(1, cfg.n + 1)]
@@ -262,7 +254,7 @@ def _run_complexity(cfg, fn, instance, kwargs):
 
 
 def cmd_sc(cfg):
-    K = _load_complex(cfg)
+    K = parse_complex(cfg.input)
     fn = complexity.sc_plain if cfg.plain else complexity.sc_sigma
     return _run_complexity(
         cfg, fn, K,
@@ -271,7 +263,7 @@ def cmd_sc(cfg):
 
 
 def cmd_cc(cfg):
-    P = _load_poset(cfg)
+    P = parse_poset(cfg.input)
     fn = complexity.cc_plain if cfg.plain else complexity.cc_sigma
     return _run_complexity(
         cfg, fn, P,
@@ -280,7 +272,7 @@ def cmd_cc(cfg):
 
 
 def cmd_tc_finite(cfg):
-    P = _load_poset(cfg)
+    P = parse_poset(cfg.input)
     t0 = time.monotonic()
     by_homotopy = complexity.tc_sigma_finite(P, n=cfg.n, budget=cfg.effective_budget())
     by_sections = complexity.tc_sigma_finite_sections(
@@ -304,9 +296,9 @@ def cmd_tc_finite(cfg):
 
 def cmd_stabilize(cfg):
     if cfg.invariant in ("sc-sigma", "sc-plain"):
-        instance = _load_complex(cfg)
+        instance = parse_complex(cfg.input)
     else:
-        instance = _load_poset(cfg)
+        instance = parse_poset(cfg.input)
     out = complexity.stabilize_over_r(
         cfg.invariant, instance, n=cfg.n, max_r=cfg.max_r, mode=cfg.mode,
         budget=cfg.effective_budget(),

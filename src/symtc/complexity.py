@@ -17,10 +17,22 @@ lattice from the top through bad sets, which is complete because every
 strict superset of a maximal good piece is bad; upper mode grows seeds
 greedily instead.  The value is infinite exactly when some unit's generated
 piece is already bad.
+
+A proper piece is first tested by F_2 homology, before it is built.
+Contiguous maps, and comparable monotone maps on order complexes, are
+homotopic, so they induce the same map on H_1(-; F_2); and symmetric
+goodness joins rho_1 to each rho_j, so it implies plain goodness of
+(rho_1, rho_j).  A 1-cycle z of the piece with rho_1(z) + rho_j(z) not a
+boundary of the target therefore makes the piece bad, plain or symmetric,
+and its "no" carries the record {"stage": "obstruction", "j", "cycle"}
+instead of an exhaustion record (``verify.check_obstruction`` re-checks
+it).  The whole space is always searched, so its record stays an
+exhaustion record.  Pieces that pass the test go to the deciders.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .actions import (
     identity,
@@ -48,7 +60,7 @@ from .errors import (
     UnsupportedMode,
 )
 from .io import complex_to_doc, poset_to_doc
-from .posets import MonotoneMap
+from .posets import MonotoneMap, chain_walk
 from .search import (
     SearchResult,
     plain_comb_homotopic,
@@ -174,6 +186,10 @@ class _UnitLattice:
         self.maps = [project(tower, j) for j in range(1, self.n + 1)]
         self._down = self._up = None
 
+    @cached_property
+    def unit_of(self):
+        return {x: ui for ui, orb in enumerate(self.units) for x in orb}
+
     def _masks(self):
         """Per unit, the mask of the units below it, and the transpose.
 
@@ -182,7 +198,7 @@ class _UnitLattice:
         unit's first member, so that member's faces (or down set) suffice.
         """
         if self._down is None:
-            unit_of = {x: ui for ui, orb in enumerate(self.units) for x in orb}
+            unit_of = self.unit_of
             below = (
                 self.level.down_set if self.poset else base_of(self.level).faces
             )
@@ -227,7 +243,120 @@ class _UnitLattice:
         to_doc = poset_to_doc if self.poset else complex_to_doc
         return to_doc(self.piece(mask))
 
+    @cached_property
+    def _edge_table(self):
+        """(names, edges, width): per top-level edge, in canonical order,
+        its vertex positions in ``names``, its unit and its residues.
+
+        An edge is a 1-simplex, or a strict pair a < b, whose unit is b's
+        (pieces are closed downward).  Its residues, ``width`` bits for
+        each j >= 2 packed into one int, are the classes of
+        rho_1(e) + rho_j(e) in C_1(T)/B_1(T) over F_2, T the target complex
+        or the order complex of the target poset.  Each is reduced by an
+        echelon basis of B_1, from the boundaries of T's 2-simplices (its
+        3-chains), with distinct leading bits: that leaves no leading bit
+        set, so one representative per class.
+        """
+        if self.poset:
+            names, T = self.level.elements, self.tower.factor
+            edges = [(a, b, self.unit_of[names[b]])
+                     for a in range(len(names))
+                     for b in bits(self.level.up[a]) if b != a]
+            chains, index = chain_walk(T), T.index
+            images = [[index[f.mapping[x]] for x in names] for f in self.maps]
+        else:
+            K, T = base_of(self.level), base_of(self.tower.factor)
+            names = K.vertices
+            edges = [(a, b, self.unit_of[frozenset((names[a], names[b]))])
+                     for a, b in (s for s in K.ranked_simplices()
+                                  if len(s) == 2)]
+            chains = T.ranked_simplices()
+            images = [[T.rank[f.vertex_map[x]] for x in names]
+                      for f in self.maps]
+        tbit = {c: 1 << k
+                for k, c in enumerate(c for c in chains if len(c) == 2)}
+        pivots = {}
+        for a, b, c in (t for t in chains if len(t) == 3):
+            v = tbit[a, b] ^ tbit[a, c] ^ tbit[b, c]
+            while v.bit_length() - 1 in pivots:
+                v ^= pivots[v.bit_length() - 1]
+            if v:
+                pivots[v.bit_length() - 1] = v
+        echelon = sorted(pivots.items(), reverse=True)
+
+        def image(img, a, b):
+            x, y = sorted((img[a], img[b]))
+            return 0 if x == y else tbit[x, y]
+
+        width, table = len(tbit), []
+        for a, b, unit in edges:
+            packed = 0
+            for j, img in enumerate(images[1:]):
+                v = image(images[0], a, b) ^ image(img, a, b)
+                for h, row in echelon:
+                    if v >> h & 1:
+                        v ^= row
+                packed |= v << j * width
+            table.append((a, b, unit, packed))
+        return names, table, width
+
+    def obstruction(self, mask):
+        """The record of a 1-cycle z of the piece with rho_1(z) + rho_j(z)
+        not a boundary of T, else None.
+
+        Contiguous maps, and comparable monotone maps on order complexes,
+        are homotopic, so they induce the same map on H_1(-; F_2); and a
+        symmetric chain or fence to a diagonal tuple joins rho_1 to each
+        rho_j.  So such a piece is bad, plain or symmetric.  The walk sets
+        a potential, the residues summed along a spanning forest of the
+        piece's edges; an edge whose residues differ from its ends'
+        potentials closes a cycle z whose residues are that difference.
+        """
+        names, table, width = self._edge_table
+        present = [e for e in table if mask >> e[2] & 1]
+        if not any(e[3] for e in present):
+            return None
+        adj = {}
+        for k, (a, b, _, _) in enumerate(present):
+            adj.setdefault(a, []).append(k)
+            adj.setdefault(b, []).append(k)
+        pot, parent = {}, {}
+
+        def to_root(x):
+            path = set()
+            while parent[x] is not None:
+                path.add(parent[x])
+                x = present[parent[x]][0] + present[parent[x]][1] - x
+            return path
+
+        for root in adj:
+            if root in pot:
+                continue
+            pot[root], parent[root] = 0, None
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for k in adj[x]:
+                    a, b, _, packed = present[k]
+                    y = a + b - x
+                    if y not in pot:
+                        pot[y], parent[y] = pot[x] ^ packed, k
+                        stack.append(y)
+                    elif odd := pot[x] ^ pot[y] ^ packed:
+                        cycle = sorted(to_root(x) ^ to_root(y)) + [k]
+                        return {
+                            "stage": "obstruction",
+                            "j": 2 + ((odd & -odd).bit_length() - 1) // width,
+                            "cycle": [(names[present[i][0]],
+                                       names[present[i][1]]) for i in cycle],
+                        }
+        return None
+
     def decide(self, mask):
+        if mask != self.all:
+            record = self.obstruction(mask)
+            if record is not None:
+                return SearchResult("no", None, record)
         piece = self.piece(mask)
         if self.poset:
             maps = [

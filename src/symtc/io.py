@@ -263,25 +263,26 @@ def save_json(path, doc):
         fh.write(canonical_json(doc))
 
 
-def parse_complex(path):
-    """File -> validated (possibly ordered) complex."""
-    doc = load_json(path)
+def _parse(from_doc, path, doc):
+    if doc is None:
+        doc = load_json(path)
     try:
-        return complex_from_doc(doc)
+        return from_doc(doc)
     except ParseError:
         raise
     except Exception as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def parse_poset(path):
-    doc = load_json(path)
-    try:
-        return poset_from_doc(doc)
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+def parse_complex(path, doc=None):
+    """File -> validated (possibly ordered) complex; ``doc``, when given,
+    is the file already parsed, and the file is not read again."""
+    return _parse(complex_from_doc, path, doc)
+
+
+def parse_poset(path, doc=None):
+    """File -> validated poset; ``doc`` as in ``parse_complex``."""
+    return _parse(poset_from_doc, path, doc)
 
 
 def map_table_from_doc(rows, keys, values):

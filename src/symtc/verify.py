@@ -496,3 +496,66 @@ def _validate_section(cert):
                         f"projection at {x!r}"
                     )
     return rep
+
+
+def check_obstruction(piece, maps, record):
+    """Re-check a "no" by F_2 homology: the record's cycle z lies in the
+    piece, every vertex has even degree in it, and rho_1(z) + rho_j(z) is
+    not in the span of the boundaries of the target's 2-simplices (its
+    3-chains, for a poset target).  ``maps`` are rho_1 .. rho_n on the
+    piece.  The span is eliminated here by lowest bits."""
+    rep = Report()
+    j, cycle = record.get("j"), record.get("cycle")
+    if (record.get("stage") != "obstruction" or not isinstance(j, int)
+            or not 1 <= j <= len(maps) or not cycle):
+        rep.fail("not an obstruction record with a map index and a cycle")
+        return rep
+    poset = hasattr(piece, "up")
+    odd = set()
+    for x, y in cycle:
+        if poset:
+            inside = x in piece and y in piece and piece.comparable(x, y)
+        else:
+            inside = piece.is_simplex({x, y})
+        if x == y or not inside:
+            rep.fail(f"{(x, y)!r} is not an edge of the piece")
+        odd ^= {x, y}
+    if odd:
+        rep.fail(f"{min(odd, key=repr)!r} has odd degree in the cycle")
+    if not rep:
+        return rep
+    if poset:
+        T = maps[0].target
+        names = T.elements
+        strict = [(a, b) for a, b in _leq_pairs(T) if a != b]
+        edges = [(names[a], names[b]) for a, b in strict]
+        triangles = [(names[a], names[b], names[c])
+                     for a, b in strict for b2, c in strict if b2 == b]
+        tables = [f.mapping for f in maps]
+    else:
+        simplices = base_of(maps[0].target).simplex_names()
+        edges = [s for s in simplices if len(s) == 2]
+        triangles = [s for s in simplices if len(s) == 3]
+        tables = [f.vertex_map for f in maps]
+    bit = {frozenset(e): 1 << k for k, e in enumerate(edges)}
+
+    def chain(f, pairs):
+        z = 0
+        for x, y in pairs:
+            if f[x] != f[y]:
+                z ^= bit[frozenset((f[x], f[y]))]
+        return z
+
+    rows = {}
+    for a, b, c in triangles:
+        v = chain({a: a, b: b, c: c}, [(a, b), (b, c), (a, c)])
+        while v & -v in rows:
+            v ^= rows[v & -v]
+        if v:
+            rows[v & -v] = v
+    z = chain(tables[0], cycle) ^ chain(tables[j - 1], cycle)
+    while z & -z in rows:
+        z ^= rows[z & -z]
+    if not z:
+        rep.fail(f"rho_1(z) + rho_{j}(z) bounds in the target")
+    return rep

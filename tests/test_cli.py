@@ -259,6 +259,24 @@ def test_orbits_on_a_scalar_document_exit_code(tmp_path, capsys, doc):
     _fails_in_one_line(["orbits", "--input", str(path)], capsys)
 
 
+@pytest.mark.parametrize("name", ["d1.json", "circle.json"])
+def test_orbits_reads_its_input_once(docs, capsys, monkeypatch, name):
+    """The document that tells a poset from a complex is the one built."""
+    import symtc.io
+
+    reads = []
+
+    def counting_open(path, *args, **kwargs):
+        reads.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(symtc.io, "open", counting_open, raising=False)
+    code, doc = run(["orbits", "--input", str(docs / name), "--n", "2"],
+                    capsys)
+    assert code == 0 and doc["result"]
+    assert reads == [str(docs / name)]
+
+
 def test_parse_error_exit_code(docs, capsys):
     code = main(["sc", "--input", str(docs / "bad.json")])
     capsys.readouterr()
