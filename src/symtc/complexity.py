@@ -12,9 +12,10 @@ orbits on the finite-space side, pieces closed downward (invariant opens).
 Each unit has a down mask, itself and the units below it.  The order on
 units is transitive, since the group carries one witnessing pair of members
 onto another, so the down-closure of a piece is one OR of down masks.
-Exact mode enumerates all maximal good pieces by walking the down-set
-lattice from the top through bad sets, which is complete because every
-strict superset of a maximal good piece is bad; upper mode grows seeds
+A cover need only cover the universe units (facet orbits, or orbits of
+maximal elements), and a good piece D gives the good piece
+↓(D ∩ universe), so exact mode walks sets F of universe units from the top
+through bad ↓F and keeps the maximal good ones; upper mode grows seeds
 greedily instead.  The value is infinite exactly when some unit's generated
 piece is already bad.
 
@@ -184,46 +185,36 @@ class _UnitLattice:
             1 << ui for ui, orb in enumerate(self.units) if orb[0] in tops
         )
         self.maps = [project(tower, j) for j in range(1, self.n + 1)]
-        self._down = self._up = None
 
     @cached_property
     def unit_of(self):
         return {x: ui for ui, orb in enumerate(self.units) for x in orb}
 
+    @cached_property
     def _masks(self):
-        """Per unit, the mask of the units below it, and the transpose.
+        """Per unit, the mask of the units below it.
 
         A unit is below another when some member lies below some member;
         the group carries any such pair onto one ending at the other
         unit's first member, so that member's faces (or down set) suffice.
         """
-        if self._down is None:
-            unit_of = self.unit_of
-            below = (
-                self.level.down_set if self.poset else base_of(self.level).faces
-            )
-            down, up = [], [0] * len(self.units)
-            for ui, orb in enumerate(self.units):
-                mask = 0
-                for x in below(orb[0]):
-                    u = unit_of[x]
-                    mask |= 1 << u
-                    up[u] |= 1 << ui
-                down.append(mask)
-            self._down, self._up = down, up
-        return self._down, self._up
+        unit_of = self.unit_of
+        below = self.level.down_set if self.poset else base_of(self.level).faces
+        down = []
+        for orb in self.units:
+            mask = 0
+            for x in below(orb[0]):
+                mask |= 1 << unit_of[x]
+            down.append(mask)
+        return down
 
     def down_closure(self, mask):
         """One pass closes: the unit order is transitive (see _masks)."""
-        down = self._masks()[0]
+        down = self._masks
         out = 0
         for u in bits(mask):
             out |= down[u]
         return out
-
-    def maximal_units(self, mask):
-        up = self._masks()[1]
-        return [u for u in bits(mask) if up[u] & mask == 1 << u]
 
     def grow_units(self):
         """Upper-mode growth quanta: every unit, or every facet orbit."""
@@ -405,14 +396,22 @@ def _cover_engine(problem, mode, invariant_name):
 
     def decide(S):
         if S in memo:
-            return memo[S]
+            out = memo[S]
+            if isinstance(out, BudgetExceeded):
+                raise type(out)(*out.args)
+            return out
         # shortcut results carry no witness; piece_of recomputes on demand
         if any(S & G == S for G in goods):
             out = SearchResult("yes", None, {"by_dominance": True})
         elif any(B & S == B for B in bads):
             out = SearchResult("no", None, {"by_dominance": True})
         else:
-            out = problem.decide(S)
+            try:
+                out = problem.decide(S)
+            except BudgetExceeded as exc:
+                # remember overruns too, without the search's frames
+                memo[S] = type(exc)(*exc.args)
+                raise
             stats["pieces_tested"] += 1
             if out.yes:
                 goods[:] = [G for G in goods if G & S != G] + [S]
@@ -508,42 +507,42 @@ def _cover_engine(problem, mode, invariant_name):
 
 
 def _maximal_good_sets(problem, decide, stats):
-    """All maximal good pieces, walking the down-set lattice from the top.
+    """All maximal good pieces ↓F, F a set of universe units.
 
-    Complete because every strict superset of a maximal good piece is bad,
-    so the walk only stops descending at good sets; and every bad set above
-    a maximal good piece has a maximal unit outside it, so removing maximal
-    units (the Hasse steps of the down-set lattice) reaches every maximal
-    good piece.
+    When a piece D is good so is ↓(D ∩ universe), which covers the same
+    universe units, so the maximal F with ↓F good suffice.  The walk starts
+    at the universe (↓universe is the whole space), stops at a good F and
+    steps from a bad F to F minus one unit.  It is complete because every
+    strict superset of a maximal F is bad, and removing one unit at a time
+    from a bad superset reaches F.  Universe units are maximal, so distinct
+    F give distinct pieces.  The engine has found every single unit good,
+    so the walk never reaches the empty set.
     """
     budget = problem.budgets["lattice"]
     goods = []
     visited = set()
-    stack = [problem.all]
+    stack = [problem.universe]
     while stack:
-        S = stack.pop()
-        if S in visited or not S:
+        F = stack.pop()
+        if F in visited:
             continue
-        visited.add(S)
+        visited.add(F)
         stats["lattice_visited"] += 1
         if len(visited) > budget:
             raise BudgetExceeded(
                 f"maximal-piece enumeration exceeded {budget} lattice nodes"
             )
-        if decide(S).yes:
-            goods.append(S)
+        if decide(problem.down_closure(F)).yes:
+            goods.append(F)
             continue
-        for u in problem.maximal_units(S):
-            child = S ^ (1 << u)
-            if child and child not in visited:
-                stack.append(child)
+        stack.extend(F ^ (1 << u) for u in bits(F))
     maxima = []
-    for S in sorted(goods, key=int.bit_count, reverse=True):
-        if not any(S & T == S for T in maxima):
-            maxima.append(S)
+    for F in sorted(goods, key=int.bit_count, reverse=True):
+        if not any(F & T == F for T in maxima):
+            maxima.append(F)
     # deterministic order
-    maxima.sort(key=lambda S: (S.bit_count(), list(bits(S))))
-    return maxima
+    return sorted(map(problem.down_closure, maxima),
+                  key=lambda S: (S.bit_count(), list(bits(S))))
 
 
 # ---------------------------------------------------------------------------

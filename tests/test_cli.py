@@ -184,6 +184,23 @@ def test_sc_run(docs, capsys, tmp_path):
     assert doc["result"]["value"] == 1
 
 
+def test_sc_exact_hollow_triangle(tmp_path, capsys):
+    """The exact symmetric cover of the hollow triangle finishes inside the
+    default budgets."""
+    path = tmp_path / "hollow.json"
+    path.write_text(json.dumps(
+        {"vertices": ["a", "b", "c"],
+         "facets": [["a", "b"], ["b", "c"], ["a", "c"]]}
+    ))
+    code, doc = run(
+        ["sc", "--input", str(path), "--mode", "exact",
+         "--cert-dir", str(tmp_path / "sc")],
+        capsys,
+    )
+    assert code == 0
+    assert (doc["result"]["kind"], doc["result"]["value"]) == ("exact", 3)
+
+
 def test_sc_mixed_labels(tmp_path, capsys):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps(

@@ -3,8 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from symtc.complexes import from_facets
 from symtc.complexity import (
+    DEFAULT_BUDGETS,
     INFINITY,
     _UnitLattice,
+    _cover_engine,
     budgets_with,
     cc_plain,
     cc_sigma,
@@ -97,6 +99,38 @@ def test_upper_growth_counts_node_overruns(hollow_triangle):
                                            mode="upper").stats
     with pytest.raises(BudgetExceeded):
         sc_sigma(hollow_triangle, 2, 0, mode="exact", budget=tight)
+
+
+class _Asked(_UnitLattice):
+    """A unit lattice that keeps every mask it is asked to decide, also
+    those whose decision overruns."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def decide(self, mask):
+        self.asked.append(mask)
+        return super().decide(mask)
+
+
+def test_overrun_pieces_are_decided_once(hollow_triangle):
+    """The cover engine remembers a decision that overran the node budget,
+    so upper growth from a later seed does not search the piece again."""
+    budgets = budgets_with({"nodes": 1})
+    problem = _Asked(build_tower(hollow_triangle, 2, 0), False, budgets)
+    res = _cover_engine(problem, "upper", "sc_plain")
+    assert (res.kind, res.upper, res.stats["overrun_steps"]) == ("upper", 3, 60)
+    assert len(problem.asked) == len(set(problem.asked))
+
+
+def test_frontier_hollow_triangle_exact(hollow_triangle):
+    """The exact symmetric value of the hollow triangle at r = 0 inside the
+    default budgets."""
+    res = sc_sigma(hollow_triangle, 2, 0, budget=DEFAULT_BUDGETS)
+    assert (res.kind, res.value) == ("exact", 3)
+    assert len(res.cover) == 3
+    _check_cover(res)
 
 
 def test_v_poset_cc(v_poset):
@@ -292,29 +326,47 @@ _WALK_CASES = {
     "sc_sigma(edge)": (sc_sigma, "edge", True),
     "sc_plain(edge)": (sc_plain, "edge", False),
     "cc_sigma(circle)": (cc_sigma, "circle_poset", True),
+    "sc_sigma(hollow_triangle)": (sc_sigma, "hollow_triangle", True),
 }
+# the hollow triangle's 30 units are too many for every down-set
+_WALK_RUNS = [(case, mode) for case in sorted(_WALK_CASES)
+              for mode in ("exact", "upper")
+              if (case, mode) != ("sc_sigma(hollow_triangle)", "upper")]
 
 
-@pytest.mark.parametrize("mode", ["exact", "upper"])
-@pytest.mark.parametrize("case", sorted(_WALK_CASES))
+def _maximal(masks):
+    return [S for S in masks if not any(S != T and S & T == S for T in masks)]
+
+
+@pytest.mark.parametrize("case,mode", _WALK_RUNS)
 def test_lattice_walk_matches_brute_force(case, mode, request):
-    """Every down-set of units, each decided on its own, against the walk."""
+    """The walk against brute force, each candidate decided on its own:
+    exact mode keeps the down-closures of the maximal sets F of universe
+    units with good down-closure, upper mode's pieces lie among the good
+    down-sets of units."""
     fn, fixture, symmetric = _WALK_CASES[case]
     instance = request.getfixturevalue(fixture)
     lat, below = _lattice(instance, 2, symmetric)
     k = len(lat.units)
-    assert k <= 16
-    downsets = [
-        S for S in range(1, 1 << k)
-        if all(below[u] <= {v for v in range(k) if S >> v & 1}
-               for u in range(k) if S >> u & 1)
-    ]
-    goods = [S for S in downsets if lat.decide(S).yes]
-    maxima = sorted(
-        tuple(u for u in range(k) if S >> u & 1)
-        for S in goods if not any(S != T and S & T == S for T in goods)
-    )
     universe = frozenset(u for u in range(k) if lat.universe >> u & 1)
+    if mode == "exact":
+        univ = sorted(universe)
+        subsets = (_mask(univ[i] for i in _bits_reference(c))
+                   for c in range(1, 1 << len(univ)))
+        down = {F: _mask(_fixpoint_closure(below, _bits_reference(F)))
+                for F in subsets}
+        goods = [F for F, S in down.items() if lat.decide(S).yes]
+        maxima = sorted(tuple(_bits_reference(down[F]))
+                        for F in _maximal(goods))
+    else:
+        assert k <= 16
+        downsets = [
+            S for S in range(1, 1 << k)
+            if all(below[u] <= {v for v in range(k) if S >> v & 1}
+                   for u in range(k) if S >> u & 1)
+        ]
+        goods = [S for S in downsets if lat.decide(S).yes]
+        maxima = sorted(tuple(_bits_reference(S)) for S in _maximal(goods))
     sets = [frozenset(M) & universe for M in maxima]
     value = brute_force_min_cover(universe, sets)
     res = fn(instance, 2, 0, mode=mode)
@@ -372,6 +424,3 @@ def test_one_pass_closure_matches_fixpoint(case):
     lat, below, S = case
     closed = _fixpoint_closure(below, S)
     assert lat.down_closure(_mask(S)) == _mask(closed)
-    assert lat.maximal_units(_mask(closed)) == sorted(
-        u for u in closed if not any(w != u and u in below[w] for w in closed)
-    )
