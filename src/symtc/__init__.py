@@ -2,18 +2,12 @@
 finite posets, with machine-checkable certificates."""
 
 from .actions import (
-    EquivariantTuple,
     GroupConstraint,
     Permutation,
     act_name,
     act_simplex,
     check_equivariant_tuple,
-    expand_map,
-    orbit,
-    reduce_tuple,
     symmetric_group,
-    symmetrize_open,
-    symmetrize_simplices,
     tuple_constraint_group,
 )
 from .complexes import (
@@ -55,22 +49,15 @@ from .posets import (
     FinitePoset,
     MonotoneMap,
     MultiFence,
-    enumerate_monotone_maps,
     face_poset,
-    fence,
-    fence_map_check,
-    is_open,
-    mapping_poset,
     multi_fence,
     order_complex,
     poset_from_relations,
     power_poset,
-    principal_down_set,
     sd_poset,
 )
 from .search import (
     SearchResult,
-    one_contiguous,
     plain_comb_homotopic,
     plain_contiguous,
     sym_comb_homotopic,
@@ -78,7 +65,6 @@ from .search import (
 )
 from .translate import (
     contiguity_to_homotopy,
-    homotopy_from_section,
     homotopy_to_contiguity,
     retract_section,
     section_from_homotopy,

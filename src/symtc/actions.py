@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import permutations as ipermutations
 
 from .complexes import SimplicialComplex
-from .errors import LevelMismatch, NotEquivariant, NotGInvariant
+from .errors import LevelMismatch
 from .util import csorted, name_of
 
 
@@ -39,15 +39,6 @@ class Permutation:
         if self.n != other.n:
             raise LevelMismatch("permutation arities differ")
         return Permutation(tuple(self(other(j)) for j in range(1, self.n + 1)))
-
-    def inverse(self):
-        inv = [0] * self.n
-        for j in range(1, self.n + 1):
-            inv[self(j) - 1] = j
-        return Permutation(inv)
-
-    def is_identity(self):
-        return self.images == tuple(range(1, self.n + 1))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -99,9 +90,6 @@ class GroupConstraint:
     n: int
     elements: tuple
 
-    def is_trivial(self):
-        return all(g.is_identity() for g in self.elements)
-
 
 def tuple_constraint_group(n):
     """Subgroup generated by (1, g(j)) g (1, j) over all g, j.
@@ -142,27 +130,6 @@ def act_fence_point(g, t):
     if l == 0:
         return t
     return (l, g(j))
-
-
-def orbit(group, x, depth):
-    """The orbit of a name under a list of permutations."""
-    return frozenset(act_name(g, x, depth) for g in group)
-
-
-def symmetrize_simplices(simplices, group, depth):
-    """Smallest invariant, downward closed family containing the input: the
-    simplices of the complex spanned by every image of every input simplex."""
-    images = [act_simplex(g, s, depth) for s in simplices for g in group]
-    return SimplicialComplex(set().union(*images), images).simplices
-
-
-def symmetrize_open(P, S, group, depth):
-    """Smallest invariant open (down-set) of P containing the subset."""
-    out = set()
-    for x in S:
-        for g in group:
-            out |= P.down_set(act_name(g, x, depth))
-    return frozenset(out)
 
 
 def orbit_partition(group, names, depth):
@@ -289,39 +256,6 @@ def is_invariant_elements(elements, group, depth):
                for t in action_tables(group, members, depth))
 
 
-# -- equivariant tuples ------------------------------------------------------
-
-
-class EquivariantTuple:
-    """n maps with a common acted source, satisfying f_j(g.x) = f_{g(j)}(x).
-
-    Maps are plain dicts from source names to target values; the source and
-    target objects ride along for context only.
-    """
-
-    __slots__ = ("n", "depth", "maps", "source", "target")
-
-    def __init__(self, n, depth, maps, source=None, target=None):
-        if len(maps) != n:
-            raise LevelMismatch(f"expected {n} maps, got {len(maps)}")
-        self.n = n
-        self.depth = depth
-        self.maps = [dict(m) for m in maps]
-        self.source = source
-        self.target = target
-
-    def domain(self):
-        return list(self.maps[0].keys())
-
-    def check(self):
-        return check_equivariant_tuple(
-            self.maps, self.n, self.depth, domain=self.domain()
-        )
-
-    def reduce(self):
-        return reduce_tuple(self.maps, self.n, self.depth, domain=self.domain())
-
-
 def check_equivariant_tuple(maps, n, depth, domain=None):
     """Check f_j(g.x) = f_{g(j)}(x) for every g in Sigma_n; returns
     (ok, violation_or_None)."""
@@ -337,46 +271,3 @@ def check_equivariant_tuple(maps, n, depth, domain=None):
                 if fj[act[x]] != fgj[x]:
                     return False, (g, x, j)
     return True, None
-
-
-def reduce_tuple(maps, n, depth, domain=None):
-    """An equivariant tuple is determined by its first map.
-
-    Returns (f_1, GroupConstraint); raises NotEquivariant otherwise.
-    """
-    ok, viol = check_equivariant_tuple(maps, n, depth, domain=domain)
-    if not ok:
-        g, x, j = viol
-        raise NotEquivariant(
-            f"tuple violates equivariance at g={g!r}, x={x!r}, j={j}"
-        )
-    return dict(maps[0]), tuple_constraint_group(n)
-
-
-def expand_map(f1, n, depth, domain=None):
-    """Rebuild the tuple from a constraint-group-invariant single map."""
-    if domain is None:
-        domain = list(f1.keys())
-    G = tuple_constraint_group(n)
-    for g in G.elements:
-        for x in domain:
-            if f1[act_name(g, x, depth)] != f1[x]:
-                raise NotGInvariant(
-                    f"map not invariant under {g!r} at {x!r}"
-                )
-    maps = []
-    for j in range(1, n + 1):
-        t = transposition(n, 1, j)
-        maps.append({x: f1[act_name(t, x, depth)] for x in domain})
-    return maps
-
-
-def is_sigma_invariant_map(f, n, depth, domain=None):
-    """Is a single map invariant under all of Sigma_n (diagonal candidate)?"""
-    if domain is None:
-        domain = list(f.keys())
-    for g in symmetric_group(n):
-        for x in domain:
-            if f[act_name(g, x, depth)] != f[x]:
-                return False
-    return True

@@ -62,18 +62,23 @@ class RunConfig(argparse.Namespace):
     """The parsed options of one command: only those the command reads."""
 
     def effective_budget(self):
-        """--budget wins; otherwise SYMTC_BUDGET; otherwise the defaults."""
+        """--budget wins; otherwise SYMTC_BUDGET; otherwise the defaults.
+        A budget below 1 is invalid input."""
         if self.budget is not None:
-            return self.budget
-        env = os.environ.get("SYMTC_BUDGET")
-        if not env:
-            return None
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(
-                f"SYMTC_BUDGET must be an integer, not {env!r}"
-            ) from None
+            budget, source = self.budget, "--budget"
+        else:
+            env = os.environ.get("SYMTC_BUDGET")
+            if not env:
+                return None
+            try:
+                budget, source = int(env), "SYMTC_BUDGET"
+            except ValueError:
+                raise ValidationError(
+                    f"SYMTC_BUDGET must be an integer, not {env!r}"
+                ) from None
+        if budget < 1:
+            raise ValidationError(f"{source} must be at least 1, not {budget}")
+        return budget
 
     def budgets(self):
         return complexity.budgets_with(self.effective_budget())

@@ -143,9 +143,6 @@ class SimplicialComplex:
             return False
         return t in self._ranked
 
-    def dim(self):
-        return max(map(len, self._key[1])) - 1
-
     def simplex_names(self):
         """All simplices as canonical sorted tuples, canonically ordered."""
         return self._names(self._key[1])
@@ -156,13 +153,6 @@ class SimplicialComplex:
     def faces(self, s):
         """All faces of the simplex ``s``, as frozensets of vertices."""
         return self._sets(closure_of(_rank_tuples(self.rank, [s]))[0])
-
-    def star(self, v):
-        """Combinatorial star: the simplices containing vertex v."""
-        if v not in self.rank:
-            raise UnknownVertex(f"vertex {v!r} not in complex")
-        i = self.rank[v]
-        return self._sets(t for t in self._key[1] if i in t)
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self._key == other._key
@@ -233,12 +223,6 @@ class OrderedComplex:
     def simplices(self):
         return self.base.simplices
 
-    def is_simplex(self, s):
-        return self.base.is_simplex(s)
-
-    def simplex_names(self):
-        return self.base.simplex_names()
-
     def facet_names(self):
         return self.base.facet_names()
 
@@ -275,27 +259,6 @@ class SimplicialMap:
 
     def image(self, s):
         return frozenset(self.vertex_map[v] for v in s)
-
-    def compose(self, other):
-        """self after other (other's target feeds self's source)."""
-        return SimplicialMap(
-            other.source,
-            self.target,
-            {v: self.vertex_map[w] for v, w in other.vertex_map.items()},
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimplicialMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.vertex_map == other.vertex_map
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.source, self.target, tuple(csorted(self.vertex_map.items())))
-        )
 
 
 def base_of(K):

@@ -467,15 +467,13 @@ def _cover_engine(problem, mode, invariant_name):
             stats["infeasible_unit"] = u
             return result("infinite", 2, INFINITY, [], False, value=INFINITY)
 
+    # every universe unit's piece is good, so each mode's pieces cover
     if mode == "exact":
         maxima = _maximal_good_sets(problem, decide, stats)
         k, chosen = cover_by(maxima)
         stats["candidate_pieces"] = len(maxima)
-        if k is None:
-            out = result("infinite", 2, INFINITY, [], False, value=INFINITY)
-        else:
-            out = result("exact", k, k, [maxima[i] for i in chosen], False,
-                         value=k)
+        out = result("exact", k, k, [maxima[i] for i in chosen], False,
+                     value=k)
         out.candidates = [tuple(bits(S)) for S in maxima]
         return out
 
@@ -501,8 +499,6 @@ def _cover_engine(problem, mode, invariant_name):
         if S not in grown:
             grown.append(S)
     k, chosen = cover_by(grown)
-    if k is None:
-        return result("infinite", 2, INFINITY, [], False, value=INFINITY)
     return result("upper", 2, k, [grown[i] for i in chosen], False)
 
 

@@ -53,10 +53,6 @@ class NotEquivariant(SymtcError):
     pass
 
 
-class NotGInvariant(SymtcError):
-    pass
-
-
 class SourceMismatch(SymtcError):
     pass
 

@@ -187,14 +187,6 @@ def poset_from_relations(elements, generators):
     return FinitePoset(elements, up)
 
 
-def principal_down_set(P, x):
-    return P.down_set(x)
-
-
-def is_open(P, S):
-    return P.is_open(S)
-
-
 def _componentwise(P, rows):
     """The up masks of the componentwise order of P on index tuples
     ``rows``: row a lies below row b when each coordinate of a lies below
@@ -249,34 +241,6 @@ class MonotoneMap:
                 if not self.target.le(fa, self.mapping[b]):
                     return False
         return True
-
-    def compose(self, other):
-        """self after other."""
-        return MonotoneMap(
-            other.source,
-            self.target,
-            {x: self.mapping[y] for x, y in other.mapping.items()},
-        )
-
-    def le(self, other):
-        """Pointwise order on the mapping poset."""
-        return all(
-            self.target.le(self.mapping[x], other.mapping[x])
-            for x in self.source.elements
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonotoneMap)
-            and self.source == other.source
-            and self.target == other.target
-            and self.mapping == other.mapping
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.source, self.target, tuple(csorted(self.mapping.items())))
-        )
 
 
 class MonotoneWalk:
@@ -380,26 +344,6 @@ def monotone_value_tuples(Q, P, budget=None, classes=None, allowed=None,
     return MonotoneWalk(Q, P, classes).tuples(masks, budget, first_only)
 
 
-def enumerate_monotone_maps(Q, P, budget=None):
-    """Stream every monotone map Q -> P exactly once, canonically ordered."""
-    for vals in monotone_value_tuples(Q, P, budget=budget):
-        yield MonotoneMap(
-            Q,
-            P,
-            {Q.elements[i]: P.elements[v] for i, v in enumerate(vals)},
-        )
-
-
-def mapping_poset(Q, P, budget=None):
-    """The poset of monotone maps Q -> P under pointwise order.
-
-    Elements are value tuples over Q.elements (canonical order).
-    """
-    tuples = monotone_value_tuples(Q, P, budget=budget)
-    elements = [tuple(P.elements[v] for v in vals) for vals in tuples]
-    return FinitePoset(elements, _componentwise(P, tuples))
-
-
 # -- chains, order complex, face poset --------------------------------------
 
 
@@ -481,19 +425,6 @@ def sd_poset(P, budget=None):
 # -- fences ------------------------------------------------------------------
 
 
-def fence(m):
-    """J_m: points 0..m with the zigzag order 0 <= 1 >= 2 <= ..."""
-    if m < 0:
-        raise BadArity("fence length must be >= 0")
-    gens = []
-    for l in range(1, m + 1):
-        if l % 2 == 1:
-            gens.append((l - 1, l))
-        else:
-            gens.append((l, l - 1))
-    return poset_from_relations(range(m + 1), gens)
-
-
 BASEPOINT = (0, 0)
 
 
@@ -515,9 +446,6 @@ class MultiFence:
         if not (1 <= l <= self.m and 1 <= j <= self.n):
             raise UnknownElement(f"no point ({l}, {j}) in J_{{{self.n},{self.m}}}")
         return (l, j)
-
-    def points(self):
-        return self.poset.elements
 
     def end(self, j):
         """m_j, the far end of the j-th fence (the basepoint when m = 0)."""
@@ -543,25 +471,3 @@ def multi_fence(n, m):
             prev = cur
     P = poset_from_relations(points, gens)
     return MultiFence(n, m, P)
-
-
-def fence_map_check(H, Q, J, P):
-    """Order preservation of a table H : Q x J -> P on the product order.
-
-    Monotone in each variable separately implies monotone on the product.
-    """
-    for q in Q.elements:
-        for t in J.poset.elements:
-            if (q, t) not in H or H[(q, t)] not in P:
-                return False
-    for q in Q.elements:
-        for t1 in J.poset.elements:
-            for t2 in J.poset.elements:
-                if J.poset.le(t1, t2) and not P.le(H[(q, t1)], H[(q, t2)]):
-                    return False
-    for t in J.poset.elements:
-        for q1 in Q.elements:
-            for q2 in Q.elements:
-                if Q.le(q1, q2) and not P.le(H[(q1, t)], H[(q2, t)]):
-                    return False
-    return True

@@ -84,21 +84,6 @@ from .util import bits
 from .witnesses import CombinatorialHomotopy, ContiguityChain
 
 
-def one_contiguous(phi, psi):
-    """True iff phi(s) union psi(s) is a simplex of the target for every s.
-
-    Checking facets suffices: images of faces are subsets of facet images
-    and the simplex set is downward closed.
-    """
-    if phi.source != psi.source or phi.target != psi.target:
-        raise SourceMismatch("maps must share source and target")
-    tgt = phi.target
-    for s in phi.source.facets:
-        if not tgt.is_simplex(phi.image(s) | psi.image(s)):
-            return False
-    return True
-
-
 @dataclass
 class SearchResult:
     status: str  # "yes" | "no" | "unknown"

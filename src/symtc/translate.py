@@ -1,8 +1,8 @@
 """Certificate translators.
 
 * exponential law: a combinatorial homotopy table H(x, t) and a family of
-  fence paths s(x)(t) carry the same data; both directions are transcriptions
-  and mutually inverse.
+  fence paths s(x)(t) carry the same data; the paths are a transcription
+  of the table.
 * fence retraction: a section at fence length m extends to length m + 1 by
   precomposing with the retraction that folds the new endpoint onto the old.
 * homotopy -> contiguity: from an order preserving table the interpolation
@@ -43,30 +43,6 @@ def section_from_homotopy(H):
         target=H.target,
         paths=paths,
         projection_endpoints=H.projection_endpoints,
-    )
-
-
-def homotopy_from_section(s):
-    """Transcribe fence paths back into a homotopy table."""
-    J = s.fence()
-    table = {}
-    for x in s.source.elements:
-        if x not in s.paths:
-            raise InvalidTable(f"section misses a path for {x!r}")
-        gamma = s.paths[x]
-        for t in J.poset.elements:
-            if t not in gamma:
-                raise InvalidTable(f"path for {x!r} misses point {t!r}")
-            table[(x, t)] = gamma[t]
-    return CombinatorialHomotopy(
-        n=s.n,
-        m=s.m,
-        depth=s.depth,
-        symmetric=s.symmetric,
-        source=s.source,
-        target=s.target,
-        table=table,
-        projection_endpoints=s.projection_endpoints,
     )
 
 

@@ -428,6 +428,31 @@ def test_symtc_budget_env_not_an_integer(docs, capsys, monkeypatch, command):
     assert "SYMTC_BUDGET" in captured.err and "'abc'" in captured.err
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("cc", {"elements": ["x"], "relations": []}),
+    ("sc", {"vertices": ["a", "b"], "facets": [["a", "b"]]}),
+])
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("source", ["--budget", "SYMTC_BUDGET"])
+def test_budget_below_one_is_invalid(tmp_path, capsys, monkeypatch, command,
+                                     doc, value, source):
+    """A budget below 1, from the option or the environment, is a one-line
+    invalid-input exit that names the value."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    args = [command, "--input", str(path)]
+    if source == "--budget":
+        args += ["--budget", value]
+    else:
+        monkeypatch.setenv("SYMTC_BUDGET", value)
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert source in captured.err and f"not {value}\n" in captured.err
+
+
 def test_check_certificate_failures_ignore_hash_seed(tmp_path):
     """A chain that fails on many simplices lists its failures in the same
     order whatever the interpreter's string hash seed."""

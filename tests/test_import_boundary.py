@@ -9,6 +9,9 @@ imports, at module level or inside a function.  The checker in
 The package needs nothing beyond the standard library: its modules import
 only standard modules and each other, so importing it and its command line
 loads no numpy.
+
+Every module-level function and class has a caller in the package, or is
+an entry point listed with its reason in ``ENTRY_POINTS``.
 """
 
 import ast
@@ -21,6 +24,41 @@ import symtc
 
 PACKAGE = Path(symtc.__file__).parent
 SEARCHERS = {"search", "complexity", "covers"}
+
+# module-level names that no package code names, each with its reason:
+# an acceptance test imports it, it checks certificates, tests use it as
+# an oracle for other code, or the benchmark imports it
+ENTRY_POINTS = {
+    "euler_characteristic": "acceptance import",
+    "carrier_condition_holds": "acceptance import",
+    "contiguity_to_homotopy": "acceptance import",
+    "retract_section": "acceptance import",
+    "section_from_homotopy": "acceptance import; perfbench",
+    "homotopy_to_contiguity": "acceptance import; perfbench",
+    "validate_simplicial_map": "checker",
+    "check_obstruction": "checker",
+    "act_simplex": "oracle",
+    "all_chains": "oracle",
+    "identity_map": "oracle",
+}
+
+
+def _names(tree, skip=None):
+    """Every identifier, attribute and imported name in a tree, outside
+    the node ``skip``."""
+    out, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        todo.extend(ast.iter_child_nodes(node))
+    return out
 
 
 def _package_imports(module):
@@ -61,15 +99,7 @@ def test_section_route_does_not_import_searchers():
 
 def test_checker_has_its_own_name_action():
     """verify.py neither imports nor uses the searchers' name action."""
-    tree = ast.parse((PACKAGE / "verify.py").read_text())
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.alias):
-            used.add(node.name.split(".")[-1])
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+    used = _names(ast.parse((PACKAGE / "verify.py").read_text()))
     assert not used & {"act_name", "action_tables"}
 
 
@@ -98,3 +128,24 @@ def test_import_loads_no_numpy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_every_module_level_name_has_a_caller():
+    """A function or class that no package code names outside its own body
+    is dead unless it is a listed entry point, and a listed entry point has
+    no such caller.  The package's ``__init__`` only re-exports names, so
+    it counts as no caller."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem != "__init__"}
+    named = {module: _names(tree) for module, tree in trees.items()}
+    uncalled = set()
+    for module, tree in trees.items():
+        elsewhere = set().union(*(v for m, v in named.items() if m != module))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in elsewhere
+                    and node.name not in _names(tree, node)):
+                uncalled.add(node.name)
+    assert sorted(uncalled - set(ENTRY_POINTS)) == []
+    assert sorted(set(ENTRY_POINTS) - uncalled) == []

@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from symtc.complexes import SimplicialComplex
 from symtc.posets import (
+    FinitePoset,
+    _componentwise,
     face_poset,
-    mapping_poset,
+    monotone_value_tuples,
     poset_from_relations,
     power_poset,
 )
@@ -117,7 +119,10 @@ def test_mapping_poset_against_pointwise_maps(source, target):
         tuple(f[x] for x in Q.elements)
         for f in brute_monotone_maps(Q.elements, Q.le, P.elements, P.le)
     ]
-    agrees(mapping_poset(Q, P), maps, {
+    # the enumerator's maps under the componentwise order of their values
+    tuples = monotone_value_tuples(Q, P)
+    named = [tuple(P.elements[v] for v in t) for t in tuples]
+    agrees(FinitePoset(named, _componentwise(P, tuples)), maps, {
         (f, g) for f in maps for g in maps
         if all((a, b) in rel for a, b in zip(f, g))
     })

@@ -25,15 +25,15 @@ from symtc.io import (
 )
 from symtc.posets import (
     all_chains,
-    enumerate_monotone_maps,
     face_poset,
+    monotone_value_tuples,
     order_complex,
     poset_from_relations,
     sd_poset,
 )
 from symtc.util import ckey, csorted, name_of
 
-from helpers import brute_chains
+from helpers import brute_chains, brute_monotone_maps
 
 # -- strategies --------------------------------------------------------------
 
@@ -233,12 +233,13 @@ def test_open_union_intersection(P, seed):
 @settings(max_examples=25, deadline=None)
 def test_monotone_stream_unique_and_monotone(P):
     small = poset_from_relations([0, 1], [(0, 1)])
-    seen = set()
-    for f in enumerate_monotone_maps(P, small, budget=5_000):
-        key = tuple(f.mapping[x] for x in P.elements)
-        assert key not in seen
-        seen.add(key)
-        assert f.is_monotone()
+    got = monotone_value_tuples(P, small, budget=5_000)
+    assert len(got) == len(set(got))
+    assert got == sorted(got)
+    assert set(got) == {
+        tuple(small.index[f[x]] for x in P.elements)
+        for f in brute_monotone_maps(P.elements, P.le, small.elements, small.le)
+    }
 
 
 @given(small_posets())
