@@ -7,7 +7,11 @@ its layer maps h^0, h^1, ..., h^m (h^l sends x to the path value at l on the
 first fence; the other branches are forced by equivariance), which form an
 alternating zigzag in the poset of constraint-invariant monotone maps ending
 at the projection.  Small m values (0, 1, 2) are checked by targeted
-constructions first; the sweep decides the rest.
+constructions first; the sweep decides the rest.  m = 1 asks for one
+invariant map below the projection, a masked walk; m = 2 tries the constants
+and, only while there are at most 2,000, all invariant maps.
+``cc_by_sections`` decides the pieces smallest first and skips each piece
+above a bad one.
 
 The sweep builds the layers A_0 = B_0 = {projection}, A_m = {h <= some
 member of B_{m-1}} and B_m = {h >= some member of A_{m-1}}; a symmetric map
@@ -136,8 +140,27 @@ def section_search(Q, P, n, depth, budget=50_000):
             {"m": 0, "stage": "small-m"},
         )
 
-    # constants first (always monotone and invariant); a full enumeration of
-    # invariant maps only within a small budget, the sweep decides anyway
+    # m = 1: an invariant map pointwise below the projection, the lowest
+    # constant (always monotone and invariant), else the first in canonical
+    # order by a masked walk
+    below = walk.full
+    for v in start:
+        below &= walk.down[v]
+    if below:
+        phi = [tuple([(below & -below).bit_length() - 1] * len(start))]
+    else:
+        phi = MonotoneWalk(Q, P, sigma_classes).tuples(
+            [walk.down[v] for v in start], first_only=True
+        )
+    if phi:
+        layers = [as_map(phi[0]), as_map(start)]
+        return SectionOutcome(
+            "yes", _witness_from_layers(Q, P, n, depth, layers),
+            {"m": 1, "stage": "small-m"},
+        )
+
+    # constants first; a full enumeration of invariant maps only within a
+    # small budget, the sweep decides anyway
     invariants = [
         tuple([v] * len(Q.elements)) for v in range(len(P.elements))
     ]
@@ -150,15 +173,6 @@ def section_search(Q, P, n, depth, budget=50_000):
         ]
     except BudgetExceeded:
         pass
-
-    # m = 1: an invariant map pointwise below the projection
-    for phi in invariants:
-        if all(up[a] >> b & 1 for a, b in zip(phi, start)):
-            return SectionOutcome(
-                "yes",
-                _witness_from_layers(Q, P, n, depth, [as_map(phi), as_map(start)]),
-                {"m": 1, "stage": "small-m"},
-            )
 
     # m = 2: an invariant map with a common upper bound with the projection
     for phi in invariants:
@@ -375,64 +389,43 @@ def invariant_open_pieces(L, n, depth):
 def cc_by_sections(P, n, budget=50_000):
     """Minimum size of an invariant open cover admitting sections, r = 0.
 
-    Independent of the homotopy route: goodness of a piece is decided by the
-    section sweep and the cover minimum by subset enumeration over maximal
-    good pieces.
+    Independent of the homotopy route: goodness of a piece is decided by
+    ``section_search`` and the cover minimum by subset enumeration over
+    maximal good pieces.  A section over a piece restricts to one over each
+    invariant open piece inside it, so a piece holding a bad piece is bad.
+    The pieces are walked smallest first and one above a bad piece already
+    decided is skipped undecided; ``pieces_tested`` counts the decisions.
     """
     if not P.is_connected():
         raise DisconnectedPoset("the input poset must be connected")
     L = power_poset(P, n)
-    depth = 0
-    pieces = invariant_open_pieces(L, n, depth)
+    whole = frozenset(L.elements)
     memo = {}
 
     def good(piece):
-        if piece not in memo:
-            Q = L.restrict(piece)
-            memo[piece] = section_search(Q, P, n, depth, budget=budget)
-        return memo[piece]
+        memo[piece] = section_search(L.restrict(piece), P, n, 0, budget=budget)
+        return memo[piece].yes
 
-    whole = frozenset(L.elements)
-    witnesses = {}
-    if good(whole).yes:
-        witnesses[whole] = memo[whole]
+    def result(cover):
         return {
-            "k": 1,
-            "cover": [whole],
-            "witnesses": witnesses,
-            "m": memo[whole].record.get("m", memo[whole].witness.m),
+            "k": len(cover) or None,
+            "cover": cover,
+            "witnesses": {p: memo[p] for p in cover},
+            "m": max((memo[p].witness.m for p in cover), default=None),
             "pieces_tested": len(memo),
-            "whole_space_good": True,
+            "whole_space_good": cover == [whole],
         }
 
-    # maximal good pieces: prune non-maximal ones, then search covers upward
-    goods = [p for p in pieces if p != whole and good(p).yes]
+    if good(whole):
+        return result([whole])
+    # maximal good pieces, then covers by them upward in size
+    goods, bad = [], []
+    for p in invariant_open_pieces(L, n, 0):
+        if p != whole and not any(b < p for b in bad):
+            (goods if good(p) else bad).append(p)
     maximal = [p for p in goods if not any(p < q for q in goods)]
-    universe = frozenset(L.elements)
     for k in range(2, len(maximal) + 1):
-        found = None
-        for combo in combinations(range(len(maximal)), k):
-            union = frozenset().union(*(maximal[i] for i in combo))
-            if union == universe:
-                found = combo
-                break
-        if found is not None:
-            cover = [maximal[i] for i in found]
-            for p in cover:
-                witnesses[p] = memo[p]
-            return {
-                "k": k,
-                "cover": cover,
-                "witnesses": witnesses,
-                "m": max(memo[p].witness.m for p in cover),
-                "pieces_tested": len(memo),
-                "whole_space_good": False,
-            }
-    return {
-        "k": None,
-        "cover": [],
-        "witnesses": {},
-        "m": None,
-        "pieces_tested": len(memo),
-        "whole_space_good": False,
-    }
+        for combo in combinations(maximal, k):
+            if frozenset().union(*combo) == whole:
+                return result(list(combo))
+    return result([])

@@ -81,12 +81,14 @@ def retract_section(s):
 # ---------------------------------------------------------------------------
 
 
-def _lift_once(P, Q, cur, target, upward):
+def _lift_once(P, Q, covers, cur, target, upward):
     """One interpolation round toward the target maps.
 
     cur, target: lists of mapping dicts (one per branch).  When upward, each
     branch satisfies cur_j <= target_j and values are raised at the maximal
-    elements of the disagreement set; dually when not upward.
+    elements of the disagreement set; dually when not upward.  ``covers``
+    are P's cover pairs: a map monotone on them is monotone, by
+    transitivity.
     """
     out = []
     changed = False
@@ -98,12 +100,11 @@ def _lift_once(P, Q, cur, target, upward):
         changed = True
         chosen = set(P.maximal_of(dis) if upward else P.minimal_of(dis))
         nxt = {x: (gj[x] if x in chosen else fj[x]) for x in P.elements}
-        for x in P.elements:
-            for y in P.elements:
-                if P.le(x, y) and not Q.le(nxt[x], nxt[y]):
-                    raise NotMonotone(
-                        f"interpolation produced a non-monotone map at {x!r} <= {y!r}"
-                    )
+        for x, y in covers:
+            if not Q.le(nxt[x], nxt[y]):
+                raise NotMonotone(
+                    f"interpolation produced a non-monotone map at {x!r} <= {y!r}"
+                )
         out.append(nxt)
     return out, changed
 
@@ -125,6 +126,7 @@ def homotopy_to_contiguity(H):
         ]
 
     levels = [layer[0]]
+    covers = P.covers()
     for l in range(1, m + 1):
         upward = l % 2 == 1
         cur = [dict(f) for f in levels[-1]]
@@ -137,7 +139,7 @@ def homotopy_to_contiguity(H):
                         "homotopy table does not respect the fence relations"
                     )
         while True:
-            nxt, changed = _lift_once(P, Q, cur, target, upward)
+            nxt, changed = _lift_once(P, Q, covers, cur, target, upward)
             if not changed:
                 break
             if H.symmetric:

@@ -221,6 +221,20 @@ def test_tc_finite(docs, capsys):
     assert doc["result"]["routes_agree"]
 
 
+def test_tc_finite_routes_agree_on_infinite(tmp_path, capsys):
+    """0, 1, 2 < 3 and 0, 1 < 4: both routes answer infinite, the section
+    route by skipping the pieces above a bad one, where deciding them
+    overran its map budget."""
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps({
+        "elements": [0, 1, 2, 3, 4],
+        "relations": [[0, 3], [1, 3], [2, 3], [0, 4], [1, 4]],
+    }))
+    code, doc = run(["tc-finite", "--input", str(path)], capsys)
+    assert code == 2
+    assert doc["result"]["routes_agree"]
+
+
 def test_stabilize(docs, capsys):
     code, doc = run(
         [

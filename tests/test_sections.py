@@ -1,5 +1,6 @@
+import hashlib
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from symtc import sections
+from symtc.complexity import tc_sigma_finite_sections
 from symtc.errors import BudgetExceeded
+from symtc.io import canonical_json
 from symtc.posets import poset_from_relations, power_poset
 from symtc.sections import cc_by_sections, invariant_open_pieces, section_search
 from symtc.verify import validate
@@ -216,6 +219,14 @@ CIRCLE_LABELLINGS = {
 
 
 @pytest.mark.parametrize("labelling", sorted(CIRCLE_LABELLINGS))
+def test_cc_by_sections_circle_pieces_tested(labelling):
+    """Of the 41 pieces, 17 lie above one of the bad pieces decided before
+    them and are not decided."""
+    P = poset_from_relations("abcd", CIRCLE_LABELLINGS[labelling])
+    assert cc_by_sections(P, 2)["pieces_tested"] == 24
+
+
+@pytest.mark.parametrize("labelling", sorted(CIRCLE_LABELLINGS))
 def test_section_search_circle_outcomes_pinned(labelling):
     P = poset_from_relations("abcd", CIRCLE_LABELLINGS[labelling])
     L = power_poset(P, 2)
@@ -404,3 +415,94 @@ def test_sweep_budget_counts_maps_reached(circle_poset, monkeypatch):
         reached, size = closes[-1]
         assert reached == budget + 1
         assert size < layer_sizes[len(closes) - 1]
+
+
+def _cc_deciding_every_piece(P, n):
+    """``cc_by_sections`` without the dominance walk: every invariant open
+    piece is decided.  Returns the result and the good and bad pieces."""
+    L = power_poset(P, n)
+    outcomes = {
+        p: section_search(L.restrict(p), P, n, 0)
+        for p in invariant_open_pieces(L, n, 0)
+    }
+    whole = frozenset(L.elements)
+    good = {p for p, out in outcomes.items() if out.yes}
+    bad = set(outcomes) - good
+    if whole in good:
+        return {"k": 1, "cover": [whole], "m": outcomes[whole].witness.m,
+                "witnesses": {whole: outcomes[whole]},
+                "whole_space_good": True}, good, bad
+    goods = [p for p in outcomes if p in good]
+    maximal = [p for p in goods if not any(p < q for q in goods)]
+    for k in range(2, len(maximal) + 1):
+        for combo in combinations(maximal, k):
+            if frozenset().union(*combo) == whole:
+                return {"k": k, "cover": list(combo),
+                        "m": max(outcomes[p].witness.m for p in combo),
+                        "witnesses": {p: outcomes[p] for p in combo},
+                        "whole_space_good": False}, good, bad
+    return {"k": None, "cover": [], "m": None, "witnesses": {},
+            "whole_space_good": False}, good, bad
+
+
+@pytest.mark.parametrize("n, max_size", [(2, 4), (3, 3)])
+def test_dominance_walk_against_deciding_every_piece(n, max_size,
+                                                     monkeypatch):
+    """Good pieces form a down-set, so the walk may skip every piece above
+    a bad one: each piece it skips is bad, and its cover, m and witnesses
+    are those found by deciding every piece."""
+    decided = []
+
+    def spy(Q, *args, **kwargs):
+        decided.append(frozenset(Q.elements))
+        return section_search(Q, *args, **kwargs)
+
+    monkeypatch.setattr(sections, "section_search", spy)
+    for size, rel in connected_posets_up_to_iso(max_size):
+        P = poset_from_relations(range(size), sorted(rel))
+        want, good, bad = _cc_deciding_every_piece(P, n)
+        assert not any(q < p for p in good for q in bad)
+        decided.clear()
+        got = cc_by_sections(P, n)
+        assert got["pieces_tested"] == len(decided) == len(set(decided))
+        if want["whole_space_good"]:
+            assert decided == [frozenset(power_poset(P, n).elements)]
+        else:
+            assert (good | bad) - set(decided) <= bad
+        for key in ("k", "cover", "m", "whole_space_good"):
+            assert got[key] == want[key]
+        assert {p: out.witness.to_doc() for p, out in got["witnesses"].items()} \
+            == {p: out.witness.to_doc() for p, out in want["witnesses"].items()}
+
+
+def test_section_search_outcomes_pinned_on_small_posets():
+    """sha256 over the canonical JSON of (status, record, witness document)
+    of every invariant open piece of every connected poset of at most 4
+    points at n = 2, 505 pieces in all."""
+    digest = hashlib.sha256()
+    count = 0
+    for size, rel in connected_posets_up_to_iso(4):
+        P = poset_from_relations(range(size), sorted(rel))
+        L = power_poset(P, 2)
+        for piece in invariant_open_pieces(L, 2, 0):
+            out = section_search(L.restrict(piece), P, 2, 0)
+            doc = None if out.witness is None else out.witness.to_doc()
+            digest.update(canonical_json([out.status, out.record, doc]).encode())
+            count += 1
+    assert count == 505
+    assert digest.hexdigest() == (
+        "da22aa4f7f5a385d19a4d18fc713df4881a368fdeadc69150d1bac7f67379d63"
+    )
+
+
+# 0, 1, 2 < 3 and 0, 1 < 4
+FIVE_POINTS = [(0, 3), (1, 3), (2, 3), (0, 4), (1, 4)]
+
+
+def test_sections_answer_above_a_piece_past_the_budget():
+    """Decided one by one, 36 of the 327 invariant opens of this poset's
+    square overrun the default map budget.  Each lies above a bad piece,
+    so the walk answers without deciding any of them."""
+    P = poset_from_relations(range(5), FIVE_POINTS)
+    res = tc_sigma_finite_sections(P, 2)
+    assert (res.kind, res.whole_space_good) == ("infinite", False)

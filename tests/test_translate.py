@@ -2,9 +2,11 @@ import pytest
 
 from symtc.actions import act_name, transposition
 from symtc.constructions import poset_tower, projection_rho
-from symtc.errors import InvalidChain
+from symtc.errors import InvalidChain, NotMonotone
+from symtc.posets import poset_from_relations
 from symtc.search import sym_comb_homotopic, sym_contiguous, plain_comb_homotopic
 from symtc.translate import (
+    _lift_once,
     contiguity_to_homotopy,
     homotopy_to_contiguity,
     retract_section,
@@ -171,3 +173,13 @@ def test_plain_homotopy_translates(v_poset):
     chain = homotopy_to_contiguity(res.witness)
     rep = validate(chain)
     assert rep.ok, rep.failures
+
+
+def test_lift_once_raises_on_non_monotone_step():
+    """Raising a toward a target that sends a < b to 1 > 0 breaks the cover
+    pair a < b."""
+    P = poset_from_relations("ab", [("a", "b")])
+    Q = poset_from_relations([0, 1], [(0, 1)])
+    cur, target = [{"a": 0, "b": 0}], [{"a": 1, "b": 0}]
+    with pytest.raises(NotMonotone, match="at 'a' <= 'b'"):
+        _lift_once(P, Q, P.covers(), cur, target, upward=True)
