@@ -2,13 +2,11 @@
 finite posets, with machine-checkable certificates."""
 
 from .actions import (
-    GroupConstraint,
     Permutation,
     act_name,
     act_simplex,
     check_equivariant_tuple,
     symmetric_group,
-    tuple_constraint_group,
 )
 from .complexes import (
     OrderedComplex,

@@ -6,12 +6,19 @@ previous-level names) memberwise, re-sorting canonically.  ``depth`` counts
 how many naming levels sit above the tuple level: 0 for K^n / P^n itself,
 1 for its first subdivision, and so on.
 
+A group acts on a family of names as index positions (``positions``): per
+element g, the index of each name's image.  A symmetric decision builds that
+table once for its source and reads from it the orbits, the reduction
+classes and the branch transpositions (``reduction``), and the invariance
+and equivariance checks (``equivariance_violation``).
+
 Equivariant tuples (f_1, ..., f_n) with f_j(g.x) = f_{g(j)}(x) are in
 bijection with single maps f_1 invariant under the subgroup generated by
 all (1, g(j)) g (1, j); the tuple is recovered by f_j(x) = f_1((1, j).x).
+That subgroup is Stab(1) = {g : g(1) = 1}.  Every generator fixes 1, and
+every g in Stab(1) is a generator: j = 1 gives (1, g(1)) g (1, 1) = g.
 """
 
-from dataclasses import dataclass
 from itertools import permutations as ipermutations
 
 from .complexes import SimplicialComplex
@@ -67,44 +74,6 @@ def symmetric_group(n):
     return [Permutation(p) for p in ipermutations(range(1, n + 1))]
 
 
-def mulclose(gens):
-    """Closure of a generator set under composition."""
-    els = set(gens)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in list(els):
-            for b in frontier:
-                c = a * b
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-        frontier = new
-    return sorted(els, key=lambda g: g.images)
-
-
-@dataclass(frozen=True)
-class GroupConstraint:
-    """The subgroup of Sigma_n that single reduced maps must respect."""
-
-    n: int
-    elements: tuple
-
-
-def tuple_constraint_group(n):
-    """Subgroup generated by (1, g(j)) g (1, j) over all g, j.
-
-    A single map constant on this subgroup's vertex orbits expands to an
-    equivariant n-tuple, and conversely.  Trivial for n = 2.
-    """
-    gens = [identity(n)]
-    for g in symmetric_group(n):
-        for j in range(1, n + 1):
-            w = transposition(n, 1, g(j)) * g * transposition(n, 1, j)
-            gens.append(w)
-    return GroupConstraint(n=n, elements=tuple(mulclose(gens)))
-
-
 # -- the induced action on names ---------------------------------------------
 
 
@@ -134,18 +103,57 @@ def act_fence_point(g, t):
 
 def orbit_partition(group, names, depth):
     """Orbits of a family of names, canonically ordered by their least member."""
-    names = list(names)
-    nameset = set(names)
-    tables = action_tables(group, nameset, depth)
-    seen = set()
-    parts = []
-    for x in csorted(names):
-        if x in seen:
-            continue
-        orb = {t[x] for t in tables} & nameset
-        seen |= orb
-        parts.append(tuple(csorted(orb)))
-    return parts
+    names = csorted(set(names))
+    return [tuple([names[i] for i in orb])
+            for orb in orbits_of(positions(group, names, depth))]
+
+
+def positions(group, names, depth):
+    """Per group element g, the list whose i-th entry is the index in
+    ``names`` of g . names[i], or None when that image is not among
+    ``names``; one ``action_tables`` call."""
+    index = {x: i for i, x in enumerate(names)}
+    return [[index.get(w) for w in t.values()]
+            for t in action_tables(group, names, depth)]
+
+
+def orbits_of(perms):
+    """The orbits of the indices under a group's ``positions``, ascending,
+    by least member; images outside the family are left out.  For names in
+    canonical order these are ``orbit_partition``'s orbits."""
+    seen, out = set(), []
+    for i in range(len(perms[0])):
+        if i not in seen:
+            orb = sorted({p[i] for p in perms} - {None})
+            seen.update(orb)
+            out.append(orb)
+    return out
+
+
+def reduction(group, perms):
+    """(classes, orbits, swaps) from the positions of Sigma_n on an
+    invariant source, ``group`` as ``symmetric_group`` lists it: the orbits
+    of Stab(1), on which a first map is constant; those of Sigma_n, on
+    which a diagonal tuple's map is; and per j the positions of the
+    transposition (1, j), which carry the first map to the j-th."""
+    n = group[0].n
+    at = dict(zip(group, perms))
+    return (orbits_of([p for g, p in at.items() if g(1) == 1]),
+            orbits_of(perms),
+            [at[transposition(n, 1, j)] for j in range(1, n + 1)])
+
+
+def equivariance_violation(group, perms, maps, names):
+    """The first (g, x, j) with f_j(g.x) != f_{g(j)}(x), g in ``group``
+    with ``perms`` its positions on ``names`` and the maps dicts on them,
+    or None; an image outside ``names`` is a violation."""
+    for g, p in zip(group, perms):
+        for j in range(1, g.n + 1):
+            fj, fgj = maps[j - 1], maps[g(j) - 1]
+            for x, i in zip(names, p):
+                if i is None or fj[names[i]] != fgj[x]:
+                    return g, x, j
+    return None
 
 
 def action_tables(group, names, depth):
@@ -232,42 +240,13 @@ def orbit_partition_simplices(group, simplices, depth):
     return parts
 
 
-def is_invariant_simplices(simplices, group, depth):
-    """Is a complex, or a family of simplices (sets of names), closed
-    under the action?  A complex is when its facets are."""
-    verts, rank, ranked = _ranked_family(simplices)
-    members = set(ranked)
-    if isinstance(simplices, SimplicialComplex):
-        ranked = simplices.ranked_facets()
-    for t in action_tables(group, verts, depth):
-        perm = [rank.get(w) for w in t.values()]
-        if None in perm:
-            return False
-        for s in ranked:
-            if tuple(sorted([perm[i] for i in s])) not in members:
-                return False
-    return True
-
-
-def is_invariant_elements(elements, group, depth):
-    """Is a set of names closed under the action?"""
-    members = set(elements)
-    return all(members.issuperset(t.values())
-               for t in action_tables(group, members, depth))
-
-
 def check_equivariant_tuple(maps, n, depth, domain=None):
     """Check f_j(g.x) = f_{g(j)}(x) for every g in Sigma_n; returns
     (ok, violation_or_None)."""
     if len(maps) != n:
         raise LevelMismatch(f"expected {n} maps, got {len(maps)}")
-    if domain is None:
-        domain = maps[0].keys()
+    names = list(maps[0] if domain is None else domain)
     group = symmetric_group(n)
-    for g, act in zip(group, action_tables(group, domain, depth)):
-        for j in range(1, n + 1):
-            fj, fgj = maps[j - 1], maps[g(j) - 1]
-            for x in domain:
-                if fj[act[x]] != fgj[x]:
-                    return False, (g, x, j)
-    return True, None
+    viol = equivariance_violation(group, positions(group, names, depth),
+                                  maps, names)
+    return viol is None, viol

@@ -215,30 +215,9 @@ class OrderedComplex:
     def vertices(self):
         return self.base.vertices
 
-    @property
-    def facets(self):
-        return self.base.facets
-
-    @property
-    def simplices(self):
-        return self.base.simplices
-
-    def facet_names(self):
-        return self.base.facet_names()
-
     def max_vertex(self, s):
         """Largest vertex of a simplex under the vertex order."""
         return self.order.max_of(s)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrderedComplex)
-            and self.base == other.base
-            and self.order == other.order
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.order))
 
     def __repr__(self):
         return f"Ordered{self.base!r}"

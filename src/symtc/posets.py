@@ -46,9 +46,6 @@ class FinitePoset:
 
     # -- basic queries ---------------------------------------------------
 
-    def __len__(self):
-        return len(self.elements)
-
     def __contains__(self, x):
         return x in self.index
 
@@ -230,17 +227,6 @@ class MonotoneMap:
 
     def __call__(self, x):
         return self.mapping[x]
-
-    def is_monotone(self):
-        els = self.source.elements
-        for a in els:
-            fa = self.mapping.get(a)
-            if fa is None or fa not in self.target:
-                return False
-            for b in self.source.up_set(a):
-                if not self.target.le(fa, self.mapping[b]):
-                    return False
-        return True
 
 
 class MonotoneWalk:

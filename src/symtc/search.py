@@ -11,7 +11,8 @@ Two graph searches underlie everything:
   form.
 
 In symmetric mode an equivariant n-tuple is represented by its first map,
-constant on the orbits of the tuple constraint group; componentwise
+constant on the orbits of Stab(1) = {g : g(1) = 1}, the subgroup generated
+by the (1, g(j)) g (1, j) (see ``actions``); componentwise
 conditions on tuples reduce to the same condition on first maps (the other
 components differ by precomposition with a bijection of the invariant
 source), and the goal is any node invariant under the full symmetric group,
@@ -64,14 +65,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .actions import (
-    action_tables,
-    check_equivariant_tuple,
-    is_invariant_elements,
-    is_invariant_simplices,
-    orbit_partition,
+    equivariance_violation,
+    orbit_partition,  # noqa: F401  (perfbench/tracing.py wraps it here)
+    positions,
+    reduction,
     symmetric_group,
-    transposition,
-    tuple_constraint_group,
 )
 from .complexes import base_of
 from .errors import (
@@ -96,10 +94,14 @@ class SearchResult:
 
 
 def _check_inputs(maps, n, depth, mode, symmetric, simplicial):
-    """(source, target, tables) of a decider's tuple, the tables its maps
-    as dicts, after the checks each decider makes: the mode and the tuple's
-    shape, and for a symmetric decider an invariant source (simplices or
-    elements) and an equivariant tuple."""
+    """(source, target, tables, action) of a decider's tuple, the tables
+    its maps as dicts, after the checks each decider makes: the mode and
+    the tuple's shape, and for a symmetric decider an invariant source
+    (every image of a name is a name and, on a complex, every image of a
+    facet a simplex) and an equivariant tuple.  ``action`` is (classes,
+    goal, swaps): for a symmetric decider those of ``actions.reduction``,
+    read like the checks from one table of Sigma_n's positions on the
+    source; all None for a plain one."""
     if mode not in ("exact", "auto", "bounded"):
         raise UnsupportedMode(
             f"search mode must be 'exact', 'auto' or 'bounded', not {mode!r}"
@@ -111,22 +113,22 @@ def _check_inputs(maps, n, depth, mode, symmetric, simplicial):
         if f.source != src or f.target != tgt:
             raise SourceMismatch("tuple maps must share source and target")
     tables = [f.vertex_map if simplicial else f.mapping for f in maps]
-    if symmetric:
-        group = symmetric_group(n)
-        if simplicial:
-            names = src.vertices
-            if not is_invariant_simplices(src, group, depth):
-                raise NotEquivariant("source is not an invariant subcomplex")
-        else:
-            names = src.elements
-            if not is_invariant_elements(names, group, depth):
-                raise NotEquivariant("source is not an invariant subset")
-        ok, viol = check_equivariant_tuple(tables, n, depth, domain=names)
-        if not ok:
-            raise NotEquivariant(
-                f"tuple is not equivariant: violated at {viol!r}"
-            )
-    return src, tgt, tables
+    if not symmetric:
+        return src, tgt, tables, (None, None, None)
+    group = symmetric_group(n)
+    names = src.vertices if simplicial else src.elements
+    perms = positions(group, names, depth)
+    members = set(src.ranked_simplices()) if simplicial else None
+    for p in perms:
+        if None in p or simplicial and any(
+                tuple(sorted([p[i] for i in t])) not in members
+                for t in src.ranked_facets()):
+            raise NotEquivariant("source is not an invariant "
+                                 + ("subcomplex" if simplicial else "subset"))
+    viol = equivariance_violation(group, perms, tables, names)
+    if viol is not None:
+        raise NotEquivariant(f"tuple is not equivariant: violated at {viol!r}")
+    return src, tgt, tables, reduction(group, perms)
 
 
 def _class_bfs(space, start, stop, budget):
@@ -317,19 +319,20 @@ def _first_fit(space, fits, budget=None):
     return tuple(values) if ci == len(classes) else None
 
 
-def _decide(space, starts, n, depth, mode, budget, symmetric):
+def _decide(space, starts, mode, budget, goal=None, swaps=None):
     """Start check, quick stage and component search of every decider.
 
     A symmetric decider has one start, and its goal is a map constant on
-    the Sigma_n classes; a plain decider's goal is one component holding
-    every start, from any map.  On "yes" the witness is ``levels``, where
-    ``levels[l][j]`` is the l-th map of branch j as a dict on the source
-    names, a shorter branch held at its last map.  Plain branch j is a path
-    from a common map to start j; symmetric branch j is the one path from a
-    goal to the start, precomposed with the transposition (1, j + 1).  Each
-    path is in alternating form (see ``_shortcut``).
+    the Sigma_n classes ``goal``; a plain decider, without them, has one
+    component holding every start as its goal, from any map.  On "yes" the
+    witness is ``levels``, where ``levels[l][j]`` is the l-th map of branch
+    j as a dict on the source names, a shorter branch held at its last map.
+    Plain branch j is a path from a common map to start j; symmetric branch
+    j is the one path from a goal to the start, precomposed with the
+    transposition (1, j + 1), whose source positions are ``swaps[j]``.
+    Each path is in alternating form (see ``_shortcut``).
     """
-    goal = space.classes_of(symmetric_group(n), depth) if symmetric else None
+    symmetric = goal is not None
 
     def is_goal(values):
         return goal is None or _constant_on(values, goal)
@@ -337,12 +340,8 @@ def _decide(space, starts, n, depth, mode, budget, symmetric):
     def yes(paths, record):
         branches = [_shortcut(p, space.directions) for p in paths]
         if symmetric:
-            perms = [[space.index[act[x]] for x in space.names]
-                     for act in action_tables(
-                         [transposition(n, 1, j) for j in range(1, n + 1)],
-                         space.names, depth)]
             branches = [[tuple(values[i] for i in perm)
-                         for values in branches[0]] for perm in perms]
+                         for values in branches[0]] for perm in swaps]
         levels = [[space.map_of(b[min(l, len(b) - 1)]) for b in branches]
                   for l in range(max(map(len, branches)))]
         return SearchResult("yes", levels, record)
@@ -459,14 +458,6 @@ class _PackedNodes:
         self.index = {x: i for i, x in enumerate(self.names)}
         self.tindex = {y: v for v, y in enumerate(self.tnames)}
 
-    def classes_of(self, group, depth):
-        """The source indices by orbit of ``group`` on the names, in the
-        order of ``orbit_partition``; one class per index without a group."""
-        if group is None:
-            return [[i] for i in range(len(self.names))]
-        return [[self.index[x] for x in part]
-                for part in orbit_partition(group, self.names, depth)]
-
     def values_of(self, mapping):
         """The value tuple of a map given as a dict on the source names."""
         return tuple(self.tindex[mapping[x]] for x in self.names)
@@ -482,9 +473,10 @@ class _PackedNodes:
 
 class _SimplicialSpace(_PackedNodes):
     """Moves, bridges and 1-contiguity tests over simplicial maps L -> K
-    constant on the orbit classes of ``group`` (singletons without one)."""
+    constant on ``classes``, lists of vertex indices (singletons without
+    them)."""
 
-    def __init__(self, source, target, group=None, depth=0):
+    def __init__(self, source, target, classes=None):
         source, target = base_of(source), base_of(target)
         self.source = source
         self.target = target
@@ -504,7 +496,7 @@ class _SimplicialSpace(_PackedNodes):
                 bit = 1 << i
                 if mask != bit:
                     self.ext[mask ^ bit] = self.ext.get(mask ^ bit, 0) | bit
-        self.classes = self.classes_of(group, depth)
+        self.classes = classes or [[i] for i in range(self.size)]
 
     @cached_property
     def _touched(self):
@@ -616,15 +608,12 @@ def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
 def _contiguity(maps, n, depth, mode, budget, target_ordered, symmetric):
     """The contiguity deciders: the driver over simplicial maps, its levels
     the ContiguityChain of a yes."""
-    source, target, tables = _check_inputs(maps, n, depth, mode, symmetric,
-                                           simplicial=True)
-    space = _SimplicialSpace(
-        source, target,
-        tuple_constraint_group(n).elements if symmetric else None, depth,
-    )
+    source, target, tables, (classes, goal, swaps) = _check_inputs(
+        maps, n, depth, mode, symmetric, simplicial=True)
+    space = _SimplicialSpace(source, target, classes)
     starts = [space.values_of(t)
               for t in (tables[:1] if symmetric else tables)]
-    res = _decide(space, starts, n, depth, mode, budget, symmetric)
+    res = _decide(space, starts, mode, budget, goal, swaps)
     if res.yes:
         res.witness = ContiguityChain(
             n=n, depth=depth, symmetric=symmetric, source=source,
@@ -874,11 +863,11 @@ class _MonotoneMoves(_PackedNodes):
 
 
 class _MonotoneSpace(_MonotoneMoves):
-    """_MonotoneMoves over monotone maps Q -> P constant on the orbit
-    classes of ``group`` (singletons without one), with the names of Q
-    and P."""
+    """_MonotoneMoves over monotone maps Q -> P constant on ``classes``,
+    lists of element indices (singletons without them), with the names of
+    Q and P."""
 
-    def __init__(self, Q, P, group=None, depth=0):
+    def __init__(self, Q, P, classes=None):
         self.Q = Q
         self.P = P
         self._set_names(Q.elements, P.elements)
@@ -887,7 +876,7 @@ class _MonotoneSpace(_MonotoneMoves):
             [m ^ 1 << i for i, m in enumerate(Q.up)],
             P.up,
             P.down,
-            self.classes_of(group, depth),
+            classes or [[i] for i in range(len(Q.elements))],
         )
 
 
@@ -912,14 +901,12 @@ def _homotopy(maps, n, depth, mode, budget, symmetric):
     """The homotopy deciders: the driver over monotone maps, its levels the
     CombinatorialHomotopy of a yes, with cell (x, (0, 0)) from level 0's
     first map and cell (x, (l, j)) from level l's j-th."""
-    Q, P, tables = _check_inputs(maps, n, depth, mode, symmetric,
-                                 simplicial=False)
-    space = _MonotoneSpace(
-        Q, P, tuple_constraint_group(n).elements if symmetric else None, depth
-    )
+    Q, P, tables, (classes, goal, swaps) = _check_inputs(
+        maps, n, depth, mode, symmetric, simplicial=False)
+    space = _MonotoneSpace(Q, P, classes)
     starts = [space.values_of(t)
               for t in (tables[:1] if symmetric else tables)]
-    res = _decide(space, starts, n, depth, mode, budget, symmetric)
+    res = _decide(space, starts, mode, budget, goal, swaps)
     if res.yes:
         levels = res.witness
         table = {(x, (0, 0)): v for x, v in levels[0][0].items()}

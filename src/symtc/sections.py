@@ -5,7 +5,7 @@ This is the independent second code path behind the finite-space complexity
 at subdivision level 0.  A section over an invariant open Q is determined by
 its layer maps h^0, h^1, ..., h^m (h^l sends x to the path value at l on the
 first fence; the other branches are forced by equivariance), which form an
-alternating zigzag in the poset of constraint-invariant monotone maps ending
+alternating zigzag in the poset of Stab(1)-invariant monotone maps ending
 at the projection.  Small m values (0, 1, 2) are checked by targeted
 constructions first; the sweep decides the rest.  m = 1 asks for one
 invariant map below the projection, a masked walk; m = 2 tries the constants
@@ -24,7 +24,7 @@ at m - 2 the layers no longer change, no larger m can help, and a "no" is
 proven.
 
 Closures are walks over single-class moves, so only the maps the layers
-reach are ever built.  The constraint group's orbit classes are antichains
+reach are ever built.  The orbit classes of Stab(1) are antichains
 (an automorphism with g.x < x would give x = g^k.x < ... < g.x < x), so
 among class-constant monotone maps h <= g iff g reaches h by moves that
 lower one class each, every step monotone: lower a class holding a point
@@ -46,13 +46,7 @@ one before.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .actions import (
-    act_name,
-    orbit_partition,
-    symmetric_group,
-    transposition,
-    tuple_constraint_group,
-)
+from .actions import orbit_partition, positions, reduction, symmetric_group
 from .errors import BudgetExceeded, DisconnectedPoset, SizeLimitExceeded
 from .posets import (
     MonotoneWalk,
@@ -82,51 +76,34 @@ def _rho_tables(Q, P, n, depth):
     ]
 
 
-def _witness_from_layers(Q, P, n, depth, layers):
-    """Build the section from layer maps h^0..h^m (dicts on Q)."""
-    m = len(layers) - 1
-    J = multi_fence(n, m)
-    paths = {}
-    for x in Q.elements:
-        gamma = {(0, 0): layers[0][x]}
-        for l in range(1, m + 1):
-            for j in range(1, n + 1):
-                t = transposition(n, 1, j)
-                gamma[(l, j)] = layers[l][act_name(t, x, depth)]
-        paths[x] = gamma
-    assert set(paths[Q.elements[0]]) == set(J.poset.elements)
-    return SectionWitness(
-        n=n,
-        m=m,
-        depth=depth,
-        symmetric=True,
-        source=Q,
-        target=P,
-        paths=paths,
-        projection_endpoints=True,
-    )
-
-
 def section_search(Q, P, n, depth, budget=50_000):
     """Does the fence evaluation map admit an equivariant section over Q?"""
     rho = _rho_tables(Q, P, n, depth)
-    ei = {x: i for i, x in enumerate(Q.elements)}
     ti = {x: i for i, x in enumerate(P.elements)}
-    G = tuple_constraint_group(n)
-    g_classes = [
-        [ei[x] for x in part]
-        for part in orbit_partition(G.elements, Q.elements, depth)
-    ]
-    sigma_classes = [
-        [ei[x] for x in part]
-        for part in orbit_partition(symmetric_group(n), Q.elements, depth)
-    ]
+    group = symmetric_group(n)
+    g_classes, sigma_classes, swaps = reduction(
+        group, positions(group, Q.elements, depth))
     start = tuple(ti[rho[0][x]] for x in Q.elements)
     walk = MonotoneWalk(Q, P, g_classes)
     up = walk.up
 
-    def as_map(vals):
-        return {x: P.elements[v] for x, v in zip(Q.elements, vals)}
+    def found(layers, record):
+        """A yes from the layer maps h^0..h^m, value tuples over Q; branch
+        j reads h^l through ``swaps[j - 1]``, the positions of (1, j)."""
+        names, values = Q.elements, P.elements
+        paths = {}
+        for i, x in enumerate(names):
+            gamma = {(0, 0): values[layers[0][i]]}
+            for l, h in enumerate(layers[1:], start=1):
+                for j, p in enumerate(swaps, start=1):
+                    gamma[(l, j)] = values[h[p[i]]]
+            paths[x] = gamma
+        m = len(layers) - 1
+        assert set(paths[names[0]]) == set(multi_fence(n, m).poset.elements)
+        return SectionOutcome("yes", SectionWitness(
+            n=n, m=m, depth=depth, symmetric=True, source=Q, target=P,
+            paths=paths, projection_endpoints=True,
+        ), record)
 
     def invariant(vals):
         return all(
@@ -135,10 +112,7 @@ def section_search(Q, P, n, depth, budget=50_000):
 
     # m = 0: the projection family itself must be a diagonal invariant tuple
     if invariant(start):
-        return SectionOutcome(
-            "yes", _witness_from_layers(Q, P, n, depth, [as_map(start)]),
-            {"m": 0, "stage": "small-m"},
-        )
+        return found([start], {"m": 0, "stage": "small-m"})
 
     # m = 1: an invariant map pointwise below the projection, the lowest
     # constant (always monotone and invariant), else the first in canonical
@@ -153,11 +127,7 @@ def section_search(Q, P, n, depth, budget=50_000):
             [walk.down[v] for v in start], first_only=True
         )
     if phi:
-        layers = [as_map(phi[0]), as_map(start)]
-        return SectionOutcome(
-            "yes", _witness_from_layers(Q, P, n, depth, layers),
-            {"m": 1, "stage": "small-m"},
-        )
+        return found([phi[0], start], {"m": 1, "stage": "small-m"})
 
     # constants first; a full enumeration of invariant maps only within a
     # small budget, the sweep decides anyway
@@ -180,13 +150,7 @@ def section_search(Q, P, n, depth, budget=50_000):
             [up[a] & up[b] for a, b in zip(phi, start)], first_only=True
         )
         if mid:
-            return SectionOutcome(
-                "yes",
-                _witness_from_layers(
-                    Q, P, n, depth, [as_map(phi), as_map(mid[0]), as_map(start)]
-                ),
-                {"m": 2, "stage": "small-m"},
-            )
+            return found([phi, mid[0], start], {"m": 2, "stage": "small-m"})
 
     # the sweep, from the projection: A_0 = B_0 = {projection}
     sweep = _Sweep(Q, walk, sigma_classes, budget)
@@ -204,13 +168,8 @@ def section_search(Q, P, n, depth, budget=50_000):
         hits = [k for k in new_a if sweep.invariant(k)]
         if hits:
             layers = sweep.reconstruct(min(hits), start_key, a_at, b_at, m)
-            return SectionOutcome(
-                "yes",
-                _witness_from_layers(
-                    Q, P, n, depth, [as_map(sweep.expand(k)) for k in layers]
-                ),
-                {"m": m, "stage": "sweep", "reached": sweep.reached},
-            )
+            return found([sweep.expand(k) for k in layers],
+                         {"m": m, "stage": "sweep", "reached": sweep.reached})
         if m >= 2 and sizes[m] == sizes[m - 2]:
             return SectionOutcome(
                 "no",

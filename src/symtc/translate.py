@@ -14,7 +14,7 @@
   image-union maps.
 """
 
-from .actions import check_equivariant_tuple
+from .actions import equivariance_violation, positions, symmetric_group
 from .complexes import base_of
 from .errors import InvalidChain, InvalidTable, NotMonotone
 from .posets import face_poset, multi_fence, order_complex
@@ -127,6 +127,9 @@ def homotopy_to_contiguity(H):
 
     levels = [layer[0]]
     covers = P.covers()
+    if H.symmetric:
+        group = symmetric_group(n)
+        perms = positions(group, P.elements, H.depth)
     for l in range(1, m + 1):
         upward = l % 2 == 1
         cur = [dict(f) for f in levels[-1]]
@@ -143,10 +146,8 @@ def homotopy_to_contiguity(H):
             if not changed:
                 break
             if H.symmetric:
-                ok, viol = check_equivariant_tuple(
-                    nxt, n, H.depth, domain=P.elements
-                )
-                if not ok:
+                viol = equivariance_violation(group, perms, nxt, P.elements)
+                if viol is not None:
                     raise InvalidTable(
                         f"interpolation lost equivariance at {viol!r}"
                     )

@@ -30,6 +30,33 @@ def _names(names):
     return {x: x for x in names}
 
 
+def _header(doc, *counts):
+    """A certificate's header fields as keyword arguments: ``counts``
+    among n, m and depth, each a JSON integer (n >= 1, the others >= 0),
+    and ``symmetric`` and, when present, ``projection_endpoints``, each a
+    JSON boolean.  Anything else raises ParseError; a missing field raises
+    KeyError."""
+    out = {}
+    for key in counts:
+        low = 1 if key == "n" else 0
+        value = doc[key]
+        if type(value) is not int or value < low:
+            raise ParseError(
+                f"certificate field {key!r} must be an integer >= {low}, "
+                f"not {value!r}"
+            )
+        out[key] = value
+    flags = {"symmetric": doc["symmetric"],
+             "projection_endpoints": doc.get("projection_endpoints", False)}
+    for key, value in flags.items():
+        if type(value) is not bool:
+            raise ParseError(
+                f"certificate field {key!r} must be true or false, "
+                f"not {value!r}"
+            )
+    return out | flags
+
+
 @dataclass
 class ContiguityChain:
     """Map tuples T^0 .. T^c; T^0 diagonal, consecutive tuples 1-contiguous."""
@@ -90,10 +117,7 @@ class ContiguityChain:
             target = complex_from_doc(doc["target"])
             keys, values = _names(source.vertices), _names(target.vertices)
             return cls(
-                n=int(doc["n"]),
-                depth=int(doc["depth"]),
-                symmetric=bool(doc["symmetric"]),
-                projection_endpoints=bool(doc.get("projection_endpoints", False)),
+                **_header(doc, "n", "depth"),
                 source=source,
                 target=target,
                 levels=[
@@ -171,11 +195,7 @@ class CombinatorialHomotopy:
                     f"{len(table)} cells"
                 )
             return cls(
-                n=int(doc["n"]),
-                m=int(doc["m"]),
-                depth=int(doc["depth"]),
-                symmetric=bool(doc["symmetric"]),
-                projection_endpoints=bool(doc.get("projection_endpoints", False)),
+                **_header(doc, "n", "m", "depth"),
                 source=source,
                 target=target,
                 table=table,
@@ -243,11 +263,7 @@ class SectionWitness:
                     f"{len(paths)} keys"
                 )
             return cls(
-                n=int(doc["n"]),
-                m=int(doc["m"]),
-                depth=int(doc["depth"]),
-                symmetric=bool(doc["symmetric"]),
-                projection_endpoints=bool(doc.get("projection_endpoints", False)),
+                **_header(doc, "n", "m", "depth"),
                 source=source,
                 target=target,
                 paths=paths,

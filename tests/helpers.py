@@ -8,8 +8,8 @@ table writer sorts every table by ``ckey`` on its own.  The class-move
 oracle is the search kernel's former tuple form, run on move masks that the
 tests compute by brute force.  The path normaliser oracle is the searchers'
 former two passes: ``shortcut_without_repeats``, then ``alternate``.  The
-beat-point oracle tests every point against every pair of points.  The
-reference complex ``NameComplex`` keeps every simplex as a frozenset of
+beat-point oracle tests every point against every pair of points, and
+``is_monotone`` every pair of source elements.  The reference complex ``NameComplex`` keeps every simplex as a frozenset of
 names, the representation complexes used before they kept rank tuples.
 """
 
@@ -116,6 +116,17 @@ def brute_monotone_maps(src_elements, src_le, tgt_elements, tgt_le):
 
     rec(0)
     return out
+
+
+def is_monotone(f):
+    """Is the map ``f`` defined on every source element, into the target,
+    and order preserving?  Every pair is checked through ``le``."""
+    els, mapping = f.source.elements, f.mapping
+    if any(x not in mapping or mapping[x] not in f.target.elements
+           for x in els):
+        return False
+    return all(f.target.le(mapping[a], mapping[b])
+               for a in els for b in els if f.source.le(a, b))
 
 
 def reachable(start_keys, nodes, adjacent):

@@ -107,20 +107,20 @@ def test_criterion_2_structure_counts():
     started = time.monotonic()
     sd2 = build_tower(triangle(), 1, 1).levels[1]
     assert len(sd2.vertices) == 7
-    assert len(sd2.facets) == 6
+    assert len(sd2.base.facets) == 6
 
     for K in (edge(), hollow_triangle()):
         tower = build_tower(K, 2, 2)
         for r in (0, 1):
             assert len(tower.levels[r + 1].vertices) == len(
-                tower.levels[r].simplices
+                tower.levels[r].base.simplices
             )
 
     tower = build_tower(edge(), 2, 0)
     sq = tower.levels[0]
     assert len(sq.vertices) == 4
-    assert len([s for s in sq.simplices if len(s) == 2]) == 5
-    assert len(sq.facets) == 2
+    assert len([s for s in sq.base.simplices if len(s) == 2]) == 5
+    assert len(sq.base.facets) == 2
     assert euler_characteristic(sq.base) == 1
     elapsed = time.monotonic() - started
     assert elapsed < 1.0

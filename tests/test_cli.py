@@ -696,3 +696,48 @@ def test_empty_input_exit_code(tmp_path, capsys, command, doc):
     assert code == 4
     assert captured.out == ""
     assert captured.err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def hollow_chains(tmp_path_factory):
+    """The piece-0 chains that ``sc --mode upper`` writes for the hollow
+    triangle, symmetric (False) and plain (True); each validates as
+    written."""
+    root = tmp_path_factory.mktemp("hollow")
+    src = root / "hollow.json"
+    src.write_text(json.dumps({"vertices": ["a", "b", "c"],
+                               "facets": [["a", "b"], ["b", "c"], ["a", "c"]]}))
+    chains = {}
+    for plain in (False, True):
+        certs = root / f"certs-{plain}"
+        assert main(["sc", "--mode", "upper", "--input", str(src),
+                     "--output", str(root / "report.json"),
+                     "--cert-dir", str(certs)]
+                    + (["--plain"] if plain else [])) == 0
+        path = next(certs.glob("*-piece0.cert.json"))
+        assert main(["check-certificate", "--input", str(path),
+                     "--output", str(root / "check.json")]) == 0
+        chains[plain] = json.loads(path.read_text())
+    return chains
+
+
+@pytest.mark.parametrize("plain, field, value", [
+    (False, "n", 2.9),
+    (False, "n", "2"),
+    (False, "depth", -1),
+    (False, "depth", True),
+    (True, "symmetric", "false"),
+])
+def test_check_certificate_rejects_malformed_header(
+        hollow_chains, tmp_path, capsys, plain, field, value):
+    """A header field that is not a JSON integer in range, or not a JSON
+    boolean, is refused as it is read, not coerced: one line naming the
+    field, exit 4."""
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(dict(hollow_chains[plain], **{field: value})))
+    code = main(["check-certificate", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"{field!r}" in captured.err

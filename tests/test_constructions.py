@@ -17,19 +17,19 @@ from symtc.constructions import (
 from symtc.errors import BadArity, BudgetExceeded, UnorderedInput
 from symtc.posets import power_poset, sd_poset
 
-from helpers import brute_chains
+from helpers import brute_chains, is_monotone
 
 
 def test_sd_edge(edge):
     sd = barycentric_subdivide(totalize(edge))
     assert len(sd.vertices) == 3
-    assert len(sd.facets) == 2
+    assert len(sd.base.facets) == 2
 
 
 def test_sd_triangle(triangle):
     sd = barycentric_subdivide(totalize(triangle))
     assert len(sd.vertices) == 7
-    assert len(sd.facets) == 6
+    assert len(sd.base.facets) == 6
 
 
 def test_sd_point(point_complex):
@@ -41,9 +41,9 @@ def test_ordered_power_square(edge):
     power = ordered_power(totalize(edge), 2)
     sq = power.result
     assert len(sq.vertices) == 4
-    assert len([s for s in sq.simplices if len(s) == 2]) == 5
-    assert len(sq.facets) == 2
-    assert {tuple(sorted(f)) for f in sq.facet_names()} == {
+    assert len([s for s in sq.base.simplices if len(s) == 2]) == 5
+    assert len(sq.base.facets) == 2
+    assert {tuple(sorted(f)) for f in sq.base.facet_names()} == {
         (("a", "a"), ("a", "b"), ("b", "b")),
         (("a", "a"), ("b", "a"), ("b", "b")),
     }
@@ -96,7 +96,7 @@ def test_tower_size_law(edge, hollow_triangle):
         tower = build_tower(K, 2, 2)
         for r in (0, 1):
             assert len(tower.levels[r + 1].vertices) == len(
-                tower.levels[r].simplices
+                tower.levels[r].base.simplices
             )
 
 
@@ -153,12 +153,12 @@ def test_sd_poset_grid_count(chain2):
     grid = power_poset(chain2, 2)
     sd = sd_poset(grid)
     oracle = brute_chains(grid.elements, grid.le)
-    assert len(sd) == len(oracle) == 11
+    assert len(sd.elements) == len(oracle) == 11
 
 
 def test_tau_is_monotone(v_poset):
     t = tau(v_poset)
-    assert t.is_monotone()
+    assert is_monotone(t)
 
 
 def test_rho_equivariance(chain2):

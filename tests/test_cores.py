@@ -51,7 +51,7 @@ def sources(draw):
     n = draw(st.sampled_from([1, 2, 2, 3]))
     if n == 1:
         Q = draw(posets(7))
-        return Q, [[i] for i in range(len(Q))], n
+        return Q, [[i] for i in range(len(Q.elements))], n
     power = power_poset(draw(posets(3 if n == 2 else 2)), n)
     chosen = draw(st.lists(st.sampled_from(power.elements), min_size=1,
                            unique=True))
@@ -73,7 +73,7 @@ def test_core_has_no_beat_point_and_retracts_by_steps(drawn):
     def le(i, j):
         return Q.le(Q.elements[i], Q.elements[j])
 
-    alive = set(range(len(Q)))
+    alive = set(range(len(Q.elements)))
     for step in steps:
         assert any(sorted(step) == orbit for orbit in orbits)
         after = alive - set(step)
@@ -119,7 +119,7 @@ def test_ten_point_circle_piece_is_decided_on_its_core():
     alone in its component; on all of Q its component has 20 of the 812
     monotone maps, rho_2 not among them."""
     Q, maps = _piece({("c", "a"), ("d", "c")})
-    assert len(Q) == 10
+    assert len(Q.elements) == 10
     res = plain_comb_homotopic(maps, mode="exact")
     assert res.status == "no"
     assert res.record == {"stage": "exact", "core": 4, "explored": 1,
@@ -143,7 +143,7 @@ def test_invariant_circle_piece_agrees_with_the_section_route():
     with a core of 6.  The symmetric decider answers "no" on the core, and
     the section route, which works on all of Q, agrees."""
     Q, maps = _piece({("c", "d"), ("d", "c")})
-    assert len(Q) == 14
+    assert len(Q.elements) == 14
     res = sym_comb_homotopic(maps, 2, 0, mode="exact")
     assert res.status == "no"
     assert res.record["core"] == 6 and res.record["exhausted_component"]
@@ -154,6 +154,6 @@ def test_a_piece_without_beat_points_is_its_own_core():
     """The whole square of the circle has no beat point: the search runs on
     all 16 points."""
     Q, maps = _piece(set(power_poset(CIRCLE, 2).elements))
-    assert len(Q) == 16
+    assert len(Q.elements) == 16
     assert sym_comb_homotopic(maps, 2, 0, mode="exact").record["core"] == 16
     assert plain_comb_homotopic(maps, mode="exact").record["core"] == 16

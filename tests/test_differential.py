@@ -92,7 +92,7 @@ def complex_cases(draw):
         return n, tower, maps
     # the down-closure of the Sigma_n-orbits of one or two simplices: an
     # invariant piece
-    simplices = sorted(top.simplices, key=sorted)
+    simplices = sorted(top.base.simplices, key=sorted)
     chosen = rnd.sample(simplices, min(len(simplices), rnd.choice([1, 2])))
     orbits = {
         frozenset(_permuted(x, p) for x in s)

@@ -38,6 +38,7 @@ ENTRY_POINTS = {
     "validate_simplicial_map": "checker",
     "check_obstruction": "checker",
     "act_simplex": "oracle",
+    "check_equivariant_tuple": "oracle",
     "all_chains": "oracle",
     "identity_map": "oracle",
 }

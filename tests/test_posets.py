@@ -138,12 +138,12 @@ def test_face_poset_edge(edge):
 
 
 def test_face_poset_point(point_complex):
-    assert len(face_poset(point_complex)) == 1
+    assert len(face_poset(point_complex).elements) == 1
 
 
 def test_face_poset_hollow_triangle_gives_hexagon(hollow_triangle):
     fp = face_poset(hollow_triangle)
-    assert len(fp) == 6
+    assert len(fp.elements) == 6
     oc = order_complex(fp)
     # a hexagon: 6 vertices and 6 edges
     assert len(oc.base.vertices) == 6
@@ -157,12 +157,12 @@ def test_sd_poset_chain(chain2):
 
 
 def test_sd_poset_point(point_poset):
-    assert len(sd_poset(point_poset)) == 1
+    assert len(sd_poset(point_poset).elements) == 1
 
 
 def test_sd_poset_v(v_poset):
     sd = sd_poset(v_poset)
-    assert len(sd) == 5  # 3 singletons + 2 two-chains
+    assert len(sd.elements) == 5  # 3 singletons + 2 two-chains
 
 
 def test_adjunction(v_poset, chain3, circle_poset):
@@ -173,7 +173,7 @@ def test_adjunction(v_poset, chain3, circle_poset):
 def test_chains_against_oracle(circle_poset):
     sd = sd_poset(circle_poset)
     oracle = brute_chains(circle_poset.elements, circle_poset.le)
-    assert len(sd) == len(oracle)
+    assert len(sd.elements) == len(oracle)
 
 
 def test_chain_walk_stops_at_budget():
@@ -192,7 +192,7 @@ def test_mapping_poset_is_poset(chain2):
     3-chain."""
     maps = monotone_value_tuples(chain2, chain2)
     mp = FinitePoset(maps, _componentwise(chain2, maps))
-    assert len(mp) == 3
+    assert len(mp.elements) == 3
     bot, mid, top = (0, 0), (0, 1), (1, 1)
     assert mp.le(bot, mid) and mp.le(mid, top) and not mp.le(mid, bot)
 
@@ -207,12 +207,12 @@ def test_fence():
 
 
 def test_multi_fence_sizes():
-    assert len(multi_fence(2, 2).poset) == 5
+    assert len(multi_fence(2, 2).poset.elements) == 5
     J31 = multi_fence(3, 1)
-    assert len(J31.poset) == 4
+    assert len(J31.poset.elements) == 4
     for j in (1, 2, 3):
         assert J31.poset.le((0, 0), (1, j))
-    assert len(multi_fence(2, 0).poset) == 1
+    assert len(multi_fence(2, 0).poset.elements) == 1
     with pytest.raises(BadArity):
         multi_fence(1, 2)
     with pytest.raises(BadArity):
@@ -227,14 +227,14 @@ def test_multi_fence_end():
 
 def test_power_poset(chain2):
     grid = power_poset(chain2, 2)
-    assert len(grid) == 4
+    assert len(grid.elements) == 4
     assert grid.le((0, 0), (1, 1))
     assert not grid.le((0, 1), (1, 0))
 
 
 def test_power_of_the_empty_poset():
     empty = poset_from_relations([], [])
-    assert len(power_poset(empty, 2)) == 0
+    assert len(power_poset(empty, 2).elements) == 0
 
 
 def test_poset_doc_round_trip(v_poset, circle_poset):

@@ -2,21 +2,25 @@
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from symtc.actions import (
     act_name,
     act_simplex,
     identity,
-    is_invariant_elements,
-    is_invariant_simplices,
     orbit_partition_simplices,
+    positions,
     symmetric_group,
-    tuple_constraint_group,
 )
-from symtc.complexes import SimplicialComplex, euler_characteristic, from_facets
+from symtc.complexes import (
+    SimplicialComplex,
+    SimplicialMap,
+    euler_characteristic,
+    from_facets,
+)
 from symtc.constructions import barycentric_subdivide, totalize
-from symtc.errors import CycleDetected
+from symtc.errors import CycleDetected, NotEquivariant
 from symtc.io import (
     complex_from_doc,
     complex_to_doc,
@@ -24,6 +28,7 @@ from symtc.io import (
     poset_to_doc,
 )
 from symtc.posets import (
+    MonotoneMap,
     all_chains,
     face_poset,
     monotone_value_tuples,
@@ -31,6 +36,7 @@ from symtc.posets import (
     poset_from_relations,
     sd_poset,
 )
+from symtc.search import sym_comb_homotopic, sym_contiguous
 from symtc.util import ckey, csorted, name_of
 
 from helpers import brute_chains, brute_monotone_maps
@@ -103,7 +109,7 @@ def acted_families(draw):
     group = draw(st.sampled_from([
         symmetric_group(n),
         [identity(n)],
-        list(tuple_constraint_group(n).elements),
+        [g for g in symmetric_group(n) if g(1) == 1],
     ]))
     facets = draw(st.lists(
         st.lists(names, min_size=1, max_size=3, unique=True),
@@ -152,18 +158,44 @@ def test_action_tables_against_act_simplex(family):
     invariant = all(
         act_simplex(g, s, depth) in simplices for g in group for s in simplices
     )
-    assert is_invariant_simplices(simplices, group, depth) == invariant
+    if len(group) == len(symmetric_group(group[0].n)):
+        # the symmetric decider's source check, on a constant tuple
+        K = SimplicialComplex(set().union(*simplices), simplices)
+        point = SimplicialComplex(["p"], [["p"]])
+        f = SimplicialMap(K, point, {v: "p" for v in K.vertices})
+        _decides_iff_invariant(sym_contiguous, [f] * group[0].n, depth,
+                               invariant)
+
+
+def _decides_iff_invariant(decider, maps, depth, invariant):
+    if invariant:
+        assert decider(maps, len(maps), depth).yes
+    else:
+        with pytest.raises(NotEquivariant, match="not an invariant"):
+            decider(maps, len(maps), depth)
 
 
 @given(acted_families())
 @settings(max_examples=60, deadline=None)
 def test_is_invariant_elements_against_act_name(family):
+    """``positions`` against ``act_name``; on Sigma_n, the symmetric
+    homotopy decider refuses exactly the sources it does not preserve."""
     group, simplices, depth = family
     for elements in (set().union(*simplices), min(simplices, key=len)):
+        names = csorted(elements)
+        want = [[names.index(w) if w in elements else None
+                 for w in (act_name(g, x, depth) for x in names)]
+                for g in group]
+        assert positions(group, names, depth) == want
         invariant = all(
             act_name(g, x, depth) in elements for g in group for x in elements
         )
-        assert is_invariant_elements(elements, group, depth) == invariant
+        if len(group) == len(symmetric_group(group[0].n)):
+            Q = poset_from_relations(names, [])
+            point = poset_from_relations(["p"], [])
+            f = MonotoneMap(Q, point, {x: "p" for x in names})
+            _decides_iff_invariant(sym_comb_homotopic, [f] * group[0].n,
+                                   depth, invariant)
 
 
 

@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtc.actions import act_simplex, symmetric_group
+from symtc.actions import act_simplex, orbits_of, positions, symmetric_group
 from symtc.complexes import SimplicialComplex, from_facets
 from symtc.errors import BudgetExceeded
 from symtc.posets import poset_from_relations, power_poset
@@ -118,7 +118,8 @@ def simplicial_spaces(draw):
         group = symmetric_group(2)
         facets = [act_simplex(g, f, 0) for g in group for f in facets]
         source = SimplicialComplex(set().union(*map(set, facets)), facets)
-        space = _SimplicialSpace(source, target, group, 0)
+        space = _SimplicialSpace(
+            source, target, orbits_of(positions(group, source.vertices, 0)))
     return space, _simplicial_oracle(space)
 
 
@@ -143,8 +144,10 @@ def monotone_spaces(draw):
         keep = draw(st.lists(st.sampled_from(square.elements), min_size=1,
                              unique=True))
         keep = {x for y in keep for x in (y, y[::-1])}
-        space = _MonotoneSpace(square.restrict(keep), target,
-                               symmetric_group(2), 0)
+        Q = square.restrict(keep)
+        group = symmetric_group(2)
+        space = _MonotoneSpace(Q, target,
+                               orbits_of(positions(group, Q.elements, 0)))
     return space, _monotone_oracle(space)
 
 
