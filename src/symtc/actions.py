@@ -21,7 +21,6 @@ every g in Stab(1) is a generator: j = 1 gives (1, g(1)) g (1, 1) = g.
 
 from itertools import permutations as ipermutations
 
-from .complexes import SimplicialComplex
 from .errors import LevelMismatch
 from .util import csorted, name_of
 
@@ -189,54 +188,22 @@ def action_tables(group, names, depth):
     return tables
 
 
-def _ranked_family(simplices):
-    """(vertices, rank, rank tuples) of a complex's simplices, or of a
-    family of simplices given as sets of names."""
-    if isinstance(simplices, SimplicialComplex):
-        return simplices.vertices, simplices.rank, simplices.ranked_simplices()
-    family = set(map(frozenset, simplices))
-    verts = tuple(csorted(set().union(*family)))
-    rank = {v: i for i, v in enumerate(verts)}
-    return verts, rank, sorted(tuple(sorted([rank[v] for v in s]))
-                               for s in family)
+def orbit_partition_simplices(group, K, depth):
+    """Orbits of the simplices of an invariant complex K, each as the
+    sorted tuple of its members' sorted vertex-rank tuples.
 
-
-def orbit_partition_simplices(group, simplices, depth):
-    """Orbits of the simplices of a complex, or of a family of simplices
-    (sets of names), as frozensets of names.
-
-    Orbits come in canonical order of their least member, members in
-    canonical order.  Each group element acts as a permutation of vertex
-    positions, and a simplex's image is the sorted tuple of its vertices'
-    image positions.  When images leave the vertex set, positions are taken
-    among the vertices and their images together; the embedding keeps every
-    rank tuple sorted and their order.
+    Orbits come in the order of their least member; rank tuples sort in
+    the canonical order of the names (see ``util``).  Each group element
+    acts as a permutation of K's vertex positions (``positions``), and a
+    simplex's image is the sorted tuple of its vertices' image positions.
     """
-    verts, pos, ranked = _ranked_family(simplices)
-    tables = action_tables(group, verts, depth)
-    images = set()
-    for t in tables:
-        images.update(t.values())
-    names = verts
-    if not all(x in pos for x in images):
-        names = tuple(csorted(images.union(verts)))
-        pos = {x: i for i, x in enumerate(names)}
-        ranked = [tuple([pos[verts[i]] for i in s]) for s in ranked]
-    at = [pos[v] for v in verts] if names is not verts else range(len(verts))
-    perms = []  # perms[g][p]: position of g . names[p], p a vertex position
-    for t in tables:
-        perm = [None] * len(names)
-        for p, w in zip(at, t.values()):
-            perm[p] = pos[w]
-        perms.append(perm)
-    seen = set()
-    parts = []
-    for s in ranked:
-        if s in seen:
-            continue
-        orb = sorted({tuple(sorted([p[i] for i in s])) for p in perms})
-        seen.update(orb)
-        parts.append(tuple(frozenset([names[i] for i in u]) for u in orb))
+    perms = positions(group, K.vertices, depth)
+    seen, parts = set(), []
+    for s in K.ranked_simplices():
+        if s not in seen:
+            orb = sorted({tuple(sorted([p[i] for i in s])) for p in perms})
+            seen.update(orb)
+            parts.append(tuple(orb))
     return parts
 
 

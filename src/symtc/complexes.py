@@ -150,10 +150,6 @@ class SimplicialComplex:
     def facet_names(self):
         return self._names(self.ranked_facets())
 
-    def faces(self, s):
-        """All faces of the simplex ``s``, as frozensets of vertices."""
-        return self._sets(closure_of(_rank_tuples(self.rank, [s]))[0])
-
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self._key == other._key
 

@@ -9,6 +9,8 @@ matter and the value is a minimum set cover over them.
 Pieces are unions of orbit units, held as int bitmasks (bit u is unit u):
 simplex orbits on the simplicial side, pieces closed under faces; element
 orbits on the finite-space side, pieces closed downward (invariant opens).
+A unit holds its members as positions in the top level, sorted vertex-rank
+tuples or element indices; names come back only when a piece is built.
 Each unit has a down mask, itself and the units below it.  The order on
 units is transitive, since the group carries one witnessing pair of members
 onto another, so the down-closure of a piece is one OR of down masks.
@@ -43,6 +45,7 @@ from .actions import (
 )
 from .complexes import (
     base_of,
+    closure_of,
     restrict_map,
     subcomplex_from_simplices,
 )
@@ -156,9 +159,11 @@ class ComplexityResult:
 class _UnitLattice:
     """The orbit units of a tower's top level, with pieces as bitmasks.
 
-    Units are simplex orbits on the simplicial side (pieces closed under
-    faces) and element orbits on the finite-space side (pieces closed
-    downward).  Only building and deciding a piece depend on the side.
+    A unit is an orbit as a sorted tuple of positions in the top level:
+    of simplices as sorted vertex-rank tuples on the simplicial side
+    (pieces closed under faces), of element indices on the finite-space
+    side (pieces closed downward).  Names come back only in ``piece``;
+    only building and deciding a piece depend on the side.
     """
 
     def __init__(self, tower, symmetric, budgets):
@@ -171,14 +176,17 @@ class _UnitLattice:
         group = symmetric_group(self.n) if symmetric else [identity(self.n)]
         self.poset = tower.kind == "poset"
         if self.poset:
-            self.units = orbit_partition(group, level.elements, self.depth)
-            tops = set(level.maximal_of())
+            index = level.index
+            self.units = [
+                tuple([index[x] for x in orb])
+                for orb in orbit_partition(group, level.elements, self.depth)
+            ]
+            tops = {i for i, up in enumerate(level.up) if up == 1 << i}
             project = projection_rho
         else:
-            self.units = orbit_partition_simplices(
-                group, base_of(level), self.depth
-            )
-            tops = base_of(level).facets
+            K = base_of(level)
+            self.units = orbit_partition_simplices(group, K, self.depth)
+            tops = set(K.ranked_facets())
             project = projection_pi
         self.all = (1 << len(self.units)) - 1
         self.universe = sum(
@@ -199,11 +207,14 @@ class _UnitLattice:
         unit's first member, so that member's faces (or down set) suffice.
         """
         unit_of = self.unit_of
-        below = self.level.down_set if self.poset else base_of(self.level).faces
         down = []
         for orb in self.units:
+            if self.poset:
+                below = bits(self.level.down[orb[0]])
+            else:
+                below = closure_of([orb[0]])[0]
             mask = 0
-            for x in below(orb[0]):
+            for x in below:
                 mask |= 1 << unit_of[x]
             down.append(mask)
         return down
@@ -221,14 +232,15 @@ class _UnitLattice:
         return range(len(self.units)) if self.poset else bits(self.universe)
 
     def piece(self, mask):
-        if mask == self.all and not self.poset:
-            return base_of(self.level)
-        members = set()
-        for ui in bits(mask):
-            members.update(self.units[ui])
+        if mask == self.all:
+            return self.level if self.poset else base_of(self.level)
+        members = [x for ui in bits(mask) for x in self.units[ui]]
         if self.poset:
-            return self.level.restrict(members)
-        return subcomplex_from_simplices(self.level, members)
+            names = self.level.elements
+            return self.level.restrict([names[i] for i in members])
+        names = self.level.vertices
+        return subcomplex_from_simplices(
+            self.level, [[names[i] for i in s] for s in members])
 
     def piece_doc(self, mask):
         to_doc = poset_to_doc if self.poset else complex_to_doc
@@ -250,7 +262,7 @@ class _UnitLattice:
         """
         if self.poset:
             names, T = self.level.elements, self.tower.factor
-            edges = [(a, b, self.unit_of[names[b]])
+            edges = [(a, b, self.unit_of[b])
                      for a in range(len(names))
                      for b in bits(self.level.up[a]) if b != a]
             chains, index = chain_walk(T), T.index
@@ -258,7 +270,7 @@ class _UnitLattice:
         else:
             K, T = base_of(self.level), base_of(self.tower.factor)
             names = K.vertices
-            edges = [(a, b, self.unit_of[frozenset((names[a], names[b]))])
+            edges = [(a, b, self.unit_of[a, b])
                      for a, b in (s for s in K.ranked_simplices()
                                   if len(s) == 2)]
             chains = T.ranked_simplices()

@@ -35,24 +35,26 @@ def ckey(x):
     raise TypeError(f"label of unsupported type {type(x)!r}: {x!r}")
 
 
+def _memo_key(x, memo):
+    """``ckey`` of x, tuple keys kept in ``memo``."""
+    if type(x) is not tuple:
+        return ckey(x)
+    k = memo.get(x)
+    if k is None:
+        k = memo[x] = (2, tuple([_memo_key(m, memo) for m in x]))
+    return k
+
+
 def csorted(items):
     """Sort labels canonically.
 
     Tuple keys go through a memo local to the call, so a sub-label shared
     by many items (a vertex of many simplex names) is keyed once per sort;
-    the memo is freed when the call returns.
+    the memo is freed when the call returns (the key function holds it,
+    and nothing holds the key function).
     """
     memo = {}
-
-    def key(x):
-        if type(x) is not tuple:
-            return ckey(x)
-        k = memo.get(x)
-        if k is None:
-            k = memo[x] = (2, tuple([key(m) for m in x]))
-        return k
-
-    return sorted(items, key=key)
+    return sorted(items, key=lambda x: _memo_key(x, memo))
 
 
 def name_of(members):

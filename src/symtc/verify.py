@@ -162,7 +162,7 @@ def validate(cert):
     if kind == "ContiguityChain":
         return _validate_chain(cert)
     if kind == "CombinatorialHomotopy":
-        return _validate_homotopy(cert)
+        return _validate_table(cert, cert.table, "homotopy table")
     if kind == "SectionWitness":
         return _validate_section(cert)
     rep = Report()
@@ -399,12 +399,21 @@ def _symmetric_values(rep, vals, Q, J, depth, what):
     return True
 
 
-def _validate_homotopy(cert):
+def _validate_section(cert):
+    """A section's paths are its homotopy table read by source point."""
+    table = {(x, t): v for x, path in cert.paths.items()
+             for t, v in path.items()}
+    return _validate_table(cert, table, "section")
+
+
+def _validate_table(cert, table, what):
+    """Check a table Q x J_{n,m} -> P: monotone, symmetric when claimed,
+    and ending at the projections when claimed."""
     rep = Report()
     Q, P = cert.source, cert.target
     n, m = cert.n, cert.m
     J = multi_fence(n, m)
-    vals = _fence_table_monotone(rep, cert.table, Q, J, P, "homotopy table")
+    vals = _fence_table_monotone(rep, table, Q, J, P, what)
     if vals is None:
         return rep
 
@@ -422,7 +431,7 @@ def _validate_homotopy(cert):
                 except ValueError as exc:
                     rep.fail(str(exc))
                     return rep
-                if cert.table[(x, J.end(j))] != want:
+                if table[(x, J.end(j))] != want:
                     rep.fail(
                         f"endpoint branch {j} disagrees with the projection "
                         f"at {x!r}"
@@ -431,71 +440,6 @@ def _validate_homotopy(cert):
 
 
 # ---------------------------------------------------------------------------
-
-
-def _validate_section(cert):
-    rep = Report()
-    Q, P = cert.source, cert.target
-    n, m = cert.n, cert.m
-    J = multi_fence(n, m)
-    points = list(J.poset.elements)
-    index = P.index
-    pup = P.up
-    fence = _leq_pairs(J.poset)
-    vals = []
-    for x in Q.elements:
-        if x not in cert.paths:
-            rep.fail(f"section misses a path for {x!r}")
-            return rep
-        gamma = cert.paths[x]
-        row = []
-        for t in points:
-            if t not in gamma:
-                rep.fail(f"path for {x!r} misses point {t!r}")
-                return rep
-            i = index.get(gamma[t])
-            if i is None:
-                rep.fail(f"path value at ({x!r}, {t!r}) outside the target")
-                return rep
-            row.append(i)
-        for a, b in fence:
-            if not pup[row[a]] >> row[b] & 1:
-                rep.fail(
-                    f"path for {x!r} is not monotone: "
-                    f"{points[a]!r} <= {points[b]!r}"
-                )
-                return rep
-        vals.append(row)
-
-    for a, b in _leq_pairs(Q):
-        ra, rb = vals[a], vals[b]
-        for k, t in enumerate(points):
-            if not pup[ra[k]] >> rb[k] & 1:
-                rep.fail(
-                    f"section not monotone: {Q.elements[a]!r} <= "
-                    f"{Q.elements[b]!r} at {t!r}"
-                )
-
-    if cert.symmetric and not _symmetric_values(
-        rep, vals, Q, J, cert.depth, "section violates equivariance"
-    ):
-        return rep
-
-    if cert.projection_endpoints:
-        base_le = _base_le_from_target(P)
-        for j in range(1, n + 1):
-            for x in Q.elements:
-                try:
-                    want = projection_of_name(x, cert.depth, j, base_le)
-                except ValueError as exc:
-                    rep.fail(str(exc))
-                    return rep
-                if cert.paths[x][J.end(j)] != want:
-                    rep.fail(
-                        f"path endpoint branch {j} disagrees with the "
-                        f"projection at {x!r}"
-                    )
-    return rep
 
 
 def check_obstruction(piece, maps, record):

@@ -135,10 +135,18 @@ def fence_point_to_doc(t):
 
 
 def fence_point_from_doc(t):
-    if t == 0:
+    """A fence point as written: the JSON integer 0 (the basepoint), or
+    ``[l, j]`` with l and j JSON integers >= 1.  Anything else, booleans
+    and floats included, raises ParseError."""
+    if type(t) is int and t == 0:
         return (0, 0)
-    l, j = t
-    return (int(l), int(j))
+    if type(t) is list and len(t) == 2 and all(
+            type(c) is int and c >= 1 for c in t):
+        return tuple(t)
+    raise ParseError(
+        f"fence point must be 0 or [l, j] with integers l, j >= 1, "
+        f"not {t!r}"
+    )
 
 
 @dataclass

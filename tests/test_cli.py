@@ -741,3 +741,69 @@ def test_check_certificate_rejects_malformed_header(
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert f"{field!r}" in captured.err
+
+
+@pytest.fixture(scope="module")
+def circle_plain_homotopy(tmp_path_factory):
+    """The piece-0 homotopy that ``cc --plain --mode upper`` writes for the
+    circle; it validates as written."""
+    root = tmp_path_factory.mktemp("circle")
+    src = root / "circle.json"
+    src.write_text(json.dumps({
+        "elements": ["a", "b", "c", "d"],
+        "relations": [["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]],
+    }))
+    certs = root / "certs"
+    assert main(["cc", "--plain", "--mode", "upper", "--input", str(src),
+                 "--output", str(root / "report.json"),
+                 "--cert-dir", str(certs)]) == 0
+    path = certs / "cc_plain-piece0.cert.json"
+    assert main(["check-certificate", "--input", str(path),
+                 "--output", str(root / "check.json")]) == 0
+    return json.loads(path.read_text())
+
+
+# each rewrite keeps what int() and == 0 would read: [1.0, j] and [1.5, j]
+# as (1, j), ["1", j] as (1, j), [true, j] as (1, j), false and 0.0 as the
+# basepoint
+FENCE_POINT_REWRITES = {
+    "l float": lambda t: t if t == 0 else [1.0 * t[0], t[1]],
+    "l fraction": lambda t: t if t == 0 else [t[0] + 0.5, t[1]],
+    "l string": lambda t: t if t == 0 else [str(t[0]), t[1]],
+    "l true": lambda t: t if t == 0 or t[0] != 1 else [True, t[1]],
+    "basepoint false": lambda t: False if t == 0 else t,
+    "basepoint float": lambda t: 0.0 if t == 0 else t,
+}
+
+
+def _rewrite_fence_points(doc, kind, rewrite):
+    """The homotopy's table rows, or its section's point list, with every
+    fence point rewritten."""
+    if kind == "homotopy":
+        doc = dict(doc, table=[[x, rewrite(t), v] for x, t, v in doc["table"]])
+    else:
+        from symtc.translate import section_from_homotopy
+        from symtc.witnesses import certificate_from_doc
+
+        doc = section_from_homotopy(certificate_from_doc(doc)).to_doc()
+        doc["points"] = [rewrite(t) for t in doc["points"]]
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["homotopy", "section"])
+@pytest.mark.parametrize("rewrite", sorted(FENCE_POINT_REWRITES))
+def test_check_certificate_rejects_coerced_fence_point(
+        circle_plain_homotopy, tmp_path, capsys, kind, rewrite):
+    """A fence point is the JSON integer 0 or a pair of JSON integers
+    >= 1; anything else is refused as it is read, not coerced: one line
+    naming the point, exit 4."""
+    doc = _rewrite_fence_points(circle_plain_homotopy, kind,
+                                FENCE_POINT_REWRITES[rewrite])
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check-certificate", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "fence point" in captured.err

@@ -10,7 +10,12 @@ which vertex orders are total on every simplex.
 
 from hypothesis import given, settings, strategies as st
 
-from symtc.complexes import OrderedComplex, from_facets, is_subcomplex
+from symtc.complexes import (
+    OrderedComplex,
+    closure_of,
+    from_facets,
+    is_subcomplex,
+)
 from symtc.errors import UnorderedInput
 from symtc.posets import all_chains, order_complex, poset_from_relations
 from symtc.util import csorted, name_of
@@ -75,8 +80,11 @@ def test_store_matches_name_reference(spec, data):
 def test_faces_match_name_reference(spec):
     verts, facets = spec
     K, ref = from_facets(verts, facets), NameComplex(verts, facets)
+    vs = K.vertices
     for s in ref.simplices:
-        assert K.faces(s) == subsets_closure([s])
+        faces, _ = closure_of([tuple(sorted(K.rank[v] for v in s))])
+        assert {frozenset([vs[i] for i in t]) for t in faces} == \
+            subsets_closure([s])
 
 
 @given(complex_specs(), st.data())

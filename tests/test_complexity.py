@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtc.complexes import from_facets
+from symtc.actions import act_name, act_simplex, identity, symmetric_group
+from symtc.complexes import base_of, from_facets
 from symtc.complexity import (
     DEFAULT_BUDGETS,
     INFINITY,
@@ -271,20 +272,78 @@ def test_deterministic_results(v_poset, hollow_triangle):
 def _lattice(instance, n, symmetric):
     if hasattr(instance, "elements"):
         tower = poset_tower(instance, n, 0)
-        level = tower.top()
-        le = level.le
+        up = tower.top().up
+
+        def le(x, y):  # element indices
+            return bool(up[x] >> y & 1)
     else:
         tower = build_tower(instance, n, 0)
-        le = frozenset.issubset
+
+        def le(x, y):  # sorted vertex-rank tuples
+            return set(x) <= set(y)
     lat = _UnitLattice(tower, symmetric, budgets_with())
     units = lat.units
-    # unit u lies below unit w when some member of u lies below one of w
+    # unit u lies below unit w when some member of u lies below one of w;
+    # members are positions in the top level
     below = [
         {u for u in range(len(units))
          if any(le(x, y) for x in units[u] for y in units[w])}
         for w in range(len(units))
     ]
     return lat, below
+
+
+_UNIT_CASES = [
+    ("hollow_triangle", 2, 0),
+    ("hollow_triangle", 2, 1),
+    ("edge", 3, 1),
+    ("circle_poset", 2, 0),
+    ("circle_poset", 2, 1),
+    ("chain2", 2, 2),
+]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("fixture,n,r", _UNIT_CASES)
+def test_units_are_top_level_positions(fixture, n, r, symmetric, request):
+    """Units are positions in the top level: mapped back to names they are
+    the orbits of ``act_simplex`` or ``act_name``, in canonical order; the
+    universe is the orbits of facets or of maximal elements; the whole
+    space is the top level itself."""
+    instance = request.getfixturevalue(fixture)
+    poset = hasattr(instance, "elements")
+    tower = (poset_tower if poset else build_tower)(instance, n, r)
+    lat = _UnitLattice(tower, symmetric, budgets_with())
+    level = tower.top()
+    group = symmetric_group(n) if symmetric else [identity(n)]
+    if poset:
+        space, members, tops = level, level.elements, level.maximal_of()
+
+        def act(g, x):
+            return act_name(g, x, r)
+
+        def named(x):
+            return level.elements[x]
+    else:
+        space = base_of(level)
+        members, tops = space.simplices, space.facets
+
+        def act(g, s):
+            return act_simplex(g, s, r)
+
+        def named(t):
+            return frozenset([space.vertices[i] for i in t])
+    orbits = [frozenset(map(named, orb)) for orb in lat.units]
+    assert len(set(orbits)) == len(orbits)
+    assert set(orbits) == {frozenset([act(g, x) for g in group])
+                           for x in members}
+    assert all(list(orb) == sorted(orb) for orb in lat.units)
+    assert [orb[0] for orb in lat.units] == sorted(
+        orb[0] for orb in lat.units)
+    tops = set(tops)
+    assert [u for u in range(len(orbits)) if lat.universe >> u & 1] == [
+        u for u, orb in enumerate(orbits) if orb & tops]
+    assert lat.piece(lat.all) is space
 
 
 def _bits_reference(m):

@@ -1,5 +1,6 @@
 """Property-based checks of the structural invariants."""
 
+import gc
 from itertools import combinations
 
 import pytest
@@ -140,27 +141,50 @@ def test_rank_order_is_canonical_name_order(K):
             assert fp.le(a, b) == (set(a) <= set(b))
 
 
+def test_csorted_frees_its_memo_on_return():
+    """With the collector off, ``csorted`` over nested names leaves no
+    cycle behind: its memo of nested keys is freed when it returns."""
+    names = [name_of([(i, "a"), (i % 3, ("b", i))]) for i in range(30)]
+    want = sorted(names, key=ckey)
+    gc.collect()
+    gc.disable()
+    try:
+        got = csorted(names)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert got == want
+    assert left == 0
+
+
 @given(acted_families())
 @settings(max_examples=60, deadline=None)
 def test_action_tables_against_act_simplex(family):
+    """On an invariant family, the orbits of its complex mapped back to
+    names are those of ``act_simplex``; on Sigma_n, the symmetric decider
+    refuses exactly the sources it does not preserve."""
     group, simplices, depth = family
-
-    def key(s):
-        return ckey(name_of(s))
-
-    seen, parts = set(), []
-    for s in sorted(simplices, key=key):
-        if s not in seen:
-            orb = {act_simplex(g, s, depth) for g in group}
-            seen |= orb
-            parts.append(tuple(sorted(orb, key=key)))
-    assert orbit_partition_simplices(group, simplices, depth) == parts
     invariant = all(
         act_simplex(g, s, depth) in simplices for g in group for s in simplices
     )
+    K = SimplicialComplex(set().union(*simplices), simplices)
+    if invariant:
+        def key(s):
+            return ckey(name_of(s))
+
+        seen, parts = set(), []
+        for s in sorted(simplices, key=key):
+            if s not in seen:
+                orb = {act_simplex(g, s, depth) for g in group}
+                seen |= orb
+                parts.append(tuple(sorted(orb, key=key)))
+        vs = K.vertices
+        assert [
+            tuple(frozenset([vs[i] for i in t]) for t in orb)
+            for orb in orbit_partition_simplices(group, K, depth)
+        ] == parts
     if len(group) == len(symmetric_group(group[0].n)):
         # the symmetric decider's source check, on a constant tuple
-        K = SimplicialComplex(set().union(*simplices), simplices)
         point = SimplicialComplex(["p"], [["p"]])
         f = SimplicialMap(K, point, {v: "p" for v in K.vertices})
         _decides_iff_invariant(sym_contiguous, [f] * group[0].n, depth,

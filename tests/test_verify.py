@@ -4,7 +4,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symtc.actions import act_name, symmetric_group
+from symtc.actions import (
+    act_fence_point,
+    act_name,
+    symmetric_group,
+    transposition,
+)
 from symtc.complexity import cc_sigma, sc_sigma
 from symtc.constructions import (
     build_tower,
@@ -13,6 +18,7 @@ from symtc.constructions import (
     projection_rho,
 )
 from symtc.io import canonical_json
+from symtc.posets import MonotoneMap
 from symtc.search import sym_comb_homotopic, sym_contiguous
 from symtc.translate import section_from_homotopy
 from symtc.util import name_of
@@ -108,6 +114,132 @@ def test_corrupted_section_is_rejected(v_poset):
     bad.paths[x][bad.fence().end(2)] = "r"
     rep = validate(bad)
     assert not rep.ok
+
+
+# -- section corruption ------------------------------------------------------
+# A symmetric circle section: the piece of the circle's square below (c, c)
+# is good at n = 2, r = 0, and its homotopy read by source point is the
+# section.  Each mutant breaks one check; the symmetry and endpoint mutants
+# stay monotone (by the test's own product-order check), so only the check
+# they target can reject them.
+
+
+def circle_section(circle_poset):
+    tower = poset_tower(circle_poset, 2, 0)
+    top = tower.top()
+    Q = top.restrict(top.down_set(("c", "c")))
+    maps = [MonotoneMap(Q, f.target, {x: f.mapping[x] for x in Q.elements})
+            for f in (projection_rho(tower, j) for j in (1, 2))]
+    res = sym_comb_homotopic(maps, 2, 0, mode="auto")
+    assert res.yes
+    res.witness.projection_endpoints = True
+    return section_from_homotopy(res.witness)
+
+
+def _product_monotone(s):
+    """Is the section, as a table Q x J -> P, monotone in the product
+    order?  Pairwise, on the posets' ``le``."""
+    Q, P, J = s.source, s.target, s.fence().poset
+    cells = [(x, t) for x in Q.elements for t in J.elements]
+    return all(P.le(s.paths[x][t], s.paths[y][u])
+               for x, t in cells for y, u in cells
+               if Q.le(x, y) and J.le(t, u))
+
+
+def _mirror(x, t):
+    """The cell a symmetric section ties to (x, t) at n = 2."""
+    g = transposition(2, 1, 2)
+    return act_name(g, x, 0), act_fence_point(g, t)
+
+
+def _first_monotone(s, changes):
+    """A copy of ``s`` with the first change (a dict of cells to values)
+    that keeps it monotone."""
+    for change in changes:
+        bad = copy.deepcopy(s)
+        for (x, t), v in change.items():
+            bad.paths[x][t] = v
+        if _product_monotone(bad):
+            return bad
+    raise AssertionError("no monotone change")
+
+
+def _outside(s):
+    x = s.source.elements[0]
+    s.paths[x][s.fence().end(1)] = "not-in-the-target"
+    return s
+
+
+def _fence_break(s):
+    """Below some fence relation t <= u, a value not below the value at u."""
+    J, P = s.fence().poset, s.target
+    x = s.source.elements[0]
+    t, u = next((t, u) for t in J.elements for u in J.elements
+                if t != u and J.le(t, u))
+    s.paths[x][t] = next(p for p in P.elements
+                         if not P.le(p, s.paths[x][u]))
+    return s
+
+
+def _source_break(s):
+    """The paths of some x < y swapped: each path stays a fence path."""
+    Q = s.source
+    x, y = next((x, y) for x in Q.elements for y in Q.elements
+                if x != y and Q.le(x, y) and s.paths[x] != s.paths[y])
+    s.paths[x], s.paths[y] = s.paths[y], s.paths[x]
+    return s
+
+
+def _symmetry_break(s):
+    """One cell changed away from its mirror, off the endpoints."""
+    J = s.fence()
+    ends = {J.end(j) for j in (1, 2)}
+    return _first_monotone(s, (
+        {(x, t): p}
+        for x in s.source.elements for t in J.poset.elements
+        if t not in ends and _mirror(x, t) != (x, t)
+        for p in s.target.elements if p != s.paths[x][t]
+    ))
+
+
+def _endpoint_moved(s):
+    """An endpoint and its mirror moved together: still symmetric."""
+    J = s.fence()
+    return _first_monotone(s, (
+        {(x, J.end(j)): p, _mirror(x, J.end(j)): p}
+        for x in s.source.elements for j in (1, 2)
+        for p in s.target.elements if p != s.paths[x][J.end(j)]
+    ))
+
+
+def _missing_point(s):
+    x = s.source.elements[-1]
+    del s.paths[x][s.fence().end(2)]
+    return s
+
+
+SECTION_MUTANTS = {
+    "outside": (_outside, ("outside the target",)),
+    "fence": (_fence_break, ("not monotone",)),
+    "source": (_source_break, ("not monotone",)),
+    "symmetry": (_symmetry_break, ("symmetry", "equivariance")),
+    "endpoint": (_endpoint_moved, ("disagrees with the projection",)),
+    "missing": (_missing_point, ("misses",)),
+}
+
+
+def test_circle_section_validates(circle_poset):
+    s = circle_section(circle_poset)
+    assert s.symmetric and _product_monotone(s)
+    assert validate(s)
+
+
+@pytest.mark.parametrize("kind", sorted(SECTION_MUTANTS))
+def test_corrupted_circle_section_is_rejected(kind, circle_poset):
+    mutate, needles = SECTION_MUTANTS[kind]
+    rep = validate(mutate(copy.deepcopy(circle_section(circle_poset))))
+    assert not rep.ok
+    assert any(needle in rep.failures[0] for needle in needles), rep.failures
 
 
 def test_projection_recompute_depth0():
