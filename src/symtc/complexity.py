@@ -19,7 +19,8 @@ maximal elements), and a good piece D gives the good piece
 ↓(D ∩ universe), so exact mode walks sets F of universe units from the top
 through bad ↓F and keeps the maximal good ones; upper mode grows seeds
 greedily instead.  The value is infinite exactly when some unit's generated
-piece is already bad.
+piece is already bad.  The unit lattice is also the cover engine: it holds
+the memo, the known good and bad pieces and the stats, and runs both modes.
 
 A proper piece is first tested by F_2 homology, before it is built.
 Contiguous maps, and comparable monotone maps on order complexes, are
@@ -164,6 +165,12 @@ class _UnitLattice:
     (pieces closed under faces), of element indices on the finite-space
     side (pieces closed downward).  Names come back only in ``piece``;
     only building and deciding a piece depend on the side.
+
+    It is also the cover engine and holds its state: the memo of decisions
+    (overruns included), ``stats``, and, since goodness passes to sub-pieces
+    and badness to super-pieces, the maximal known-good and minimal
+    known-bad pieces, which settle every comparable query.  ``decide`` is
+    the raw decision; ``settle`` goes through that state first.
     """
 
     def __init__(self, tower, symmetric, budgets):
@@ -193,6 +200,11 @@ class _UnitLattice:
             1 << ui for ui, orb in enumerate(self.units) if orb[0] in tops
         )
         self.maps = [project(tower, j) for j in range(1, self.n + 1)]
+        self.memo, self.goods, self.bads = {}, [], []
+        self.stats = {"units": len(self.units),
+                      "universe": self.universe.bit_count(),
+                      "universe_units": bits(self.universe),
+                      "pieces_tested": 0, "lattice_visited": 0}
 
     @cached_property
     def unit_of(self):
@@ -227,10 +239,6 @@ class _UnitLattice:
             out |= down[u]
         return out
 
-    def grow_units(self):
-        """Upper-mode growth quanta: every unit, or every facet orbit."""
-        return range(len(self.units)) if self.poset else bits(self.universe)
-
     def piece(self, mask):
         if mask == self.all:
             return self.level if self.poset else base_of(self.level)
@@ -241,10 +249,6 @@ class _UnitLattice:
         names = self.level.vertices
         return subcomplex_from_simplices(
             self.level, [[names[i] for i in s] for s in members])
-
-    def piece_doc(self, mask):
-        to_doc = poset_to_doc if self.poset else complex_to_doc
-        return to_doc(self.piece(mask))
 
     @cached_property
     def _edge_table(self):
@@ -381,176 +385,151 @@ class _UnitLattice:
             res.witness.projection_endpoints = True
         return res
 
-    def witness_m(self, res):
-        return res.witness.m if self.poset and res.yes else None
-
-
-# ---------------------------------------------------------------------------
-# the cover engine
-# ---------------------------------------------------------------------------
-
-
-def _cover_engine(problem, mode, invariant_name):
-    budgets = problem.budgets
-    universe = frozenset(bits(problem.universe))
-    memo = {}
-    # goodness passes to sub-pieces and badness to super-pieces, so the
-    # maximal known-good and minimal known-bad pieces settle every
-    # comparable query
-    goods, bads = [], []
-    stats = {
-        "units": len(problem.units),
-        "universe": len(universe),
-        "universe_units": sorted(universe),
-        "pieces_tested": 0,
-        "lattice_visited": 0,
-    }
-
-    def decide(S):
+    def settle(self, S):
+        """Memo, then dominance, then ``decide``; overruns are remembered."""
+        memo = self.memo
         if S in memo:
             out = memo[S]
             if isinstance(out, BudgetExceeded):
                 raise type(out)(*out.args)
             return out
-        # shortcut results carry no witness; piece_of recomputes on demand
-        if any(S & G == S for G in goods):
+        # dominance results carry no witness; good_piece decides again
+        if any(S & G == S for G in self.goods):
             out = SearchResult("yes", None, {"by_dominance": True})
-        elif any(B & S == B for B in bads):
+        elif any(B & S == B for B in self.bads):
             out = SearchResult("no", None, {"by_dominance": True})
         else:
             try:
-                out = problem.decide(S)
+                out = self.decide(S)
             except BudgetExceeded as exc:
-                # remember overruns too, without the search's frames
                 memo[S] = type(exc)(*exc.args)
                 raise
-            stats["pieces_tested"] += 1
+            self.stats["pieces_tested"] += 1
             if out.yes:
-                goods[:] = [G for G in goods if G & S != G] + [S]
+                self.goods = [G for G in self.goods if G & S != G] + [S]
             elif out.status == "no":
-                bads[:] = [B for B in bads if B & S != S] + [S]
+                self.bads = [B for B in self.bads if B & S != S] + [S]
         memo[S] = out
         return out
 
-    def piece_of(S):
-        res = memo[S]
+    def good_piece(self, S):
+        """Settled good S with a witness, decided again if by dominance."""
+        res = self.memo[S]
         if res.witness is None:
-            res = problem.decide(S)
-            stats["pieces_tested"] += 1
-            memo[S] = res
+            res = self.memo[S] = self.decide(S)
+            self.stats["pieces_tested"] += 1
         units = tuple(bits(S))
-        return GoodPiece(
-            units=units,
-            size=sum(len(problem.units[u]) for u in units),
-            witness=res.witness,
-            piece_doc=problem.piece_doc(S),
-        )
+        to_doc = poset_to_doc if self.poset else complex_to_doc
+        return GoodPiece(units, sum(len(self.units[u]) for u in units),
+                         res.witness, to_doc(self.piece(S)))
 
-    def result(kind, lower, upper, cover_sets, whole_good, value=None):
-        cover = [piece_of(S) for S in cover_sets]
-        ms = [problem.witness_m(memo[S]) for S in cover_sets]
-        ms = [m for m in ms if m is not None]
+    def _result(self, invariant, kind, upper, cover_sets):
+        """Value ``upper`` unless in upper mode; lower 2 unless exact."""
+        cover = [self.good_piece(S) for S in cover_sets]
+        ms = [p.witness.m for p in cover] if self.poset else []
         return ComplexityResult(
-            invariant=invariant_name,
-            n=problem.n,
-            r=problem.depth,
+            invariant=invariant,
+            n=self.n,
+            r=self.depth,
             kind=kind,
-            lower=lower,
+            lower=upper if kind == "exact" else 2,
             upper=upper,
-            value=value,
+            value=None if kind == "upper" else upper,
             m=max(ms) if ms else None,
             cover=cover,
-            whole_space_good=whole_good,
-            stats=stats,
+            whole_space_good=self.memo[self.all].yes,
+            stats=self.stats,
         )
 
-    def cover_by(pieces):
-        sets = [frozenset(bits(S & problem.universe)) for S in pieces]
-        return min_cover(universe, sets, budget=budgets["cover"])
+    def _min_cover(self, pieces):
+        k, chosen = min_cover(
+            bits(self.universe), [bits(S & self.universe) for S in pieces],
+            budget=self.budgets["cover"])
+        return k, [pieces[i] for i in chosen]
 
-    whole = decide(problem.all)
-    stats["whole_record"] = dict(whole.record)
-    if whole.yes:
-        return result("exact", 1, 1, [problem.all], True, value=1)
+    def cover(self, mode, invariant):
+        """The value of ``invariant`` in ``mode``, exact or upper."""
+        stats = self.stats
+        whole = self.settle(self.all)
+        stats["whole_record"] = dict(whole.record)
+        if whole.yes:
+            return self._result(invariant, "exact", 1, [self.all])
 
-    # infeasibility: a universe unit whose generated piece is already bad
-    for u in sorted(universe):
-        if not decide(problem.down_closure(1 << u)).yes:
-            stats["infeasible_unit"] = u
-            return result("infinite", 2, INFINITY, [], False, value=INFINITY)
+        # infeasibility: a universe unit whose generated piece is already bad
+        for u in bits(self.universe):
+            if not self.settle(self.down_closure(1 << u)).yes:
+                stats["infeasible_unit"] = u
+                return self._result(invariant, "infinite", INFINITY, [])
 
-    # every universe unit's piece is good, so each mode's pieces cover
-    if mode == "exact":
-        maxima = _maximal_good_sets(problem, decide, stats)
-        k, chosen = cover_by(maxima)
-        stats["candidate_pieces"] = len(maxima)
-        out = result("exact", k, k, [maxima[i] for i in chosen], False,
-                     value=k)
-        out.candidates = [tuple(bits(S)) for S in maxima]
-        return out
+        # every universe unit's piece is good, so each mode's pieces cover
+        if mode == "exact":
+            maxima = self.maximal_good_sets()
+            k, chosen = self._min_cover(maxima)
+            stats["candidate_pieces"] = len(maxima)
+            out = self._result(invariant, "exact", k, chosen)
+            out.candidates = [tuple(bits(S)) for S in maxima]
+            return out
 
-    # upper mode: grow each universe seed one quantum at a time.
-    # One first-fit pass suffices: goodness is anti-monotone in piece size,
-    # so a rejected addition would be rejected against any larger piece too.
-    # A step whose decision overruns the node budget counts as rejected:
-    # the cover uses only pieces decided "yes", so the bound stays sound.
-    grown = []
-    for u in sorted(universe):
-        S = problem.down_closure(1 << u)
-        for w in problem.grow_units():
-            if S >> w & 1:
+        # upper mode: grow each universe seed one quantum (a unit, or a facet
+        # orbit) at a time.  One first-fit pass suffices: goodness is
+        # anti-monotone in piece size, so a rejected addition would be
+        # rejected against any larger piece too.  A step whose decision
+        # overruns the node budget counts as rejected: the cover uses only
+        # pieces decided "yes", so the bound stays sound.
+        quanta = range(len(self.units)) if self.poset else bits(self.universe)
+        grown = []
+        for u in bits(self.universe):
+            S = self.down_closure(1 << u)
+            for w in quanta:
+                if S >> w & 1:
+                    continue
+                T = S | self.down_closure(1 << w)
+                try:
+                    good = self.settle(T).yes
+                except BudgetExceeded:
+                    stats["overrun_steps"] = stats.get("overrun_steps", 0) + 1
+                    continue
+                if good:
+                    S = T
+            if S not in grown:
+                grown.append(S)
+        k, chosen = self._min_cover(grown)
+        return self._result(invariant, "upper", k, chosen)
+
+    def maximal_good_sets(self):
+        """All maximal good pieces ↓F, F a set of universe units.
+
+        When a piece D is good so is ↓(D ∩ universe), which covers the same
+        universe units, so the maximal F with ↓F good suffice.  The walk
+        starts at the universe (↓universe is the whole space), stops at a
+        good F and steps from a bad F to F minus one unit.  It is complete
+        because every strict superset of a maximal F is bad, and removing
+        one unit at a time from a bad superset reaches F.  Universe units
+        are maximal, so distinct F give distinct pieces.  ``cover`` has
+        found each ↓{u} good, so the walk never reaches the empty set.
+        """
+        budget = self.budgets["lattice"]
+        goods, visited, stack = [], set(), [self.universe]
+        while stack:
+            F = stack.pop()
+            if F in visited:
                 continue
-            T = S | problem.down_closure(1 << w)
-            try:
-                good = decide(T).yes
-            except BudgetExceeded:
-                stats["overrun_steps"] = stats.get("overrun_steps", 0) + 1
+            visited.add(F)
+            self.stats["lattice_visited"] += 1
+            if len(visited) > budget:
+                raise BudgetExceeded(f"maximal-piece enumeration exceeded "
+                                     f"{budget} lattice nodes")
+            if self.settle(self.down_closure(F)).yes:
+                goods.append(F)
                 continue
-            if good:
-                S = T
-        if S not in grown:
-            grown.append(S)
-    k, chosen = cover_by(grown)
-    return result("upper", 2, k, [grown[i] for i in chosen], False)
-
-
-def _maximal_good_sets(problem, decide, stats):
-    """All maximal good pieces ↓F, F a set of universe units.
-
-    When a piece D is good so is ↓(D ∩ universe), which covers the same
-    universe units, so the maximal F with ↓F good suffice.  The walk starts
-    at the universe (↓universe is the whole space), stops at a good F and
-    steps from a bad F to F minus one unit.  It is complete because every
-    strict superset of a maximal F is bad, and removing one unit at a time
-    from a bad superset reaches F.  Universe units are maximal, so distinct
-    F give distinct pieces.  The engine has found every single unit good,
-    so the walk never reaches the empty set.
-    """
-    budget = problem.budgets["lattice"]
-    goods = []
-    visited = set()
-    stack = [problem.universe]
-    while stack:
-        F = stack.pop()
-        if F in visited:
-            continue
-        visited.add(F)
-        stats["lattice_visited"] += 1
-        if len(visited) > budget:
-            raise BudgetExceeded(
-                f"maximal-piece enumeration exceeded {budget} lattice nodes"
-            )
-        if decide(problem.down_closure(F)).yes:
-            goods.append(F)
-            continue
-        stack.extend(F ^ (1 << u) for u in bits(F))
-    maxima = []
-    for F in sorted(goods, key=int.bit_count, reverse=True):
-        if not any(F & T == F for T in maxima):
-            maxima.append(F)
-    # deterministic order
-    return sorted(map(problem.down_closure, maxima),
-                  key=lambda S: (S.bit_count(), list(bits(S))))
+            stack.extend(F ^ (1 << u) for u in bits(F))
+        maxima = []
+        for F in sorted(goods, key=int.bit_count, reverse=True):
+            if not any(F & T == F for T in maxima):
+                maxima.append(F)
+        # deterministic order
+        return sorted(map(self.down_closure, maxima),
+                      key=lambda S: (S.bit_count(), bits(S)))
 
 
 # ---------------------------------------------------------------------------
@@ -558,52 +537,40 @@ def _maximal_good_sets(problem, decide, stats):
 # ---------------------------------------------------------------------------
 
 
-def _check_mode(mode):
+def _cover(invariant, instance, n, r, mode, budget):
+    """Check the mode, then a poset's connectivity; cover the tower."""
     if mode not in ("exact", "upper"):
         raise UnsupportedMode(
-            f"cover mode must be 'exact' or 'upper', not {mode!r}"
-        )
+            f"cover mode must be 'exact' or 'upper', not {mode!r}")
+    poset = invariant.startswith("cc")
+    if poset and not instance.is_connected():
+        raise DisconnectedPoset(
+            "complexity searches require a connected poset")
+    budgets = budgets_with(budget)
+    make = poset_tower if poset else build_tower
+    tower = make(instance, n, r, budget=budgets["simplices"])
+    lattice = _UnitLattice(tower, invariant.endswith("sigma"), budgets)
+    return lattice.cover(mode, invariant)
 
 
 def sc_sigma(K, n=2, r=0, mode="exact", budget=None):
     """Symmetric simplicial complexity at subdivision level r."""
-    _check_mode(mode)
-    budgets = budgets_with(budget)
-    tower = build_tower(K, n, r, budget=budgets["simplices"])
-    return _cover_engine(_UnitLattice(tower, True, budgets), mode, "sc_sigma")
+    return _cover("sc_sigma", K, n, r, mode, budget)
 
 
 def sc_plain(K, n=2, r=0, mode="exact", budget=None):
     """Plain simplicial complexity at subdivision level r."""
-    _check_mode(mode)
-    budgets = budgets_with(budget)
-    tower = build_tower(K, n, r, budget=budgets["simplices"])
-    return _cover_engine(_UnitLattice(tower, False, budgets), mode, "sc_plain")
-
-
-def _check_connected(P):
-    if not P.is_connected():
-        raise DisconnectedPoset(
-            "complexity searches require a connected poset"
-        )
+    return _cover("sc_plain", K, n, r, mode, budget)
 
 
 def cc_sigma(P, n=2, r=0, mode="exact", budget=None):
     """Symmetric combinatorial complexity at subdivision level r (stable m)."""
-    _check_mode(mode)
-    _check_connected(P)
-    budgets = budgets_with(budget)
-    tower = poset_tower(P, n, r, budget=budgets["simplices"])
-    return _cover_engine(_UnitLattice(tower, True, budgets), mode, "cc_sigma")
+    return _cover("cc_sigma", P, n, r, mode, budget)
 
 
 def cc_plain(P, n=2, r=0, mode="exact", budget=None):
     """Plain combinatorial complexity at subdivision level r."""
-    _check_mode(mode)
-    _check_connected(P)
-    budgets = budgets_with(budget)
-    tower = poset_tower(P, n, r, budget=budgets["simplices"])
-    return _cover_engine(_UnitLattice(tower, False, budgets), mode, "cc_plain")
+    return _cover("cc_plain", P, n, r, mode, budget)
 
 
 def tc_sigma_finite(P, n=2, mode="exact", budget=None):

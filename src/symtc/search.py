@@ -482,9 +482,7 @@ class _SimplicialSpace(_PackedNodes):
         self.target = target
         self._set_names(source.vertices, target.vertices)
         self.size, self.nvalues = len(self.names), len(self.tnames)
-        self.facets = [
-            tuple(self.index[v] for v in f) for f in source.facet_names()
-        ]
+        self.facets = source.ranked_facets()  # ranks are index positions
         # keys are the target's simplex masks; ext[m] has bit w set when
         # m | 1 << w is a simplex mask too, so every face of a simplex gets
         # the simplex's remaining vertex

@@ -203,13 +203,18 @@ def _bad_simplices(facets, bits, masks):
     return sorted(bad)
 
 
-def _target_bits(rep, vm, verts, tbit, l, j):
+def _target_bits(rep, vm, rank, verts, tbit, l, j):
     """The target bit of ``vm`` at each source position, or None after a
-    failure for the first vertex the map misses or sends outside."""
+    failure for the first vertex the map misses or sends outside, or for
+    its first key that is not a source vertex."""
     values = [vm.get(v, _MISSING) for v in verts]
     bits = [tbit.get(w) for w in values]
     if None not in bits:
-        return bits
+        if len(vm) == len(verts):
+            return bits
+        extra = next(k for k in vm if k not in rank)
+        rep.fail(f"level {l} map {j} has key {extra!r} outside the source")
+        return None
     i = bits.index(None)
     if values[i] is _MISSING:
         rep.fail(f"level {l} map {j} misses vertex {verts[i]!r}")
@@ -248,7 +253,7 @@ def _validate_chain(cert):
             return rep
         bits.append([])
         for j, vm in enumerate(level, start=1):
-            row = _target_bits(rep, vm, verts, tbit, l, j)
+            row = _target_bits(rep, vm, source.rank, verts, tbit, l, j)
             if row is None:
                 return rep
             for s in _bad_simplices(facets, row, masks):
@@ -258,17 +263,10 @@ def _validate_chain(cert):
                 )
             bits[-1].append(row)
 
-    # every map holds every vertex and sends it into the target, so a map
-    # with no other keys equals another such map iff their bits agree
-    first = cert.levels[0]
-    for vm, row in zip(first[1:], bits[0][1:]):
-        if len(vm) == len(first[0]) == len(verts):
-            same = row == bits[0][0]
-        else:
-            same = vm == first[0]
-        if not same:
-            rep.fail("first level is not a diagonal tuple")
-            break
+    # every map holds exactly the source's vertices and sends them into the
+    # target, so two maps are equal iff their bits agree
+    if any(row != bits[0][0] for row in bits[0][1:]):
+        rep.fail("first level is not a diagonal tuple")
 
     for l in range(1, len(bits)):
         for j in range(n):
@@ -337,8 +335,8 @@ def _validate_chain(cert):
 
 
 def _fence_table_monotone(rep, table, Q, J, P, what):
-    """Check a table Q x J -> P; returns its values as P indices by
-    (Q index, J index), or None after a failure."""
+    """Check a table Q x J -> P, with no cell outside Q x J; returns its
+    values as P indices by (Q index, J index), or None after a failure."""
     points = J.poset.elements
     index = P.index
     vals = []
@@ -354,6 +352,11 @@ def _fence_table_monotone(rep, table, Q, J, P, what):
                 return None
             row.append(i)
         vals.append(row)
+    if len(table) != len(vals) * len(points):
+        x, t = next(c for c in table
+                    if c[0] not in Q.index or c[1] not in J.poset.index)
+        rep.fail(f"{what} has entry ({x!r}, {t!r}) outside the source x fence")
+        return None
     pup = P.up
     fence = _leq_pairs(J.poset)
     for x, row in zip(Q.elements, vals):

@@ -311,6 +311,11 @@ def chain_failures(cert):
                 if vm[v] not in tverts:
                     fail(f"level {l} map {j} sends {v!r} outside the target")
                     return result()
+            extra = [k for k in vm if k not in rank]
+            if extra:
+                fail(f"level {l} map {j} has key {extra[0]!r} outside the "
+                     f"source")
+                return result()
             bad = [
                 s for s in source.simplices
                 if frozenset(vm[v] for v in s) not in target.simplices

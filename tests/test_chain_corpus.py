@@ -7,7 +7,8 @@ name-based checker gave on each mutant below.  Each mutation edits the
 document: a changed value, a dropped vertex, a vertex sent outside the
 target, a broken diagonal, a broken equivariance, and a final level that is
 not the projection the certificate claims.  Through ``check-certificate``
-every mutant exits 4 with the same list.
+every mutant exits 4 with the same list.  A key outside the source, added to
+every map, is rejected too, with one failure naming it.
 """
 
 import copy
@@ -120,3 +121,26 @@ def test_every_mutant_exits_4_through_the_cli(tmp_path, capsys):
         assert report["result"]["failures"] == (
             CORPUS["failures"][name][mutation]
         )
+
+
+def extra_key(doc):
+    """Every map also sends a name outside the source into the target."""
+    value = doc["target"]["vertices"][0]
+    for level in doc["levels"]:
+        for rows in level:
+            rows.append([["z", "z"], value])
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS["certificates"]))
+def test_key_outside_the_source_exits_4_through_the_cli(name, tmp_path,
+                                                        capsys):
+    doc = copy.deepcopy(CORPUS["certificates"][name])
+    extra_key(doc)
+    path = tmp_path / f"{name}-extra-key.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check-certificate", "--input", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert report["result"]["failures"] == [
+        "level 0 map 1 has key ('z', 'z') outside the source"
+    ]

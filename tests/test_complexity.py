@@ -7,7 +7,6 @@ from symtc.complexity import (
     DEFAULT_BUDGETS,
     INFINITY,
     _UnitLattice,
-    _cover_engine,
     budgets_with,
     cc_plain,
     cc_sigma,
@@ -18,7 +17,7 @@ from symtc.complexity import (
     tc_sigma_finite_sections,
 )
 from symtc.constructions import build_tower, poset_tower
-from symtc.errors import BudgetExceeded, DisconnectedPoset
+from symtc.errors import BudgetExceeded, DisconnectedPoset, UnsupportedMode
 from symtc.posets import order_complex, poset_from_relations
 from symtc.util import bits
 from symtc.verify import validate
@@ -120,7 +119,7 @@ def test_overrun_pieces_are_decided_once(hollow_triangle):
     so upper growth from a later seed does not search the piece again."""
     budgets = budgets_with({"nodes": 1})
     problem = _Asked(build_tower(hollow_triangle, 2, 0), False, budgets)
-    res = _cover_engine(problem, "upper", "sc_plain")
+    res = problem.cover("upper", "sc_plain")
     assert (res.kind, res.upper, res.stats["overrun_steps"]) == ("upper", 3, 60)
     assert len(problem.asked) == len(set(problem.asked))
 
@@ -168,6 +167,51 @@ def test_disconnected_rejected():
     P = poset_from_relations("ab", [])
     with pytest.raises(DisconnectedPoset):
         cc_sigma(P, 2, 0)
+
+
+COVERS = {"sc_sigma": sc_sigma, "sc_plain": sc_plain, "cc_sigma": cc_sigma,
+          "cc_plain": cc_plain}
+
+
+@pytest.mark.parametrize("name", sorted(COVERS))
+def test_unsupported_cover_mode(name, edge, v_poset):
+    space = v_poset if name.startswith("cc") else edge
+    with pytest.raises(UnsupportedMode, match="'bogus'"):
+        COVERS[name](space, 2, 0, mode="bogus")
+    with pytest.raises(UnsupportedMode, match="'bogus'"):
+        stabilize_over_r(name.replace("_", "-"), space, max_r=1, mode="bogus")
+
+
+def test_mode_is_checked_before_connectivity():
+    P = poset_from_relations("ab", [])
+    with pytest.raises(UnsupportedMode, match="'bogus'"):
+        cc_sigma(P, 2, 0, mode="bogus")
+    with pytest.raises(DisconnectedPoset):
+        cc_sigma(P, 2, 0, mode="exact")
+
+
+def test_good_piece_decides_a_dominated_piece_again(hollow_triangle):
+    """A proper sub-piece of a good piece is settled "yes" by dominance,
+    with no witness; ``good_piece`` decides it again, counts the decision
+    and remembers a witness that validates."""
+    problem = _UnitLattice(build_tower(hollow_triangle, 2, 0), True,
+                           budgets_with())
+    u = bits(problem.universe)[0]
+    G = problem.down_closure(1 << u)
+    assert problem.settle(G).witness is not None
+    S = problem.down_closure(1 << next(v for v in bits(G) if v != u))
+    assert S & G == S != G
+    tested = problem.stats["pieces_tested"]
+    res = problem.settle(S)
+    assert res.yes and res.witness is None
+    assert res.record == {"by_dominance": True}
+    assert problem.stats["pieces_tested"] == tested
+    piece = problem.good_piece(S)
+    assert problem.stats["pieces_tested"] == tested + 1
+    assert piece.units == tuple(bits(S))
+    assert problem.memo[S].witness is piece.witness is not None
+    rep = validate(piece.witness)
+    assert rep.ok, rep.failures
 
 
 def test_stabilize_edge(edge):

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from symtc.complexes import from_facets, restrict_map
-from symtc.complexity import _cover_engine, _UnitLattice, budgets_with, cc_plain
+from symtc.complexity import _UnitLattice, budgets_with, cc_plain
 from symtc.constructions import build_tower, poset_tower, projection_rho
 from symtc.errors import BudgetExceeded
 from symtc.posets import MonotoneMap, poset_from_relations
@@ -104,7 +104,7 @@ def obstructions(space, symmetric, modes):
     for mode in modes:
         problem = lattice(space, symmetric)
         try:
-            _cover_engine(problem, mode, "test")
+            problem.cover(mode, "test")
         except BudgetExceeded:
             pass
         for mask, res in problem.decided:
@@ -196,7 +196,7 @@ def test_whole_space_keeps_its_exhaustion_record():
 
 def test_no_table_for_a_whole_space_decision():
     problem = lattice(from_facets("abc", [("a", "b", "c")]), True)
-    assert _cover_engine(problem, "exact", "test").value == 1
+    assert problem.cover("exact", "test").value == 1
     assert "_edge_table" not in vars(problem)
 
 

@@ -10,7 +10,8 @@ from symtc.actions import (
     symmetric_group,
     transposition,
 )
-from symtc.complexity import cc_sigma, sc_sigma
+from symtc.cli import main
+from symtc.complexity import cc_plain, cc_sigma, sc_sigma
 from symtc.constructions import (
     build_tower,
     poset_tower,
@@ -407,3 +408,71 @@ def test_section_point_list_repeating_a_point_is_a_parse_error(v_poset):
     doc["points"][1] = doc["points"][0]
     with pytest.raises(ParseError, match="repeats a point"):
         certificate_from_doc(doc)
+
+
+# -- cells outside the domain ------------------------------------------------
+# A homotopy table's cells, and a section's paths and points, must be exactly
+# Q x J_{n,m}.  The mutants start from the circle's ``cc_plain`` upper piece-0
+# homotopy (m = 2, n = 2), or its section; each adds one cell outside, and
+# ``check-certificate`` must exit 4 with one failure naming that cell.
+
+
+def circle_homotopy_doc(circle_poset):
+    res = cc_plain(circle_poset, 2, 0, mode="upper")
+    return json.loads(canonical_json(res.cover[0].witness.to_doc()))
+
+
+def circle_section_doc(circle_poset):
+    H = certificate_from_doc(circle_homotopy_doc(circle_poset))
+    return json.loads(canonical_json(section_from_homotopy(H).to_doc()))
+
+
+def _row_outside_target(doc):
+    x = doc["table"][0][0]
+    doc["table"].append([x, [7, 1], "zzz"])
+    return "(7, 1)"
+
+
+def _row_outside_fence(doc):
+    x, _, v = doc["table"][0]
+    doc["table"].append([x, [1, 9], v])
+    return "(1, 9)"
+
+
+def _path_outside_source(doc):
+    doc["paths"].append([["q", "q"], doc["paths"][0][1]])
+    return "('q', 'q')"
+
+
+def _point_outside_fence(doc):
+    doc["points"].append([1, 9])
+    for row in doc["paths"]:
+        row[1].append(row[1][0])
+    return "(1, 9)"
+
+
+EXTRA_CELLS = {
+    "homotopy-target": (circle_homotopy_doc, _row_outside_target),
+    "homotopy-fence": (circle_homotopy_doc, _row_outside_fence),
+    "section-path": (circle_section_doc, _path_outside_source),
+    "section-point": (circle_section_doc, _point_outside_fence),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXTRA_CELLS))
+def test_cell_outside_the_domain_exits_4_through_the_cli(
+        kind, circle_poset, tmp_path, capsys):
+    make, mutate = EXTRA_CELLS[kind]
+    doc = make(circle_poset)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-certificate", "--input", str(path)]) == 0
+    capsys.readouterr()
+    named = mutate(doc)
+    path.write_text(json.dumps(doc))
+    code = main(["check-certificate", "--input", str(path)])
+    failures = json.loads(capsys.readouterr().out)["result"]["failures"]
+    assert code == 4
+    assert len(failures) == 1, failures
+    assert "outside the source x fence" in failures[0]
+    assert named in failures[0], failures
