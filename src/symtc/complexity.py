@@ -30,13 +30,22 @@ goodness joins rho_1 to each rho_j, so it implies plain goodness of
 boundary of the target therefore makes the piece bad, plain or symmetric,
 and its "no" carries the record {"stage": "obstruction", "j", "cycle"}
 instead of an exhaustion record (``verify.check_obstruction`` re-checks
-it).  The whole space is always searched, so its record stays an
-exhaustion record.  Pieces that pass the test go to the deciders.
+it).  On a symmetric lattice a piece Q that passes gets the quotient test
+next.  A symmetric chain or fence joins rho_1 to a map f constant on the
+Sigma_n-orbits, so f factors through the quotient q: Q -> L onto the orbit
+complex, whose simplices are the images of Q's own.  A 1-cycle z and a
+2-chain c of Q with q(z) the boundary of q(c) make f(z) a boundary, so if
+rho_1(z) is no boundary of the target the piece is bad, with the record
+{"stage": "quotient", "cycle", "chain"} (re-checked by the same checker).
+Pieces that pass both tests go to the deciders.  The whole space is
+searched first, so its record stays an exhaustion record, unless the
+search overruns its node budget: then the two tests decide it if they can,
+and the overrun stands if not.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .actions import (
     identity,
@@ -152,6 +161,50 @@ class ComplexityResult:
         }
 
 
+def _fundamental_cycles(edges):
+    """Walk a spanning forest of ``edges``, (a, b, unit, value); per edge
+    off the forest whose fundamental cycle has a nonzero XOR of values, in
+    walk order, yield that XOR and a function giving the cycle's edge
+    positions.  (The cycles left out add nothing to a span of their sums.)
+
+    The walk sets a potential, the values summed along the forest from a
+    root; an edge off it closes a cycle whose sum is its value plus its
+    ends' potentials, and an edge of the forest sums to 0.
+    """
+    adj = {}
+    for k, (a, b, _, _) in enumerate(edges):
+        adj.setdefault(a, []).append(k)
+        adj.setdefault(b, []).append(k)
+    pot, parent, closed = {}, {}, set()
+
+    def to_root(x):
+        path = set()
+        while parent[x] is not None:
+            path.add(parent[x])
+            x = edges[parent[x]][0] + edges[parent[x]][1] - x
+        return path
+
+    def cycle(x, y, k):
+        return to_root(x) ^ to_root(y) | {k}
+
+    for root in adj:
+        if root in pot:
+            continue
+        pot[root], parent[root] = 0, None
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for k in adj[x]:
+                a, b, _, value = edges[k]
+                y = a + b - x
+                if y not in pot:
+                    pot[y], parent[y] = pot[x] ^ value, k
+                    stack.append(y)
+                elif (odd := pot[x] ^ pot[y] ^ value) and k not in closed:
+                    closed.add(k)
+                    yield odd, partial(cycle, x, y, k)
+
+
 # ---------------------------------------------------------------------------
 # the unit lattice
 # ---------------------------------------------------------------------------
@@ -252,17 +305,19 @@ class _UnitLattice:
 
     @cached_property
     def _edge_table(self):
-        """(names, edges, width): per top-level edge, in canonical order,
-        its vertex positions in ``names``, its unit and its residues.
+        """(names, edges, width, firsts): per top-level edge, in canonical
+        order, its vertex positions in ``names``, its unit and its residues.
 
         An edge is a 1-simplex, or a strict pair a < b, whose unit is b's
-        (pieces are closed downward).  Its residues, ``width`` bits for
-        each j >= 2 packed into one int, are the classes of
-        rho_1(e) + rho_j(e) in C_1(T)/B_1(T) over F_2, T the target complex
-        or the order complex of the target poset.  Each is reduced by an
-        echelon basis of B_1, from the boundaries of T's 2-simplices (its
-        3-chains), with distinct leading bits: that leaves no leading bit
-        set, so one representative per class.
+        (pieces are closed downward).  Its residues are the classes of its
+        images in C_1(T)/B_1(T) over F_2, T the target complex or the order
+        complex of the target poset: ``width`` bits for each j >= 2 packed
+        into one int, the classes of rho_1(e) + rho_j(e), and in ``firsts``,
+        by the edge's place, the class of rho_1(e).  Each image is reduced
+        by an echelon basis of B_1, from the boundaries of T's 2-simplices
+        (its 3-chains), with distinct leading bits: that leaves no leading
+        bit set, so one representative per class, and the sum of two
+        representatives is the representative of the sum.
         """
         if self.poset:
             names, T = self.level.elements, self.tower.factor
@@ -291,21 +346,57 @@ class _UnitLattice:
                 pivots[v.bit_length() - 1] = v
         echelon = sorted(pivots.items(), reverse=True)
 
-        def image(img, a, b):
+        def residue(img, a, b):
             x, y = sorted((img[a], img[b]))
-            return 0 if x == y else tbit[x, y]
+            v = 0 if x == y else tbit[x, y]
+            for h, row in echelon:
+                if v >> h & 1:
+                    v ^= row
+            return v
 
-        width, table = len(tbit), []
+        width, table, firsts = len(tbit), [], []
         for a, b, unit in edges:
-            packed = 0
+            first, packed = residue(images[0], a, b), 0
             for j, img in enumerate(images[1:]):
-                v = image(images[0], a, b) ^ image(img, a, b)
-                for h, row in echelon:
-                    if v >> h & 1:
-                        v ^= row
-                packed |= v << j * width
+                packed |= (first ^ residue(img, a, b)) << j * width
             table.append((a, b, unit, packed))
-        return names, table, width
+            firsts.append(first)
+        return names, table, width, firsts
+
+    @cached_property
+    def _orbit_table(self):
+        """(edges, triangles) for the quotient test, symmetric lattices only.
+
+        q sends a vertex to its orbit: the unit of (i,) on the simplicial
+        side, of i on the finite-space side.  Per top-level edge, in
+        ``_edge_table``'s order, (a, b, unit, value): value holds the bit
+        of the orbit edge q(e) above the ``width`` bits of rho_1(e)'s
+        class; an edge within one orbit has no q bit (its image is
+        degenerate).  Per 2-simplex (3-chain a < b < c), its vertex
+        positions, its unit (its own, or c's) and the q bits of its
+        boundary, the XOR of its edges' q bits, shifted alike.
+        """
+        _, table, width, firsts = self._edge_table
+        unit_of = self.unit_of
+        orbit = unit_of.__getitem__ if self.poset else (lambda i: unit_of[i,])
+        qbit, qof, edges = {}, {}, []
+        for (a, b, unit, _), first in zip(table, firsts):
+            pair = frozenset((orbit(a), orbit(b)))
+            q = qbit.setdefault(pair, 1 << len(qbit)) if len(pair) == 2 else 0
+            qof[a, b] = q
+            edges.append((a, b, unit, q << width | first))
+        if self.poset:
+            up = self.level.up
+            simplices = [((a, b, c), unit_of[c])
+                         for a, b in qof for c in bits(up[b]) if c != b]
+        else:
+            simplices = [(s, unit_of[s])
+                         for s in base_of(self.level).ranked_simplices()
+                         if len(s) == 3]
+        triangles = [((a, b, c), unit,
+                      (qof[a, b] ^ qof[b, c] ^ qof[a, c]) << width)
+                     for (a, b, c), unit in simplices]
+        return edges, triangles
 
     def obstruction(self, mask):
         """The record of a 1-cycle z of the piece with rho_1(z) + rho_j(z)
@@ -314,56 +405,89 @@ class _UnitLattice:
         Contiguous maps, and comparable monotone maps on order complexes,
         are homotopic, so they induce the same map on H_1(-; F_2); and a
         symmetric chain or fence to a diagonal tuple joins rho_1 to each
-        rho_j.  So such a piece is bad, plain or symmetric.  The walk sets
-        a potential, the residues summed along a spanning forest of the
-        piece's edges; an edge whose residues differ from its ends'
-        potentials closes a cycle z whose residues are that difference.
+        rho_j.  So such a piece is bad, plain or symmetric.  The fundamental
+        cycles of a spanning forest of the piece's edges span its cycles,
+        so one of them has residues exactly when some cycle has.
         """
-        names, table, width = self._edge_table
+        names, table, width, _ = self._edge_table
         present = [e for e in table if mask >> e[2] & 1]
         if not any(e[3] for e in present):
             return None
-        adj = {}
-        for k, (a, b, _, _) in enumerate(present):
-            adj.setdefault(a, []).append(k)
-            adj.setdefault(b, []).append(k)
-        pot, parent = {}, {}
+        found = next(_fundamental_cycles(present), None)
+        if found is None:
+            return None
+        odd, cycle = found
+        return {
+            "stage": "obstruction",
+            "j": 2 + ((odd & -odd).bit_length() - 1) // width,
+            "cycle": [(names[present[k][0]], names[present[k][1]])
+                      for k in sorted(cycle())],
+        }
 
-        def to_root(x):
-            path = set()
-            while parent[x] is not None:
-                path.add(parent[x])
-                x = present[parent[x]][0] + present[parent[x]][1] - x
-            return path
+    def quotient(self, mask):
+        """The record of a 1-cycle z of a symmetric piece Q and a 2-chain c
+        of Q with q(z) = the boundary of q(c) and rho_1(z) not a boundary
+        of T, else None (see the module's docstring for why Q is bad).
 
-        for root in adj:
-            if root in pot:
-                continue
-            pot[root], parent[root] = 0, None
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for k in adj[x]:
-                    a, b, _, packed = present[k]
-                    y = a + b - x
-                    if y not in pot:
-                        pot[y], parent[y] = pot[x] ^ packed, k
-                        stack.append(y)
-                    elif odd := pot[x] ^ pot[y] ^ packed:
-                        cycle = sorted(to_root(x) ^ to_root(y)) + [k]
-                        return {
-                            "stage": "obstruction",
-                            "j": 2 + ((odd & -odd).bit_length() - 1) // width,
-                            "cycle": [(names[present[i][0]],
-                                       names[present[i][1]]) for i in cycle],
-                        }
+        Only the piece's own 2-simplices may enter c: L is the quotient of
+        Q, not of the top level.  The boundaries of q(c) for single
+        simplices, then the fundamental cycles' (q(z), rho_1(z)), are
+        eliminated on their q parts, each row remembering the simplices
+        and cycles it sums.  The first row whose q part vanishes while its
+        rho_1 part does not is the record; there is one whenever some
+        cycle of Q with q(z) a boundary has rho_1(z) outside B_1(T).
+        """
+        names, _, width, _ = self._edge_table
+        edges, triangles = self._orbit_table
+        low = (1 << width) - 1
+        present = [e for e in edges if mask >> e[2] & 1]
+        if not any(e[3] & low for e in present):
+            return None
+        chain = [t for t in triangles if mask >> t[1] & 1]
+        rows = {}  # leading bit of a q part -> (value, sources)
+
+        def reduce(v, sources):
+            while v > low and v.bit_length() - 1 in rows:
+                row, summed = rows[v.bit_length() - 1]
+                v, sources = v ^ row, sources ^ summed
+            if v > low:
+                rows[v.bit_length() - 1] = v, sources
+            return v, sources
+
+        for k, (_, _, boundary) in enumerate(chain):
+            reduce(boundary, 1 << k)
+        cycles = []
+        for value, cycle in _fundamental_cycles(present):
+            v, sources = reduce(value, 1 << (len(chain) + len(cycles)))
+            cycles.append(cycle)
+            if 0 < v <= low:
+                z = set()
+                for i in bits(sources >> len(chain)):
+                    z ^= cycles[i]()
+                return {
+                    "stage": "quotient",
+                    "cycle": [(names[present[k][0]], names[present[k][1]])
+                              for k in sorted(z)],
+                    "chain": [tuple(names[x] for x in chain[k][0])
+                              for k in bits(sources)
+                              if k < len(chain)],
+                }
         return None
 
+    def refute(self, mask):
+        """A record that the piece of ``mask`` is bad, found without a
+        search, else None: the F_2 test, then on a symmetric lattice the
+        quotient test."""
+        record = self.obstruction(mask)
+        if record is None and self.symmetric:
+            record = self.quotient(mask)
+        return record
+
     def decide(self, mask):
-        if mask != self.all:
-            record = self.obstruction(mask)
-            if record is not None:
-                return SearchResult("no", None, record)
+        """A proper piece is refuted first, else searched; the whole space
+        is searched first, and refuted only when the search overruns."""
+        if mask != self.all and (record := self.refute(mask)):
+            return SearchResult("no", None, record)
         piece = self.piece(mask)
         if self.poset:
             maps = [
@@ -379,8 +503,13 @@ class _UnitLattice:
             extra = {"target_ordered": self.tower.factor}
             decider = sym_contiguous if self.symmetric else plain_contiguous
         args = (maps, self.n) if self.symmetric else (maps,)
-        res = decider(*args, depth=self.depth, mode="auto",
-                      budget=self.budgets["nodes"], **extra)
+        try:
+            res = decider(*args, depth=self.depth, mode="auto",
+                          budget=self.budgets["nodes"], **extra)
+        except BudgetExceeded:
+            if mask != self.all or not (record := self.refute(mask)):
+                raise
+            return SearchResult("no", None, record)
         if res.yes:
             res.witness.projection_endpoints = True
         return res

@@ -26,11 +26,12 @@ goal turns up or the start's component is exhausted.  That component is
 the start's whole component in the graph above, so a "no" carries an
 exhaustion record, and the budget bounds the explored nodes, never the
 size of the map space.  (The cover engine decides many proper pieces "no"
-before calling a decider, by an F_2 homology obstruction with its own
-record; see ``complexity``.)  On the finite-space side the search runs on the
-core C of the source Q instead: what is left once beat points are
-removed, a whole orbit of the symmetric group at a time (plain deciders:
-one point at a time).  Removing a beat point is a strong deformation
+before calling a decider, by an F_2 homology obstruction or, on symmetric
+pieces, a quotient test, each with its own record, and the whole space when
+its search overruns; see ``complexity``.)  On the finite-space side the
+search runs on the core C of the source Q instead: what is left once beat
+points are removed, a whole orbit of the symmetric group at a time (plain
+deciders: one point at a time).  Removing a beat point is a strong deformation
 retraction (Stong, "Finite topological spaces", Trans. AMS 123, 1966), so
 the inclusion i: C -> Q and the retraction r: Q -> C give i.r joined to
 the identity of Q by a fence of partial retractions, each comparable with

@@ -445,17 +445,41 @@ def _validate_table(cert, table, what):
 # ---------------------------------------------------------------------------
 
 
-def check_obstruction(piece, maps, record):
-    """Re-check a "no" by F_2 homology: the record's cycle z lies in the
-    piece, every vertex has even degree in it, and rho_1(z) + rho_j(z) is
-    not in the span of the boundaries of the target's 2-simplices (its
-    3-chains, for a poset target).  ``maps`` are rho_1 .. rho_n on the
-    piece.  The span is eliminated here by lowest bits."""
+def _tuples(entries, k):
+    """``entries``, a list of k-element lists or tuples of hashable names,
+    as a list of tuples; None when it is anything else."""
+    if not isinstance(entries, (list, tuple)):
+        return None
+    out = [tuple(e) for e in entries
+           if isinstance(e, (list, tuple)) and len(e) == k]
+    try:
+        hash(tuple(out))
+    except TypeError:
+        return None
+    return out if len(out) == len(entries) else None
+
+
+def check_obstruction(piece, maps, record, depth=0):
+    """Re-check a "no" by F_2 homology.  ``maps`` are rho_1 .. rho_n on the
+    piece, whose names are depth-``depth`` names.
+
+    Both records hold a cycle z that lies in the piece, with every vertex
+    of even degree.  An "obstruction" record's rho_1(z) + rho_j(z) is not
+    in the span of the boundaries of the target's 2-simplices (its
+    3-chains, for a poset target).  A "quotient" record's chain c holds
+    2-simplices (3-chains) of the piece, q(z) is the boundary of q(c), q
+    sending a name to its Sigma_n-orbit under this module's own action,
+    and rho_1(z) is not in that span.  The span is eliminated here by
+    lowest bits."""
     rep = Report()
-    j, cycle = record.get("j"), record.get("cycle")
-    if (record.get("stage") != "obstruction" or not isinstance(j, int)
-            or not 1 <= j <= len(maps) or not cycle):
-        rep.fail("not an obstruction record with a map index and a cycle")
+    stage = record.get("stage") if isinstance(record, dict) else None
+    j = record.get("j") if stage == "obstruction" else 1
+    cycle = _tuples(record.get("cycle"), 2) if stage else None
+    triples = _tuples(record.get("chain"), 3) if stage == "quotient" else []
+    if (stage not in ("obstruction", "quotient") or not isinstance(j, int)
+            or not 1 <= j <= len(maps) or not cycle or triples is None):
+        rep.fail("not an obstruction record with a map index and a cycle, "
+                 "nor a quotient record with a cycle and a chain")
         return rep
     poset = hasattr(piece, "up")
     odd = set()
@@ -469,8 +493,37 @@ def check_obstruction(piece, maps, record):
         odd ^= {x, y}
     if odd:
         rep.fail(f"{min(odd, key=repr)!r} has odd degree in the cycle")
+    for t in triples:
+        if poset:
+            inside = all(x in piece for x in t) and all(
+                piece.comparable(x, y) for x, y in combinations(t, 2))
+        else:
+            inside = piece.is_simplex(set(t))
+        if len(set(t)) != 3 or not inside:
+            rep.fail(f"{t!r} is not a 2-simplex of the piece")
     if not rep:
         return rep
+    if stage == "quotient":
+        try:
+            action = _name_action(symmetric_group(len(maps)),
+                                  piece.elements if poset else piece.vertices,
+                                  depth)
+        except LevelMismatch as exc:
+            rep.fail(f"the piece's names are not depth-{depth} names: {exc}")
+            return rep
+        orbit = {x: frozenset(g[x] for g in action) for x in action[0]}
+
+        def q(pairs):
+            out = set()
+            for x, y in pairs:
+                if orbit[x] != orbit[y]:
+                    out ^= {frozenset((orbit[x], orbit[y]))}
+            return out
+
+        if q(cycle) != q(p for x, y, w in triples
+                         for p in ((x, y), (y, w), (x, w))):
+            rep.fail("q(z) is not the boundary of q(c)")
+            return rep
     if poset:
         T = maps[0].target
         names = T.elements
@@ -500,9 +553,12 @@ def check_obstruction(piece, maps, record):
             v ^= rows[v & -v]
         if v:
             rows[v & -v] = v
-    z = chain(tables[0], cycle) ^ chain(tables[j - 1], cycle)
+    z = chain(tables[0], cycle)
+    if stage == "obstruction":
+        z ^= chain(tables[j - 1], cycle)
     while z & -z in rows:
         z ^= rows[z & -z]
     if not z:
-        rep.fail(f"rho_1(z) + rho_{j}(z) bounds in the target")
+        rep.fail("rho_1(z) bounds in the target" if stage == "quotient"
+                 else f"rho_1(z) + rho_{j}(z) bounds in the target")
     return rep

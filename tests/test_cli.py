@@ -172,6 +172,30 @@ def test_cc_run_and_exit_codes(docs, capsys, tmp_path):
     assert doc["result"]["value"] == "infinity"
 
 
+def test_cc_upper_at_r1_on_the_circle(docs, capsys, tmp_path):
+    """At r = 1 the search on the circle's whole space overruns the node
+    budget; the cover refutes the whole space by homology instead and
+    finishes, and its first piece's certificate passes the checker."""
+    cert_dir = tmp_path / "certs-r1"
+    code, doc = run(
+        [
+            "cc", "--input", str(docs / "circle.json"), "--r", "1",
+            "--mode", "upper", "--cert-dir", str(cert_dir),
+        ],
+        capsys,
+    )
+    assert code == 0
+    assert doc["result"]["upper"] == 3
+    assert doc["result"]["stats"]["whole_record"]["stage"] in (
+        "obstruction", "quotient")
+    code, doc = run(
+        ["check-certificate", "--input",
+         str(cert_dir / "cc_sigma-piece0.cert.json")],
+        capsys,
+    )
+    assert code == 0 and doc["result"]["valid"] is True
+
+
 def test_sc_run(docs, capsys, tmp_path):
     code, doc = run(
         [

@@ -86,8 +86,9 @@ def test_hollow_triangle_sc_plain_bound(hollow_triangle):
 def test_upper_growth_counts_node_overruns(hollow_triangle):
     """In upper mode a growth step whose decision overruns the node budget
     is a rejected step, counted in stats; the bound still rests on pieces
-    decided "yes".  Exact mode still raises on the same budget."""
-    tight = {"nodes": 40}
+    decided "yes".  Exact mode still raises on the same budget.  At 40
+    nodes the quotient test decides every step the search would overrun."""
+    tight = {"nodes": 10}
     res = sc_sigma(hollow_triangle, 2, 0, mode="upper", budget=tight)
     assert (res.kind, res.upper) == ("upper", 3)
     assert res.stats["overrun_steps"] > 0
@@ -95,8 +96,10 @@ def test_upper_growth_counts_node_overruns(hollow_triangle):
     covered = set().union(*(p.units for p in res.cover))
     assert set(res.stats["universe_units"]) <= covered
     _check_cover(res)
-    assert "overrun_steps" not in sc_sigma(hollow_triangle, 2, 0,
-                                           mode="upper").stats
+    for budget in ({"nodes": 40}, None):
+        assert "overrun_steps" not in sc_sigma(hollow_triangle, 2, 0,
+                                               mode="upper",
+                                               budget=budget).stats
     with pytest.raises(BudgetExceeded):
         sc_sigma(hollow_triangle, 2, 0, mode="exact", budget=tight)
 

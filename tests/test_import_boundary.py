@@ -4,7 +4,8 @@
 ``search``, ``complexity`` or ``covers`` through any chain of package
 imports, at module level or inside a function.  The checker in
 ``verify.py`` acts on names with its own table, not with ``act_name`` or
-``action_tables`` from ``actions``.
+``action_tables`` from ``actions``, and finds orbits with it, not with
+``positions``, ``orbits_of``, ``reduction`` or the orbit partitions.
 
 The package needs nothing beyond the standard library: its modules import
 only standard modules and each other, so importing it and its command line
@@ -99,9 +100,12 @@ def test_section_route_does_not_import_searchers():
 
 
 def test_checker_has_its_own_name_action():
-    """verify.py neither imports nor uses the searchers' name action."""
+    """verify.py neither imports nor uses the searchers' name action, nor
+    their orbits."""
     used = _names(ast.parse((PACKAGE / "verify.py").read_text()))
-    assert not used & {"act_name", "action_tables"}
+    assert not used & {"act_name", "action_tables", "positions", "orbits_of",
+                       "reduction", "orbit_partition",
+                       "orbit_partition_simplices"}
 
 
 def test_package_imports_only_the_standard_library():
