@@ -181,50 +181,33 @@ def cmd_orbits(cfg):
     return EXIT_OK
 
 
-def cmd_sym_contiguous(cfg):
-    K = parse_complex(cfg.input)
+# command -> (reader, tower, projection, symmetric and plain decider,
+# certificate file); the contiguity deciders also take the ordered target
+_DECIDERS = {
+    "sym-contiguous": (parse_complex, build_tower, projection_pi,
+                       sym_contiguous, plain_contiguous,
+                       "contiguity-chain.cert.json"),
+    "homotopic": (parse_poset, poset_tower, projection_rho,
+                  sym_comb_homotopic, plain_comb_homotopic,
+                  "homotopy.cert.json"),
+}
+
+
+def cmd_decide(cfg):
+    read, make, project, sym, plain, cert = _DECIDERS[cfg.command]
+    instance = read(cfg.input)
     budgets = cfg.budgets()
-    tower = build_tower(K, cfg.n, cfg.r, budget=budgets["simplices"])
-    maps = [projection_pi(tower, j) for j in range(1, cfg.n + 1)]
-    if cfg.plain:
-        res = plain_contiguous(
-            maps, depth=cfg.r, mode=cfg.mode, budget=budgets["nodes"],
-            target_ordered=tower.factor,
-        )
-    else:
-        res = sym_contiguous(
-            maps, cfg.n, cfg.r, mode=cfg.mode, budget=budgets["nodes"],
-            target_ordered=tower.factor,
-        )
+    tower = make(instance, cfg.n, cfg.r, budget=budgets["simplices"])
+    maps = [project(tower, j) for j in range(1, cfg.n + 1)]
+    extra = {"target_ordered": tower.factor} if read is parse_complex else {}
+    args = (maps,) if cfg.plain else (maps, cfg.n)
+    res = (plain if cfg.plain else sym)(
+        *args, depth=cfg.r, mode=cfg.mode, budget=budgets["nodes"], **extra)
     report = RunReport(cfg.echo(), result={"status": res.status},
                        exhaustion=res.record)
     if res.yes:
         res.witness.projection_endpoints = True
-        path = _write_cert(cfg, "contiguity-chain.cert.json", res.witness)
-        report.certificates.append(path)
-    _emit(cfg, report)
-    return EXIT_OK if res.status != "no" else EXIT_INFEASIBLE
-
-
-def cmd_homotopic(cfg):
-    P = parse_poset(cfg.input)
-    budgets = cfg.budgets()
-    tower = poset_tower(P, cfg.n, cfg.r, budget=budgets["simplices"])
-    maps = [projection_rho(tower, j) for j in range(1, cfg.n + 1)]
-    if cfg.plain:
-        res = plain_comb_homotopic(
-            maps, depth=cfg.r, mode=cfg.mode, budget=budgets["nodes"]
-        )
-    else:
-        res = sym_comb_homotopic(
-            maps, cfg.n, cfg.r, mode=cfg.mode, budget=budgets["nodes"]
-        )
-    report = RunReport(cfg.echo(), result={"status": res.status},
-                       exhaustion=res.record)
-    if res.yes:
-        res.witness.projection_endpoints = True
-        path = _write_cert(cfg, "homotopy.cert.json", res.witness)
-        report.certificates.append(path)
+        report.certificates.append(_write_cert(cfg, cert, res.witness))
     _emit(cfg, report)
     return EXIT_OK if res.status != "no" else EXIT_INFEASIBLE
 
@@ -352,8 +335,8 @@ COMMANDS = {
     "order-complex": (cmd_order_complex, []),
     "face-poset": (cmd_face_poset, []),
     "orbits": (cmd_orbits, ["n", "r", "budget"]),
-    "sym-contiguous": (cmd_sym_contiguous, _DECIDE),
-    "homotopic": (cmd_homotopic, _DECIDE),
+    "sym-contiguous": (cmd_decide, _DECIDE),
+    "homotopic": (cmd_decide, _DECIDE),
     "check-certificate": (cmd_check_certificate, []),
     "sc": (cmd_sc, _COVER),
     "cc": (cmd_cc, _COVER),

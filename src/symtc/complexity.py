@@ -10,7 +10,12 @@ Pieces are unions of orbit units, held as int bitmasks (bit u is unit u):
 simplex orbits on the simplicial side, pieces closed under faces; element
 orbits on the finite-space side, pieces closed downward (invariant opens).
 A unit holds its members as positions in the top level, sorted vertex-rank
-tuples or element indices; names come back only when a piece is built.
+tuples or element indices.  A piece is decided on one map space of the top
+level, built and checked once by the deciders' own input check and
+restricted to the piece's positions (its facets, or its elements): a piece
+is a union of Sigma_n-orbits, so it is invariant and the restricted
+projections are equivariant without a new check.  Names come back only for
+a cover piece, whose complex or poset and certificate are built once.
 Each unit has a down mask, itself and the units below it.  The order on
 units is transitive, since the group carries one witnessing pair of members
 onto another, so the down-closure of a piece is one OR of down masks.
@@ -37,7 +42,7 @@ complex, whose simplices are the images of Q's own.  A 1-cycle z and a
 2-chain c of Q with q(z) the boundary of q(c) make f(z) a boundary, so if
 rho_1(z) is no boundary of the target the piece is bad, with the record
 {"stage": "quotient", "cycle", "chain"} (re-checked by the same checker).
-Pieces that pass both tests go to the deciders.  The whole space is
+Pieces that pass both tests are searched.  The whole space is
 searched first, so its record stays an exhaustion record, unless the
 search overruns its node budget: then the two tests decide it if they can,
 and the overrun stands if not.
@@ -56,7 +61,7 @@ from .actions import (
 from .complexes import (
     base_of,
     closure_of,
-    restrict_map,
+    restrict_map,  # noqa: F401  (perfbench/tracing.py wraps it here)
     subcomplex_from_simplices,
 )
 from .constructions import (
@@ -74,14 +79,11 @@ from .errors import (
     UnsupportedMode,
 )
 from .io import complex_to_doc, poset_to_doc
-from .posets import MonotoneMap, chain_walk
-from .search import (
-    SearchResult,
-    plain_comb_homotopic,
-    plain_contiguous,
-    sym_comb_homotopic,
-    sym_contiguous,
-)
+from .posets import chain_walk
+from .search import SearchResult, _check_inputs, _decide
+# the deciders, which perfbench/tracing.py wraps here
+from .search import plain_comb_homotopic, plain_contiguous  # noqa: F401
+from .search import sym_comb_homotopic, sym_contiguous  # noqa: F401
 from .util import bits
 
 INFINITY = math.inf
@@ -217,7 +219,7 @@ class _UnitLattice:
     of simplices as sorted vertex-rank tuples on the simplicial side
     (pieces closed under faces), of element indices on the finite-space
     side (pieces closed downward).  Names come back only in ``piece``;
-    only building and deciding a piece depend on the side.
+    only building and restricting a piece depend on the side.
 
     It is also the cover engine and holds its state: the memo of decisions
     (overruns included), ``stats``, and, since goodness passes to sub-pieces
@@ -483,36 +485,42 @@ class _UnitLattice:
             record = self.quotient(mask)
         return record
 
-    def decide(self, mask):
-        """A proper piece is refuted first, else searched; the whole space
-        is searched first, and refuted only when the search overruns."""
-        if mask != self.all and (record := self.refute(mask)):
-            return SearchResult("no", None, record)
-        piece = self.piece(mask)
+    @cached_property
+    def space(self):
+        """The top level's map space, its projections checked once by the
+        deciders' own input check; every piece is decided on it."""
+        return _check_inputs(self.maps, self.n, self.depth, "auto",
+                             self.symmetric, not self.poset)
+
+    def restrict(self, mask):
+        """``space`` restricted to the piece of ``mask``: to its element
+        indices, or to its facets, the members of its maximal units (a unit
+        below another has each member below one of the other's, see
+        _masks)."""
         if self.poset:
-            maps = [
-                MonotoneMap(piece, f.target,
-                            {x: f.mapping[x] for x in piece.elements})
-                for f in self.maps
-            ]
-            extra = {}
-            decider = (sym_comb_homotopic if self.symmetric
-                       else plain_comb_homotopic)
-        else:
-            maps = [restrict_map(f, piece) for f in self.maps]
-            extra = {"target_ordered": self.tower.factor}
-            decider = sym_contiguous if self.symmetric else plain_contiguous
-        args = (maps, self.n) if self.symmetric else (maps,)
+            return self.space.restrict(
+                sorted([x for u in bits(mask) for x in self.units[u]]))
+        below = 0
+        for u in bits(mask):
+            below |= self._masks[u] ^ 1 << u
+        return self.space.restrict(
+            [s for u in bits(mask & ~below) for s in self.units[u]])
+
+    def decide(self, mask):
+        """A proper piece is refuted first, else searched on its restricted
+        space; the whole space is searched first, and refuted only when the
+        search overruns.  A yes keeps the driver's levels as its witness
+        (``good_piece`` makes the certificate)."""
+        whole = mask == self.all
+        if not whole and (record := self.refute(mask)):
+            return SearchResult("no", None, record)
         try:
-            res = decider(*args, depth=self.depth, mode="auto",
-                          budget=self.budgets["nodes"], **extra)
+            return _decide(self.space if whole else self.restrict(mask),
+                           "auto", self.budgets["nodes"])
         except BudgetExceeded:
-            if mask != self.all or not (record := self.refute(mask)):
+            if not whole or not (record := self.refute(mask)):
                 raise
             return SearchResult("no", None, record)
-        if res.yes:
-            res.witness.projection_endpoints = True
-        return res
 
     def settle(self, S):
         """Memo, then dominance, then ``decide``; overruns are remembered."""
@@ -542,15 +550,24 @@ class _UnitLattice:
         return out
 
     def good_piece(self, S):
-        """Settled good S with a witness, decided again if by dominance."""
+        """Settled good S with its certificate, on the piece's names: S is
+        decided again if settled by dominance, and the driver's levels
+        become a certificate once."""
         res = self.memo[S]
         if res.witness is None:
             res = self.memo[S] = self.decide(S)
             self.stats["pieces_tested"] += 1
+        piece = self.piece(S)
+        if isinstance(res.witness, list):  # the levels of ``decide``
+            res.witness = self.space.certificate(
+                res.witness, n=self.n, depth=self.depth,
+                symmetric=self.symmetric, source=piece,
+                target=self.tower.factor)
+            res.witness.projection_endpoints = True
         units = tuple(bits(S))
         to_doc = poset_to_doc if self.poset else complex_to_doc
         return GoodPiece(units, sum(len(self.units[u]) for u in units),
-                         res.witness, to_doc(self.piece(S)))
+                         res.witness, to_doc(piece))
 
     def _result(self, invariant, kind, upper, cover_sets):
         """Value ``upper`` unless in upper mode; lower 2 unless exact."""

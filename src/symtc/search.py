@@ -18,42 +18,48 @@ components differ by precomposition with a bijection of the invariant
 source), and the goal is any node invariant under the full symmetric group,
 which expands to a diagonal tuple.
 
-Modes: one driver, ``_decide``, serves all four deciders.  Every mode
-answers "yes" at once when the start is already a goal (plain deciders:
-when all starts are equal).  "exact" then runs ``_class_bfs`` from the
-start: moves that change the value of one orbit class at a time, until a
-goal turns up or the start's component is exhausted.  That component is
-the start's whole component in the graph above, so a "no" carries an
-exhaustion record, and the budget bounds the explored nodes, never the
-size of the map space.  (The cover engine decides many proper pieces "no"
-before calling a decider, by an F_2 homology obstruction or, on symmetric
-pieces, a quotient test, each with its own record, and the whole space when
-its search overruns; see ``complexity``.)  On the finite-space side the
-search runs on the core C of the source Q instead: what is left once beat
-points are removed, a whole orbit of the symmetric group at a time (plain
-deciders: one point at a time).  Removing a beat point is a strong deformation
-retraction (Stong, "Finite topological spaces", Trans. AMS 123, 1966), so
-the inclusion i: C -> Q and the retraction r: Q -> C give i.r joined to
-the identity of Q by a fence of partial retractions, each comparable with
-the next; the orbits being antichains, every step commutes with the
-group.  Two maps on Q therefore lie in one component exactly when their
-restrictions to C do (Barmak, Algebraic Topology of Finite Topological
-Spaces and Applications, LNM 2032, ch. 1), a goal restricts to a goal on
-C, and h -> h.r lifts a goal and a path on C back to Q.  So a "no" says
-that the start's component was exhausted on the core, whose size every
-such record holds as ``core``; a piece without beat points is its own
-core.  "auto" first runs a quick stage over the goals among the starts
-and the constant maps, which are maps of either kind and invariant under
-every group: the first candidate equal or adjacent to every start (the
-plain deciders try the starts themselves before the constants) connects
-them in one step; on the symmetric side a constant c then connects to the
-start in two steps through ``bridge(c, start, budget)``, a class-constant
-map adjacent to both.  The bridge's first-fit walk gives up once it has
-tried more values than the node budget, and the exact search then decides
-under the same budget.  The start check and the quick stage work on Q
-itself.  Otherwise "auto" runs the exact search.  "bounded" runs the same
-two stages but reports "unknown" where exact would report "no"; it never
-answers "no".  Any other mode raises UnsupportedMode.
+Modes: one driver, ``_decide``, serves all four deciders, each of which
+checks its tuple and builds its map space (``_check_inputs``) and turns a
+yes into its certificate (the space's ``certificate``).  The cover engine
+calls the same check once, on the top level's projections, and decides
+each piece by the driver on that space restricted to the piece (the
+space's ``restrict``); see ``complexity``.
+
+Every mode answers "yes" at once when the start is already a goal (plain
+deciders: when all starts are equal).  "exact" then runs ``_class_bfs``
+from the start: moves that change the value of one orbit class at a time,
+until a goal turns up or the start's component is exhausted.  That
+component is the start's whole component in the graph above, so a "no"
+carries an exhaustion record, and the budget bounds the explored nodes,
+never the size of the map space.  (The cover engine decides many proper
+pieces "no" before searching them, by an F_2 homology obstruction or, on
+symmetric pieces, a quotient test, each with its own record, and the whole
+space when its search overruns; see ``complexity``.)  On the finite-space
+side the search runs on the core C of the source Q instead: what is left
+once beat points are removed, a whole orbit of the symmetric group at a
+time (plain deciders: one point at a time).  Removing a beat point is a
+strong deformation retraction (Stong, "Finite topological spaces", Trans.
+AMS 123, 1966), so the inclusion i: C -> Q and the retraction r: Q -> C
+give i.r joined to the identity of Q by a fence of partial retractions,
+each comparable with the next; the orbits being antichains, every step
+commutes with the group.  Two maps on Q therefore lie in one component
+exactly when their restrictions to C do (Barmak, Algebraic Topology of
+Finite Topological Spaces and Applications, LNM 2032, ch. 1), a goal
+restricts to a goal on C, and h -> h.r lifts a goal and a path on C back to
+Q.  So a "no" says that the start's component was exhausted on the core,
+whose size every such record holds as ``core``; a piece without beat points
+is its own core.  "auto" first runs a quick stage over the goals among the
+starts and the constant maps, which are maps of either kind and invariant
+under every group: the first candidate equal or adjacent to every start
+(the plain deciders try the starts themselves before the constants)
+connects them in one step; on the symmetric side a constant c then connects
+to the start in two steps through ``bridge(c, start, budget)``, a
+class-constant map adjacent to both.  The bridge's first-fit walk gives up
+once it has tried more values than the node budget, and the exact search
+then decides under the same budget.  The start check and the quick stage
+work on Q itself.  Otherwise "auto" runs the exact search.  "bounded" runs
+the same two stages but reports "unknown" where exact would report "no"; it
+never answers "no".  Any other mode raises UnsupportedMode.
 
 The search packs each node, a class-constant map, into one int with a bit
 field per source point, and each class memoizes its moves by the fields
@@ -95,14 +101,17 @@ class SearchResult:
 
 
 def _check_inputs(maps, n, depth, mode, symmetric, simplicial):
-    """(source, target, tables, action) of a decider's tuple, the tables
-    its maps as dicts, after the checks each decider makes: the mode and
-    the tuple's shape, and for a symmetric decider an invariant source
-    (every image of a name is a name and, on a complex, every image of a
-    facet a simplex) and an equivariant tuple.  ``action`` is (classes,
-    goal, swaps): for a symmetric decider those of ``actions.reduction``,
-    read like the checks from one table of Sigma_n's positions on the
-    source; all None for a plain one."""
+    """The map space of a decider's tuple, after the checks each decider
+    makes: the mode and the tuple's shape, and for a symmetric decider an
+    invariant source (every image of a name is a name and, on a complex,
+    every image of a facet a simplex) and an equivariant tuple.
+
+    The space carries what the driver decides: ``starts``, the value tuples
+    of the first map (symmetric) or of every map (plain), and ``classes``,
+    ``goal`` and ``swaps``: for a symmetric decider those of
+    ``actions.reduction``, read like the checks from one table of
+    Sigma_n's positions on the source; singletons, None and None for a
+    plain one."""
     if mode not in ("exact", "auto", "bounded"):
         raise UnsupportedMode(
             f"search mode must be 'exact', 'auto' or 'bounded', not {mode!r}"
@@ -114,22 +123,25 @@ def _check_inputs(maps, n, depth, mode, symmetric, simplicial):
         if f.source != src or f.target != tgt:
             raise SourceMismatch("tuple maps must share source and target")
     tables = [f.vertex_map if simplicial else f.mapping for f in maps]
-    if not symmetric:
-        return src, tgt, tables, (None, None, None)
-    group = symmetric_group(n)
-    names = src.vertices if simplicial else src.elements
-    perms = positions(group, names, depth)
-    members = set(src.ranked_simplices()) if simplicial else None
-    for p in perms:
-        if None in p or simplicial and any(
-                tuple(sorted([p[i] for i in t])) not in members
-                for t in src.ranked_facets()):
-            raise NotEquivariant("source is not an invariant "
-                                 + ("subcomplex" if simplicial else "subset"))
-    viol = equivariance_violation(group, perms, tables, names)
-    if viol is not None:
-        raise NotEquivariant(f"tuple is not equivariant: violated at {viol!r}")
-    return src, tgt, tables, reduction(group, perms)
+    space = (_SimplicialSpace if simplicial else _MonotoneSpace)(src, tgt)
+    if symmetric:
+        group = symmetric_group(n)
+        perms = positions(group, space.names, depth)
+        members = set(src.ranked_simplices()) if simplicial else None
+        for p in perms:
+            if None in p or simplicial and any(
+                    tuple(sorted([p[i] for i in t])) not in members
+                    for t in space.facets):
+                raise NotEquivariant("source is not an invariant " + (
+                    "subcomplex" if simplicial else "subset"))
+        viol = equivariance_violation(group, perms, tables, space.names)
+        if viol is not None:
+            raise NotEquivariant(
+                f"tuple is not equivariant: violated at {viol!r}")
+        space.classes, space.goal, space.swaps = reduction(group, perms)
+        tables = tables[:1]
+    space.starts = [space.values_of(t) for t in tables]
+    return space
 
 
 def _class_bfs(space, start, stop, budget):
@@ -320,8 +332,9 @@ def _first_fit(space, fits, budget=None):
     return tuple(values) if ci == len(classes) else None
 
 
-def _decide(space, starts, mode, budget, goal=None, swaps=None):
-    """Start check, quick stage and component search of every decider.
+def _decide(space, mode, budget):
+    """Start check, quick stage and component search of every decider, on
+    the ``starts``, ``goal`` and ``swaps`` of ``space``.
 
     A symmetric decider has one start, and its goal is a map constant on
     the Sigma_n classes ``goal``; a plain decider, without them, has one
@@ -333,6 +346,7 @@ def _decide(space, starts, mode, budget, goal=None, swaps=None):
     transposition (1, j + 1), whose source positions are ``swaps[j]``.
     Each path is in alternating form (see ``_shortcut``).
     """
+    starts, goal = space.starts, space.goal
     symmetric = goal is not None
 
     def is_goal(values):
@@ -342,7 +356,7 @@ def _decide(space, starts, mode, budget, goal=None, swaps=None):
         branches = [_shortcut(p, space.directions) for p in paths]
         if symmetric:
             branches = [[tuple(values[i] for i in perm)
-                         for values in branches[0]] for perm in swaps]
+                         for values in branches[0]] for perm in space.swaps]
         levels = [[space.map_of(b[min(l, len(b) - 1)]) for b in branches]
                   for l in range(max(map(len, branches)))]
         return SearchResult("yes", levels, record)
@@ -364,13 +378,33 @@ def _decide(space, starts, mode, budget, goal=None, swaps=None):
                     return yes([[cand, mid, start]], {"stage": "quick"})
     if not _constant_on(start, space.classes):
         raise NotEquivariant("tuple's first map is not constraint-invariant")
-    status, paths, record = space.component_stage(
-        start, budget, mode, goal_classes=goal,
-        ends=() if symmetric else starts,
-    )
+    status, paths, record = space.component_stage(budget, mode)
     if status != "yes":
         return SearchResult(status, record=record)
     return yes([paths[0][::-1]] if symmetric else paths, record)
+
+
+def _decider(maps, n, depth, mode, budget, symmetric, simplicial,
+             target=None):
+    """Every decider: the input check and its map space, the driver, and
+    for a yes the space's certificate, with ``target`` (an ordered
+    complex) as its target when given."""
+    space = _check_inputs(maps, n, depth, mode, symmetric, simplicial)
+    res = _decide(space, mode, budget)
+    source = maps[0].source
+    if res.yes:
+        res.witness = space.certificate(
+            res.witness, n=n, depth=depth, symmetric=symmetric,
+            source=source, target=target or maps[0].target)
+    if (symmetric and not simplicial and res.record.get("stage") == "exact"
+            and not source.is_connected()):
+        res.record["disconnected_source"] = True
+    return res
+
+
+def _classes_on(classes, pos):
+    """The classes that lie in the keys of ``pos``, renumbered by it."""
+    return [[pos[i] for i in cls] for cls in classes if cls[0] in pos]
 
 
 class _PackedNodes:
@@ -378,11 +412,14 @@ class _PackedNodes:
 
     The value of source index i sits in the field of ``width`` bits at
     ``width * i``, so a node is one int and hashes as one.  A space sets
-    ``size``, the number of source indices, and ``nvalues``; a space over
-    named maps sets the names through ``_set_names``, for ``values_of`` and
-    ``map_of``.  Its ``component_stage`` is the deciders' exact stage; the
-    monotone spaces run theirs on the core of the source.
+    ``size``, the number of source indices, ``nvalues``, ``names[i]`` and
+    ``tnames[v]``, the names of the source indices and of the values, and
+    ``classes``; ``_check_inputs`` sets its decision's ``starts``, ``goal``
+    and ``swaps``.  Its ``component_stage`` is the deciders' exact stage;
+    the monotone space runs its stage on the core of the source.
     """
+
+    starts, goal, swaps = (), None, None
 
     @cached_property
     def width(self):
@@ -420,24 +457,22 @@ class _PackedNodes:
 
         return test
 
-    def component_stage(self, start, budget, mode, goal_classes=None,
-                        ends=()):
-        """Run _class_bfs for a decider; returns (status, paths, record).
+    def component_stage(self, budget, mode):
+        """Run _class_bfs from the first start; returns (status, paths,
+        record).
 
-        The search packs the value tuple ``start`` and runs until it
-        reaches a map constant on every class of ``goal_classes`` or,
-        without them, until every value tuple of ``ends`` was seen.  On
-        "yes", ``paths`` holds the unpacked path from start to the hit, or
-        to each of ``ends``.  Exact mode answers "no" on an exhausted
+        The search runs until it reaches a map constant on every class of
+        ``goal`` or, without a goal, until every start was seen.  On "yes",
+        ``paths`` holds the unpacked path from the first start to the hit,
+        or to each start.  Exact mode answers "no" on an exhausted
         component; bounded mode keeps its contract and answers "unknown"
         instead.
         """
-        targets = [self.pack(e) for e in ends]
-        if goal_classes is None:
-            goal = _sees_all(targets)
-        else:
-            goal = self.constant_test(goal_classes)
-        parents, hit = _class_bfs(self, self.pack(start), goal, budget)
+        targets = [self.pack(e) for e in self.starts if self.goal is None]
+        stop = (_sees_all(targets) if self.goal is None
+                else self.constant_test(self.goal))
+        parents, hit = _class_bfs(self, self.pack(self.starts[0]), stop,
+                                  budget)
         explored = len(parents)
         paths = None
         if hit is not None:
@@ -452,12 +487,9 @@ class _PackedNodes:
             record["exhausted_component"] = True
         return ("yes" if hit is not None else "no"), paths, record
 
-    def _set_names(self, names, tnames):
-        """Name the source indices and the values: ``names[i]`` and
-        ``tnames[v]``, with their inverses ``index`` and ``tindex``."""
-        self.names, self.tnames = list(names), list(tnames)
-        self.index = {x: i for i, x in enumerate(self.names)}
-        self.tindex = {y: v for v, y in enumerate(self.tnames)}
+    @cached_property
+    def tindex(self):
+        return {y: v for v, y in enumerate(self.tnames)}
 
     def values_of(self, mapping):
         """The value tuple of a map given as a dict on the source names."""
@@ -465,6 +497,26 @@ class _PackedNodes:
 
     def map_of(self, values):
         return {x: self.tnames[v] for x, v in zip(self.names, values)}
+
+    def _restricted(self, keep):
+        """(space, pos): a space of this class over the source indices
+        ``keep``, ascending, with ``pos`` sending each to its new index.
+
+        The values and their names stay; the names, classes, starts, goal
+        and swaps are restricted and renumbered, so ``keep`` must be a
+        union of classes and of goal classes that every swap maps onto
+        itself.  The caller sets the side's own source tables.
+        """
+        pos = {i: k for k, i in enumerate(keep)}
+        out = object.__new__(type(self))
+        out.size, out.nvalues = len(keep), self.nvalues
+        out.names, out.tnames = [self.names[i] for i in keep], self.tnames
+        out.classes = _classes_on(self.classes, pos)
+        out.starts = [tuple([s[i] for i in keep]) for s in self.starts]
+        if self.goal is not None:
+            out.goal = _classes_on(self.goal, pos)
+            out.swaps = [[pos[p[i]] for i in keep] for p in self.swaps]
+        return out, pos
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +527,12 @@ class _PackedNodes:
 class _SimplicialSpace(_PackedNodes):
     """Moves, bridges and 1-contiguity tests over simplicial maps L -> K
     constant on ``classes``, lists of vertex indices (singletons without
-    them)."""
+    them).  L is held as ``facets``, sorted tuples of vertex indices."""
 
     def __init__(self, source, target, classes=None):
         source, target = base_of(source), base_of(target)
-        self.source = source
         self.target = target
-        self._set_names(source.vertices, target.vertices)
+        self.names, self.tnames = list(source.vertices), list(target.vertices)
         self.size, self.nvalues = len(self.names), len(self.tnames)
         self.facets = source.ranked_facets()  # ranks are index positions
         # keys are the target's simplex masks; ext[m] has bit w set when
@@ -496,6 +547,21 @@ class _SimplicialSpace(_PackedNodes):
                 if mask != bit:
                     self.ext[mask ^ bit] = self.ext.get(mask ^ bit, 0) | bit
         self.classes = classes or [[i] for i in range(self.size)]
+
+    def restrict(self, facets):
+        """This space on the subcomplex of L whose facets are ``facets``,
+        sorted tuples of L's vertex indices: its vertices are theirs, and
+        the target and ``ext`` are shared."""
+        out, pos = self._restricted(sorted({i for f in facets for i in f}))
+        out.target, out.ext = self.target, self.ext
+        out.facets = sorted([tuple([pos[i] for i in f]) for f in facets])
+        return out
+
+    @staticmethod
+    def certificate(levels, **header):
+        """The ContiguityChain of a yes's ``levels``; ``header`` holds n,
+        depth, symmetric, source and target."""
+        return ContiguityChain(levels=levels, **header)
 
     @cached_property
     def _touched(self):
@@ -593,33 +659,15 @@ def sym_contiguous(maps, n, depth, mode="exact", budget=50_000,
     Returns SearchResult; a yes carries a ContiguityChain from a diagonal
     invariant tuple to the given tuple.
     """
-    return _contiguity(maps, n, depth, mode, budget, target_ordered, True)
+    return _decider(maps, n, depth, mode, budget, True, True, target_ordered)
 
 
 def plain_contiguous(maps, depth=0, mode="exact", budget=50_000,
                      target_ordered=None):
     """Do the maps lie in one contiguity class?  Witness: chain from a
     diagonal tuple (no invariance requirement) to the given tuple."""
-    return _contiguity(maps, len(maps), depth, mode, budget, target_ordered,
-                       False)
-
-
-def _contiguity(maps, n, depth, mode, budget, target_ordered, symmetric):
-    """The contiguity deciders: the driver over simplicial maps, its levels
-    the ContiguityChain of a yes."""
-    source, target, tables, (classes, goal, swaps) = _check_inputs(
-        maps, n, depth, mode, symmetric, simplicial=True)
-    space = _SimplicialSpace(source, target, classes)
-    starts = [space.values_of(t)
-              for t in (tables[:1] if symmetric else tables)]
-    res = _decide(space, starts, mode, budget, goal, swaps)
-    if res.yes:
-        res.witness = ContiguityChain(
-            n=n, depth=depth, symmetric=symmetric, source=source,
-            target=target_ordered if target_ordered is not None else target,
-            levels=res.witness,
-        )
-    return res
+    return _decider(maps, len(maps), depth, mode, budget, False, True,
+                    target_ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +728,6 @@ def _beat_core(below, above, orbits):
     return bits(alive), steps
 
 
-def _classes_on(classes, pos):
-    """The classes that lie in the keys of ``pos``, renumbered by it."""
-    return [[pos[i] for i in cls] for cls in classes if cls[0] in pos]
-
-
 def _without_loops(path):
     """``path`` with the stretch between two visits of a node cut out, so
     no node appears twice."""
@@ -700,20 +743,50 @@ def _without_loops(path):
     return out
 
 
-class _MonotoneMoves(_PackedNodes):
-    """Moves, bridges and comparability tests over monotone maps from a
-    finite poset to P constant on ``classes``.
+class _MonotoneSpace(_PackedNodes):
+    """Moves, bridges and comparability tests over monotone maps Q -> P
+    constant on ``classes``, lists of element indices (singletons without
+    them).
 
-    The source is given by ``below[i]`` and ``above[i]``, the bitmasks of
-    the points strictly below and strictly above point i; P by ``up[v]``
-    and ``down[v]``, the bitmasks of the values at least and at most v.
+    Q is held as ``below[i]`` and ``above[i]``, the bitmasks of the points
+    strictly below and strictly above point i; P as ``up[v]`` and
+    ``down[v]``, the bitmasks of the values at least and at most v.  A
+    space built from Q keeps it as ``Q``; a restricted one keeps only its
+    masks.
     """
 
-    def __init__(self, below, above, up, down, classes):
-        self.below, self.above = below, above
-        self.up, self.down = up, down
-        self.classes = classes
-        self.size, self.nvalues = len(below), len(up)
+    def __init__(self, Q, P, classes=None):
+        self.Q, self.P = Q, P
+        self.names, self.tnames = list(Q.elements), list(P.elements)
+        self.below = [m ^ 1 << i for i, m in enumerate(Q.down)]
+        self.above = [m ^ 1 << i for i, m in enumerate(Q.up)]
+        self.up, self.down = P.up, P.down
+        self.size, self.nvalues = len(self.names), len(self.tnames)
+        self.classes = classes or [[i] for i in range(self.size)]
+
+    def restrict(self, keep):
+        """This space on the points ``keep`` of Q, ascending, with the
+        order Q induces on them; P and its masks are shared."""
+        out, pos = self._restricted(keep)
+        kept = sum(1 << i for i in keep)
+        out.below, out.above = (
+            [sum(1 << pos[j] for j in bits(masks[i] & kept)) for i in keep]
+            for masks in (self.below, self.above))
+        out.P, out.up, out.down = self.P, self.up, self.down
+        return out
+
+    @staticmethod
+    def certificate(levels, **header):
+        """The CombinatorialHomotopy of a yes's ``levels``, with cell
+        (x, (0, 0)) from level 0's first map and cell (x, (l, j)) from
+        level l's j-th; ``header`` holds n, depth, symmetric, source and
+        target."""
+        table = {(x, (0, 0)): v for x, v in levels[0][0].items()}
+        for l, level in enumerate(levels[1:], start=1):
+            for j, f in enumerate(level, start=1):
+                for x, v in f.items():
+                    table[(x, (l, j))] = v
+        return CombinatorialHomotopy(m=len(levels) - 1, table=table, **header)
 
     @cached_property
     def _neighbours(self):
@@ -797,52 +870,32 @@ class _MonotoneMoves(_PackedNodes):
         return None
 
     def core(self, orbits):
-        """(core, pos, steps): this space on the source's core, with
-        ``steps`` from ``_beat_core`` over ``orbits`` and ``pos`` sending
-        each kept source point, ascending, to its index in the core.  The
-        classes must refine the orbits, so the core is a union of
-        classes."""
+        """(core, pos, steps): this space restricted to the source's core,
+        with ``steps`` from ``_beat_core`` over ``orbits`` and ``pos``
+        sending each kept source point, ascending, to its index in the
+        core.  The classes and the goal classes must refine the orbits, so
+        the core is a union of each."""
         keep, steps = _beat_core(self.below, self.above, orbits)
-        pos = {i: k for k, i in enumerate(keep)}
+        return self.restrict(keep), {i: k for k, i in enumerate(keep)}, steps
 
-        def on_core(masks):
-            return [sum(1 << pos[j] for j in keep if masks[i] >> j & 1)
-                    for i in keep]
-
-        core = _MonotoneMoves(
-            on_core(self.below), on_core(self.above), self.up, self.down,
-            _classes_on(self.classes, pos),
-        )
-        return core, pos, steps
-
-    def component_stage(self, start, budget, mode, goal_classes=None,
-                        ends=()):
+    def component_stage(self, budget, mode):
         """The base component_stage on the core of the source, its paths
         lifted.
 
-        The core C comes from ``_beat_core`` over the orbits of
-        ``goal_classes`` (the symmetric group's), or over single points
-        without them, and the record gains ``"core": |C|``.  Starts, ends
-        and goal classes restrict to C, and a path found there lifts back
-        by h -> h.r.  It is joined to each end e (the start included) by
-        e, e.R_1, e.R_2.R_1, ..., e.r, whose last map is the lift of e|C
-        (see _class_bfs for why these are paths).  On a core equal to the
-        source the paths are the search's own.
+        The core C comes from ``_beat_core`` over the orbits of ``goal``
+        (the symmetric group's), or over single points without one, and the
+        record gains ``"core": |C|``.  The starts and the goal restrict to
+        C, and a path found there lifts back by h -> h.r.  It is joined to
+        each start e by e, e.R_1, e.R_2.R_1, ..., e.r, whose last map is
+        the lift of e|C (see _class_bfs for why these are paths).  On a
+        core equal to the source the paths are the search's own.
         """
         core, pos, steps = self.core(
-            [[i] for i in range(self.size)] if goal_classes is None
-            else goal_classes
+            [[i] for i in range(self.size)] if self.goal is None
+            else self.goal
         )
-
-        def on_core(values):
-            return tuple(values[i] for i in pos)
-
         status, paths, record = _PackedNodes.component_stage(
-            core, on_core(start), budget, mode,
-            goal_classes=None if goal_classes is None
-            else _classes_on(goal_classes, pos),
-            ends=[on_core(e) for e in ends],
-        )
+            core, budget, mode)
         record["core"] = core.size
         if paths is None:
             return status, paths, record
@@ -854,29 +907,13 @@ class _MonotoneMoves(_PackedNodes):
         def fence(values):
             return [tuple(values[x] for x in image) for image in images]
 
-        lifted = [fence(start) + [tuple(h[k] for k in r) for h in p[1:]]
+        lifted = [fence(self.starts[0]) + [tuple(h[k] for k in r)
+                                           for h in p[1:]]
                   for p in paths]
-        if ends:
-            lifted = [p + fence(e)[-2::-1] for p, e in zip(lifted, ends)]
+        if self.goal is None:
+            lifted = [p + fence(e)[-2::-1]
+                      for p, e in zip(lifted, self.starts)]
         return status, [_without_loops(p) for p in lifted], record
-
-
-class _MonotoneSpace(_MonotoneMoves):
-    """_MonotoneMoves over monotone maps Q -> P constant on ``classes``,
-    lists of element indices (singletons without them), with the names of
-    Q and P."""
-
-    def __init__(self, Q, P, classes=None):
-        self.Q = Q
-        self.P = P
-        self._set_names(Q.elements, P.elements)
-        super().__init__(
-            [m ^ 1 << i for i, m in enumerate(Q.down)],
-            [m ^ 1 << i for i, m in enumerate(Q.up)],
-            P.up,
-            P.down,
-            classes or [[i] for i in range(len(Q.elements))],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -888,36 +925,9 @@ def sym_comb_homotopic(maps, n, depth, mode="exact", budget=50_000):
     """Decide symmetric combinatorial homotopy of an equivariant tuple of
     monotone maps on an invariant open source.  Witness: a table over
     J_{n,m} with m the alternating path length."""
-    return _homotopy(maps, n, depth, mode, budget, True)
+    return _decider(maps, n, depth, mode, budget, True, False)
 
 
 def plain_comb_homotopic(maps, depth=0, mode="exact", budget=50_000):
     """Are the monotone maps combinatorially homotopic (common fence start)?"""
-    return _homotopy(maps, len(maps), depth, mode, budget, False)
-
-
-def _homotopy(maps, n, depth, mode, budget, symmetric):
-    """The homotopy deciders: the driver over monotone maps, its levels the
-    CombinatorialHomotopy of a yes, with cell (x, (0, 0)) from level 0's
-    first map and cell (x, (l, j)) from level l's j-th."""
-    Q, P, tables, (classes, goal, swaps) = _check_inputs(
-        maps, n, depth, mode, symmetric, simplicial=False)
-    space = _MonotoneSpace(Q, P, classes)
-    starts = [space.values_of(t)
-              for t in (tables[:1] if symmetric else tables)]
-    res = _decide(space, starts, mode, budget, goal, swaps)
-    if res.yes:
-        levels = res.witness
-        table = {(x, (0, 0)): v for x, v in levels[0][0].items()}
-        for l, level in enumerate(levels[1:], start=1):
-            for j, f in enumerate(level, start=1):
-                for x, v in f.items():
-                    table[(x, (l, j))] = v
-        res.witness = CombinatorialHomotopy(
-            n=n, m=len(levels) - 1, depth=depth, symmetric=symmetric,
-            source=Q, target=P, table=table,
-        )
-    if (symmetric and res.record.get("stage") == "exact"
-            and not Q.is_connected()):
-        res.record["disconnected_source"] = True
-    return res
+    return _decider(maps, len(maps), depth, mode, budget, False, False)

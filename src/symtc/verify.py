@@ -445,12 +445,26 @@ def _validate_table(cert, table, what):
 # ---------------------------------------------------------------------------
 
 
-def _tuples(entries, k):
+def _named(x, names):
+    """The name ``x`` stands for: the name in ``names`` that it reads as
+    with every list in it a tuple (JSON writes tuples as lists), else
+    ``x`` itself."""
+    def frozen(y):
+        return tuple(map(frozen, y)) if isinstance(y, list) else y
+
+    try:
+        return frozen(x) if frozen(x) in names else x
+    except TypeError:  # something unhashable inside
+        return x
+
+
+def _tuples(entries, k, names):
     """``entries``, a list of k-element lists or tuples of hashable names,
-    as a list of tuples; None when it is anything else."""
+    as a list of tuples, each name read by ``_named``; None when it is
+    anything else."""
     if not isinstance(entries, (list, tuple)):
         return None
-    out = [tuple(e) for e in entries
+    out = [tuple([_named(x, names) for x in e]) for e in entries
            if isinstance(e, (list, tuple)) and len(e) == k]
     try:
         hash(tuple(out))
@@ -472,16 +486,18 @@ def check_obstruction(piece, maps, record, depth=0):
     and rho_1(z) is not in that span.  The span is eliminated here by
     lowest bits."""
     rep = Report()
+    poset = hasattr(piece, "up")
+    names = piece.index if poset else piece.rank
     stage = record.get("stage") if isinstance(record, dict) else None
     j = record.get("j") if stage == "obstruction" else 1
-    cycle = _tuples(record.get("cycle"), 2) if stage else None
-    triples = _tuples(record.get("chain"), 3) if stage == "quotient" else []
+    cycle = _tuples(record.get("cycle"), 2, names) if stage else None
+    triples = (_tuples(record.get("chain"), 3, names) if stage == "quotient"
+               else [])
     if (stage not in ("obstruction", "quotient") or not isinstance(j, int)
             or not 1 <= j <= len(maps) or not cycle or triples is None):
         rep.fail("not an obstruction record with a map index and a cycle, "
                  "nor a quotient record with a cycle and a chain")
         return rep
-    poset = hasattr(piece, "up")
     odd = set()
     for x, y in cycle:
         if poset:

@@ -1,8 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symtc.actions
+import symtc.complexity
+import symtc.search
 from symtc.actions import act_name, act_simplex, identity, symmetric_group
-from symtc.complexes import base_of, from_facets
+from symtc.complexes import base_of, from_facets, restrict_map
 from symtc.complexity import (
     DEFAULT_BUDGETS,
     INFINITY,
@@ -18,7 +23,20 @@ from symtc.complexity import (
 )
 from symtc.constructions import build_tower, poset_tower
 from symtc.errors import BudgetExceeded, DisconnectedPoset, UnsupportedMode
-from symtc.posets import order_complex, poset_from_relations
+from symtc.io import canonical_json
+from symtc.posets import (
+    FinitePoset,
+    MonotoneMap,
+    order_complex,
+    poset_from_relations,
+)
+from symtc.search import (
+    _check_inputs,
+    plain_comb_homotopic,
+    plain_contiguous,
+    sym_comb_homotopic,
+    sym_contiguous,
+)
 from symtc.util import bits
 from symtc.verify import validate
 
@@ -530,3 +548,191 @@ def test_one_pass_closure_matches_fixpoint(case):
     lat, below, S = case
     closed = _fixpoint_closure(below, S)
     assert lat.down_closure(_mask(S)) == _mask(closed)
+
+
+# ---------------------------------------------------------------------------
+# pieces decided on the top level's restricted space
+# ---------------------------------------------------------------------------
+
+
+_DIFFERENTIAL_BUDGETS = {"nodes": 2_000}
+
+
+def _public_maps(lat, piece):
+    """rho_1 .. rho_n (pi_1 .. pi_n) restricted to a piece by names."""
+    if lat.poset:
+        return [MonotoneMap(piece, f.target,
+                            {x: f.mapping[x] for x in piece.elements})
+                for f in lat.maps]
+    return [restrict_map(f, piece) for f in lat.maps]
+
+
+def _public_decision(lat, mask):
+    """The public decider on the piece's restricted maps, as the unit
+    lattice called it on every piece before it restricted one top-level
+    space; None when it overruns the node budget."""
+    maps = _public_maps(lat, lat.piece(mask))
+    if lat.poset:
+        sym, plain, extra = sym_comb_homotopic, plain_comb_homotopic, {}
+    else:
+        sym, plain = sym_contiguous, plain_contiguous
+        extra = {"target_ordered": lat.tower.factor}
+    args = (maps, lat.n) if lat.symmetric else (maps,)
+    try:
+        return (sym if lat.symmetric else plain)(
+            *args, depth=lat.depth, mode="auto",
+            budget=lat.budgets["nodes"], **extra)
+    except BudgetExceeded:
+        return None
+
+
+def _cover_decisions(instance, r, symmetric, mode):
+    """The lattice and every piece its cover run decides, refuted ones
+    included, with its first decision: (mask, (status, witness, record))
+    or (mask, None) for an overrun.  The run is kept up to the budget it
+    overruns."""
+    make = poset_tower if hasattr(instance, "elements") else build_tower
+    lat = _UnitLattice(make(instance, 2, r), symmetric,
+                       budgets_with(_DIFFERENTIAL_BUDGETS))
+    decided, decide = {}, lat.decide
+
+    def recording(mask):
+        decided.setdefault(mask, None)
+        res = decide(mask)
+        decided[mask] = decided[mask] or (res.status, res.witness,
+                                          dict(res.record))
+        return res
+
+    lat.decide = recording
+    try:
+        lat.cover(mode, "test")
+    except BudgetExceeded:
+        pass
+    del lat.decide
+    return lat, list(decided.items())
+
+
+_DIFFERENTIAL_CASES = [
+    (fixture, 0, symmetric, mode)
+    for fixture in ("hollow_triangle", "square_cycle", "circle_poset")
+    for symmetric in (True, False) for mode in ("exact", "upper")
+] + [("circle_poset", 1, True, "upper")]
+
+
+@pytest.mark.parametrize("fixture,r,symmetric,mode", _DIFFERENTIAL_CASES)
+def test_restricted_space_decides_as_the_public_decider(
+        fixture, r, symmetric, mode, request):
+    """Every piece the cover engine decides gets, on the top level's space
+    restricted to it, the status, record and witness the public decider
+    gives on the piece's restricted maps; a refuted piece is never
+    searched, and the whole space is refuted only where the search
+    overruns.  Every yes becomes a certificate that validates.  (The
+    public decider also marks a disconnected symmetric source, a key the
+    engine's proper pieces, whose records are never written, leave out.)"""
+    lat, decided = _cover_decisions(request.getfixturevalue(fixture), r,
+                                    symmetric, mode)
+    searched = yes = 0
+    for mask, got in decided:
+        if mask != lat.all and lat.refute(mask):
+            continue
+        searched += 1
+        expected = _public_decision(lat, mask)
+        if got is None:
+            assert expected is None
+            continue
+        status, witness, record = got
+        if expected is None:
+            assert mask == lat.all and record == lat.refute(mask)
+            continue
+        want = dict(expected.record)
+        want.pop("disconnected_source", None)
+        assert (status, record) == (expected.status, want)
+        if status == "yes":
+            yes += 1
+            cert = lat.space.certificate(
+                witness, n=lat.n, depth=lat.depth, symmetric=symmetric,
+                source=lat.piece(mask), target=lat.tower.factor)
+            assert canonical_json(cert.to_doc()) == canonical_json(
+                expected.witness.to_doc())
+            rep = validate(lat.good_piece(mask).witness)
+            assert rep.ok, rep.failures
+    assert searched and (yes or fixture == "circle_poset")
+
+
+def _piece_masks(lat, count, seed=7):
+    """Seeded random down-closures of sets of universe units, proper."""
+    rng = random.Random(seed)
+    universe = bits(lat.universe)
+    out = []
+    while len(out) < count:
+        mask = lat.down_closure(
+            sum(1 << u for u in universe if rng.random() < 0.5))
+        if 0 < mask < lat.all:
+            out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize("fixture,r,symmetric", [
+    ("hollow_triangle", 0, True), ("hollow_triangle", 1, True),
+    ("square_cycle", 0, False), ("circle_poset", 0, False),
+    ("circle_poset", 1, True), ("circle_poset", 1, False),
+])
+def test_restriction_is_the_space_of_the_piece(fixture, r, symmetric,
+                                               request):
+    """``restrict(mask)`` equals the space the deciders build from the
+    piece's restricted maps: names, classes, goal, swaps, starts, the
+    source's facets or order masks, and the target's tables."""
+    instance = request.getfixturevalue(fixture)
+    poset = hasattr(instance, "elements")
+    lat = _UnitLattice((poset_tower if poset else build_tower)(instance, 2, r),
+                       symmetric, budgets_with())
+    for mask in _piece_masks(lat, 8):
+        got = lat.restrict(mask)
+        want = _check_inputs(_public_maps(lat, lat.piece(mask)), lat.n,
+                             lat.depth, "auto", symmetric, not poset)
+        assert type(got) is type(want)
+        for key in ("names", "tnames", "classes", "goal", "swaps", "starts",
+                    "size", "nvalues"):
+            assert getattr(got, key) == getattr(want, key), key
+        if poset:
+            assert (got.below, got.above) == (want.below, want.above)
+            assert (got.up, got.down) == (want.up, want.down)
+        else:
+            assert list(got.facets) == list(want.facets)
+            assert got.ext == want.ext
+
+
+@pytest.mark.parametrize("fixture,symmetric,pieces", [
+    ("hollow_triangle", True, 3), ("circle_poset", False, 4),
+])
+def test_one_space_per_lattice(monkeypatch, fixture, symmetric, pieces,
+                               request):
+    """Deciding the pieces of an exact cover acts on the top level's names
+    at most once, whatever the number of decisions, and builds a piece by
+    names only for each cover piece."""
+    instance = request.getfixturevalue(fixture)
+    poset = hasattr(instance, "elements")
+    lat = _UnitLattice((poset_tower if poset else build_tower)(instance, 2, 0),
+                       symmetric, budgets_with())
+    calls = {"positions": 0, "piece": 0}
+    positions = symtc.actions.positions
+
+    def counted_positions(*args):
+        calls["positions"] += 1
+        return positions(*args)
+
+    def counted(fn):
+        def wrapped(*args):
+            calls["piece"] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(symtc.actions, "positions", counted_positions)
+    monkeypatch.setattr(symtc.search, "positions", counted_positions)
+    monkeypatch.setattr(symtc.complexity, "subcomplex_from_simplices",
+                        counted(symtc.complexity.subcomplex_from_simplices))
+    monkeypatch.setattr(FinitePoset, "restrict", counted(FinitePoset.restrict))
+    res = lat.cover("exact", "test")
+    assert res.value == len(res.cover) == pieces
+    assert lat.stats["pieces_tested"] > pieces
+    assert calls == {"positions": int(symmetric), "piece": pieces}

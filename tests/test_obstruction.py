@@ -23,6 +23,7 @@ test before it: pieces whose own 2-simplices are fewer than the top
 level's, on which rho_1 and rho_2 can differ on H_1.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -33,6 +34,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from symtc.cli import main as cli_main
 from symtc.complexes import base_of, from_facets, restrict_map
 from symtc.complexity import _UnitLattice, budgets_with, cc_plain, cc_sigma
 from symtc.constructions import build_tower, poset_tower, projection_rho
@@ -274,6 +276,26 @@ def test_the_whole_space_is_refuted_when_its_search_overruns():
         assert check_obstruction(tower.top(), maps, record, 1).ok
 
 
+@pytest.mark.parametrize("plain", [False, True])
+def test_whole_record_read_back_from_a_report_passes(tmp_path, plain):
+    """The whole-space record of ``symtc cc --r 1 --mode upper`` on the
+    circle, read back from the report through JSON (tuples become lists),
+    passes the checker at depth 1."""
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"elements": list(CIRCLE[1]),
+                                "relations": CIRCLE[2]}))
+    out = tmp_path / "report.json"
+    argv = ["cc", "--r", "1", "--mode", "upper", "--input", str(path),
+            "--cert-dir", str(tmp_path / "certs"), "--output", str(out)]
+    assert cli_main(argv + ["--plain"] * plain) == 0
+    record = json.loads(out.read_text())["result"]["stats"]["whole_record"]
+    assert record["stage"] in STAGES
+    tower = poset_tower(build(CIRCLE), 2, 1)
+    maps = [projection_rho(tower, j) for j in (1, 2)]
+    rep = check_obstruction(tower.top(), maps, record, 1)
+    assert rep.ok, rep.failures
+
+
 def test_whole_space_keeps_its_exhaustion_record():
     res = cc_plain(build(CIRCLE), 2, 0)
     assert res.stats["whole_record"]["exhausted_component"] is True
@@ -507,6 +529,10 @@ def test_quotient_corpus_orbits_and_maps():
     {"stage": "quotient", "cycle": None, "chain": None},
     None,
     [("a", "c")],
+    {"stage": "quotient", "cycle": [[["a", {}], "c"], ["c", ["a", {}]]],
+     "chain": []},
+    {"stage": "obstruction", "j": 2,
+     "cycle": [[["a", "c"], ["a", "d"], ["b", "c"]]]},
 ])
 def test_quotient_corpus_malformed_records(record):
     problem, mask, _ = _circle_records()[0]
