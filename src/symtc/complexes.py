@@ -35,6 +35,12 @@ def closure_of(ranked):
     return out, tops
 
 
+def undeclared(facet, v):
+    """The message for ``facet`` (its vertex names) using the undeclared
+    vertex ``v``."""
+    return f"facet {sorted(facet, key=ckey)!r} uses undeclared vertex {v!r}"
+
+
 def _rank_tuples(rank, family):
     """Each member of ``family`` (a collection of vertex names) as the
     sorted tuple of its vertex ranks."""
@@ -46,9 +52,7 @@ def _rank_tuples(rank, family):
             out.append(tuple(sorted({rank[v] for v in s})))
         except KeyError:
             v = next(v for v in s if v not in rank)
-            raise UnknownVertex(
-                f"facet {sorted(s, key=ckey)!r} uses undeclared vertex {v!r}"
-            ) from None
+            raise UnknownVertex(undeclared(s, v)) from None
     return out
 
 
@@ -62,14 +66,26 @@ class SimplicialComplex:
     """
 
     __slots__ = (
-        "vertices", "rank", "_ranked", "_key", "_facet_ranks", "_facets",
+        "vertices", "rank", "_ranked", "_sorted", "_facet_ranks", "_facets",
         "_simplices",
     )
 
     def __init__(self, vertices, facets=()):
         vertices = tuple(csorted(set(vertices)))
         rank = {v: i for i, v in enumerate(vertices)}
-        ranked, tops = closure_of(_rank_tuples(rank, facets))
+        self._close(vertices, rank, _rank_tuples(rank, facets))
+
+    @classmethod
+    def from_rank_tuples(cls, vertices, rank, family):
+        """A complex from canonically sorted, distinct ``vertices``, their
+        numbering ``rank`` and the sorted rank tuples of a family of
+        nonempty simplices, closed under faces here."""
+        K = cls.__new__(cls)
+        K._close(vertices, rank, family)
+        return K
+
+    def _close(self, vertices, rank, family):
+        ranked, tops = closure_of(family)
         tops += [(i,) for i in range(len(vertices)) if (i,) not in ranked]
         self._store(vertices, rank, ranked, tuple(sorted(tops)))
 
@@ -87,7 +103,7 @@ class SimplicialComplex:
         self.vertices = vertices
         self.rank = rank
         self._ranked = ranked
-        self._key = (vertices, tuple(sorted(ranked)))
+        self._sorted = None
         self._facet_ranks = facet_ranks
         self._facets = self._simplices = None
 
@@ -100,8 +116,16 @@ class SimplicialComplex:
         return frozenset(frozenset([vs[i] for i in t]) for t in ranked)
 
     def ranked_simplices(self):
-        """All simplices as sorted rank tuples, canonically ordered."""
-        return self._key[1]
+        """All simplices as sorted rank tuples, canonically ordered.
+        Sorted on first use: a complex read back from a certificate is
+        checked on its facets alone."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._ranked))
+        return self._sorted
+
+    @property
+    def _key(self):
+        return (self.vertices, self.ranked_simplices())
 
     def ranked_facets(self):
         """Maximal simplices as sorted rank tuples, canonically ordered.
@@ -113,7 +137,7 @@ class SimplicialComplex:
         leaves exactly the facets.
         """
         if self._facet_ranks is None:
-            ranked = self._key[1]
+            ranked = self.ranked_simplices()
             struck = set()
             for t in ranked:
                 if len(t) > 1:
@@ -132,7 +156,7 @@ class SimplicialComplex:
     def simplices(self):
         """All simplices, as frozensets of vertices.  Computed lazily."""
         if self._simplices is None:
-            self._simplices = self._sets(self._key[1])
+            self._simplices = self._sets(self._ranked)
         return self._simplices
 
     def is_simplex(self, s):
@@ -145,7 +169,7 @@ class SimplicialComplex:
 
     def simplex_names(self):
         """All simplices as canonical sorted tuples, canonically ordered."""
-        return self._names(self._key[1])
+        return self._names(self.ranked_simplices())
 
     def facet_names(self):
         return self._names(self.ranked_facets())
@@ -159,7 +183,7 @@ class SimplicialComplex:
     def __repr__(self):
         return (
             f"SimplicialComplex({len(self.vertices)} vertices, "
-            f"{len(self._key[1])} simplices)"
+            f"{len(self._ranked)} simplices)"
         )
 
 

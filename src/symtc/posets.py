@@ -161,13 +161,27 @@ def poset_from_relations(elements, generators):
     """Reflexive-transitive closure of generating pairs (a, b) meaning a <= b."""
     elements = tuple(csorted(set(elements)))
     index = {e: i for i, e in enumerate(elements)}
-    up = [1 << i for i in range(len(elements))]
+    pairs = []
     for a, b in generators:
         if a not in index:
-            raise UnknownElement(f"relation uses unknown element {a!r}")
+            raise unknown_element(a)
         if b not in index:
-            raise UnknownElement(f"relation uses unknown element {b!r}")
-        up[index[a]] |= 1 << index[b]
+            raise unknown_element(b)
+        pairs.append((index[a], index[b]))
+    return poset_from_index_pairs(elements, pairs)
+
+
+def unknown_element(x):
+    """The error for a relation naming ``x``, which is not an element."""
+    return UnknownElement(f"relation uses unknown element {x!r}")
+
+
+def poset_from_index_pairs(elements, pairs):
+    """The poset on canonically sorted, distinct ``elements`` generated by
+    index pairs (i, j) meaning elements[i] <= elements[j]."""
+    up = [1 << i for i in range(len(elements))]
+    for i, j in pairs:
+        up[i] |= 1 << j
     # Warshall closure: whatever reaches k reaches all k reaches
     for k in range(len(up)):
         bit = 1 << k

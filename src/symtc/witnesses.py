@@ -12,22 +12,17 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 from .io import (
-    complex_from_doc,
+    array,
     complex_to_doc,
-    interned,
     map_table_from_doc,
-    poset_from_doc,
     poset_to_doc,
+    read_complex,
+    read_poset,
 )
 from .posets import multi_fence
 from .util import ckey, csorted
 
 _MISSING = object()
-
-
-def _names(names):
-    """Each name mapped to itself, for ``interned``."""
-    return {x: x for x in names}
 
 
 def _header(doc, *counts):
@@ -113,16 +108,16 @@ class ContiguityChain:
     @classmethod
     def from_doc(cls, doc):
         try:
-            source = complex_from_doc(doc["source"])
-            target = complex_from_doc(doc["target"])
-            keys, values = _names(source.vertices), _names(target.vertices)
+            source, keys = read_complex(doc["source"])
+            target, values = read_complex(doc["target"])
             return cls(
                 **_header(doc, "n", "depth"),
                 source=source,
                 target=target,
                 levels=[
-                    [map_table_from_doc(m, keys, values) for m in level]
-                    for level in doc["levels"]
+                    [map_table_from_doc(m, keys, values)
+                     for m in array(level, "a chain level")]
+                    for level in array(doc["levels"], "levels")
                 ],
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -189,13 +184,13 @@ class CombinatorialHomotopy:
     @classmethod
     def from_doc(cls, doc):
         try:
-            source = poset_from_doc(doc["source"])
-            target = poset_from_doc(doc["target"])
-            xs, ps = _names(source.elements), _names(target.elements)
-            rows = doc["table"]
+            source, xs = read_poset(doc["source"])
+            target, ps = read_poset(doc["target"])
+            x_of, v_of = xs.reader(), ps.reader()
+            rows = array(doc["table"], "table")
             table = {
-                (interned(x, xs), fence_point_from_doc(t)): interned(v, ps)
-                for x, t, v in rows
+                (x_of(x), fence_point_from_doc(t)): v_of(v)
+                for x, t, v in (array(row, "a table row") for row in rows)
             }
             if len(table) != len(rows):
                 raise ParseError(
@@ -251,19 +246,21 @@ class SectionWitness:
     @classmethod
     def from_doc(cls, doc):
         try:
-            source = poset_from_doc(doc["source"])
-            target = poset_from_doc(doc["target"])
-            xs, ps = _names(source.elements), _names(target.elements)
-            points = [fence_point_from_doc(t) for t in doc["points"]]
+            source, xs = read_poset(doc["source"])
+            target, ps = read_poset(doc["target"])
+            x_of, v_of = xs.reader(), ps.reader()
+            points = [fence_point_from_doc(t)
+                      for t in array(doc["points"], "points")]
             if len(set(points)) != len(points):
                 raise ParseError("section point list repeats a point")
-            rows = doc["paths"]
+            rows = array(doc["paths"], "paths")
             paths = {}
-            for x, values in rows:
+            for x, values in (array(row, "a path row") for row in rows):
+                values = array(values, "a path's values")
                 if len(values) != len(points):
                     raise ParseError("path length does not match point list")
-                paths[interned(x, xs)] = {
-                    t: interned(v, ps) for t, v in zip(points, values)
+                paths[x_of(x)] = {
+                    t: v_of(v) for t, v in zip(points, values)
                 }
             if len(paths) != len(rows):
                 raise ParseError(

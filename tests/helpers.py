@@ -11,6 +11,11 @@ former two passes: ``shortcut_without_repeats``, then ``alternate``.  The
 beat-point oracle tests every point against every pair of points, and
 ``is_monotone`` every pair of source elements.  The reference complex ``NameComplex`` keeps every simplex as a frozenset of
 names, the representation complexes used before they kept rank tuples.
+The document reader oracles (``frozen_complex_from_doc`` and its siblings)
+are the readers as they stood before names were matched by position: every
+label, wherever it occurs, is frozen and looked up by hash, and complexes
+and posets are built from names by ``from_facets`` and
+``poset_from_relations``.
 """
 
 from collections import deque
@@ -454,3 +459,92 @@ def alternate(path, le):
                 break
             seq.append(u)  # repeat; valid in either direction
     return seq
+
+
+def _interned(x, names):
+    """A parsed label, frozen, as the equal object among ``names`` (a dict
+    from each name to itself) when there is one."""
+    from symtc.util import freeze
+
+    x = freeze(x)
+    return names.get(x, x)
+
+
+def frozen_complex_from_doc(doc):
+    """The freezing complex reader: vertices and facet members frozen,
+    the complex built by ``from_facets``, order pairs interned."""
+    from symtc.complexes import OrderedComplex, from_facets
+    from symtc.errors import EmptyFacet, ParseError, UnknownVertex
+    from symtc.posets import poset_from_relations
+    from symtc.util import freeze
+
+    try:
+        vertices = [freeze(v) for v in doc["vertices"]]
+        facets = [[freeze(v) for v in f] for f in doc["facets"]]
+        K = from_facets(vertices, facets)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed complex document: {exc}") from exc
+    except (UnknownVertex, EmptyFacet) as exc:
+        raise ParseError(str(exc)) from exc
+    if "order" not in doc:
+        return K
+    declared = {v: v for v in vertices}
+    try:
+        pairs = [
+            (_interned(a, declared), _interned(b, declared))
+            for a, b in doc["order"]
+        ]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed order field: {exc}") from exc
+    return OrderedComplex(K, poset_from_relations(vertices, pairs))
+
+
+def frozen_poset_from_doc(doc):
+    """The freezing poset reader: elements and relations frozen, the poset
+    built by ``poset_from_relations``."""
+    from symtc.errors import ParseError
+    from symtc.posets import poset_from_relations
+    from symtc.util import freeze
+
+    try:
+        elements = [freeze(x) for x in doc["elements"]]
+        relations = [(freeze(a), freeze(b)) for a, b in doc["relations"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed poset document: {exc}") from exc
+    return poset_from_relations(elements, relations)
+
+
+def frozen_map_table(rows, keys, values):
+    """The freezing map table reader: keys interned onto ``keys``, values
+    onto ``values`` (each a sequence of declared names)."""
+    from symtc.errors import ParseError
+
+    keys, values = {x: x for x in keys}, {x: x for x in values}
+    try:
+        table = {_interned(k, keys): _interned(v, values) for k, v in rows}
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed map table: {exc}") from exc
+    if len(table) != len(rows):
+        raise ParseError(
+            f"map table repeats a key: {len(rows)} rows, {len(table)} keys"
+        )
+    return table
+
+
+def frozen_homotopy_table(rows, xs, ps):
+    """The freezing homotopy table reader: each row's element interned onto
+    ``xs`` and its value onto ``ps``."""
+    from symtc.errors import ParseError
+    from symtc.witnesses import fence_point_from_doc
+
+    xs, ps = {x: x for x in xs}, {x: x for x in ps}
+    table = {
+        (_interned(x, xs), fence_point_from_doc(t)): _interned(v, ps)
+        for x, t, v in rows
+    }
+    if len(table) != len(rows):
+        raise ParseError(
+            f"homotopy table repeats a cell: {len(rows)} rows, "
+            f"{len(table)} cells"
+        )
+    return table

@@ -31,6 +31,7 @@ SEARCHERS = {"search", "complexity", "covers"}
 # an oracle for other code, or the benchmark imports it
 ENTRY_POINTS = {
     "euler_characteristic": "acceptance import",
+    "from_facets": "acceptance import; perfbench",
     "carrier_condition_holds": "acceptance import",
     "contiguity_to_homotopy": "acceptance import",
     "retract_section": "acceptance import",
