@@ -224,9 +224,20 @@ def cmd_check_certificate(cfg):
     return EXIT_OK if rep.ok else EXIT_INVALID
 
 
-def _run_complexity(cfg, fn, instance, kwargs):
+# command -> (reader, symmetric and plain invariant)
+_COVERS = {
+    "sc": (parse_complex, complexity.sc_sigma, complexity.sc_plain),
+    "cc": (parse_poset, complexity.cc_sigma, complexity.cc_plain),
+}
+
+
+def cmd_cover(cfg):
+    read, sym, plain = _COVERS[cfg.command]
+    instance = read(cfg.input)
+    budget = cfg.effective_budget()
     t0 = time.monotonic()
-    res = fn(instance, **kwargs)
+    res = (plain if cfg.plain else sym)(
+        instance, n=cfg.n, r=cfg.r, mode=cfg.mode, budget=budget)
     report = RunReport(cfg.echo(), result=res.to_doc())
     for i, piece in enumerate(res.cover):
         path = _write_cert(
@@ -239,24 +250,6 @@ def _run_complexity(cfg, fn, instance, kwargs):
     report.timings = {"wall_seconds": round(time.monotonic() - t0, 6)}
     _emit(cfg, report)
     return EXIT_INFEASIBLE if res.kind == "infinite" else EXIT_OK
-
-
-def cmd_sc(cfg):
-    K = parse_complex(cfg.input)
-    fn = complexity.sc_plain if cfg.plain else complexity.sc_sigma
-    return _run_complexity(
-        cfg, fn, K,
-        {"n": cfg.n, "r": cfg.r, "mode": cfg.mode, "budget": cfg.effective_budget()},
-    )
-
-
-def cmd_cc(cfg):
-    P = parse_poset(cfg.input)
-    fn = complexity.cc_plain if cfg.plain else complexity.cc_sigma
-    return _run_complexity(
-        cfg, fn, P,
-        {"n": cfg.n, "r": cfg.r, "mode": cfg.mode, "budget": cfg.effective_budget()},
-    )
 
 
 def cmd_tc_finite(cfg):
@@ -283,10 +276,8 @@ def cmd_tc_finite(cfg):
 
 
 def cmd_stabilize(cfg):
-    if cfg.invariant in ("sc-sigma", "sc-plain"):
-        instance = parse_complex(cfg.input)
-    else:
-        instance = parse_poset(cfg.input)
+    read = _COVERS[cfg.invariant.partition("-")[0]][0]
+    instance = read(cfg.input)
     out = complexity.stabilize_over_r(
         cfg.invariant, instance, n=cfg.n, max_r=cfg.max_r, mode=cfg.mode,
         budget=cfg.effective_budget(),
@@ -338,8 +329,8 @@ COMMANDS = {
     "sym-contiguous": (cmd_decide, _DECIDE),
     "homotopic": (cmd_decide, _DECIDE),
     "check-certificate": (cmd_check_certificate, []),
-    "sc": (cmd_sc, _COVER),
-    "cc": (cmd_cc, _COVER),
+    "sc": (cmd_cover, _COVER),
+    "cc": (cmd_cover, _COVER),
     "tc-finite": (cmd_tc_finite, ["n", "budget"]),
     "stabilize": (cmd_stabilize,
                   ["n", "max_r", "cover_mode", "invariant", "budget"]),

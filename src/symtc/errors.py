@@ -38,7 +38,7 @@ class BudgetExceeded(SymtcError):
 
 
 class SizeLimitExceeded(BudgetExceeded):
-    """An enumeration stream exceeded its configured budget."""
+    """The section sweep reached more monotone maps than its budget."""
 
 
 class LevelMismatch(SymtcError):

@@ -16,7 +16,6 @@ from .errors import (
     BadArity,
     BudgetExceeded,
     CycleDetected,
-    SizeLimitExceeded,
     UnknownElement,
 )
 from .util import bits, csorted
@@ -244,23 +243,23 @@ class MonotoneMap:
 
 
 class MonotoneWalk:
-    """The class-constant monotone maps Q -> P, prepared once per
-    (Q, P, classes) and walked under per-element value masks.
+    """The lowest class-constant monotone map Q -> P under per-element value
+    masks, walked over tables prepared once per (Q, P, classes).
 
     ``classes`` optionally partitions Q's element indices; maps are required
-    to be constant on each class (used for group-invariant enumeration).
+    to be constant on each class (used for group-invariant maps).
     ``up[v]`` and ``down[v]`` are the int bitmasks over P of the values
     >= v and <= v.
 
     Classes are filled in order, each with its admissible values ascending,
-    so the tuples come out in lexicographic order of the class values.  The
-    admissible values of a class form a bitmask over P: the masks of all its
-    elements, ANDed with ``up[values[j]]`` for every element j of an earlier
-    class below one of its elements and with ``down[values[j]]`` for every
-    such j above one (``bounds`` lists these pairs per class).
-    ``untried[ci]`` holds the values class ci has still to try, so the walk
-    needs no recursion: one frame per class would overflow Python's stack
-    on large sources.
+    so the first map found is the lowest in lexicographic order of the class
+    values.  The admissible values of a class form a bitmask over P: the
+    masks of all its elements, ANDed with ``up[values[j]]`` for every
+    element j of an earlier class below one of its elements and with
+    ``down[values[j]]`` for every such j above one (``bounds`` lists these
+    pairs per class).  ``untried[ci]`` holds the values class ci has still
+    to try, so the walk needs no recursion: one frame per class would
+    overflow Python's stack on large sources.
     """
 
     __slots__ = ("nq", "full", "classes", "up", "down", "bounds")
@@ -281,36 +280,23 @@ class MonotoneWalk:
         self.nq, self.full = nq, (1 << npp) - 1
         self.classes, self.up, self.down, self.bounds = classes, up, down, bounds
 
-    def tuples(self, masks=None, budget=None, first_only=False):
-        """The maps whose value at element i is in ``masks[i]`` (every value
-        when ``masks`` is None), as value-index tuples in canonical order.
-        Raises SizeLimitExceeded when more than ``budget`` maps exist."""
+    def first(self, masks):
+        """The lowest map whose value at element i is in ``masks[i]``, as a
+        value-index tuple, or None when there is none."""
         classes, bounds = self.classes, self.bounds
         base = []
         for cls in classes:
             mask = self.full
-            if masks is not None:
-                for i in cls:
-                    mask &= masks[i]
+            for i in cls:
+                mask &= masks[i]
             base.append(mask)
-        out = []
         if not all(base):
-            return out
+            return None
         nc = len(classes)
         values = [-1] * self.nq
         untried = base[:1] + [0] * (nc - 1)
         ci = 0
-        while ci >= 0:
-            if ci == nc:
-                out.append(tuple(values))
-                if budget is not None and len(out) > budget:
-                    raise SizeLimitExceeded(
-                        f"more than {budget} monotone maps"
-                    )
-                if first_only:
-                    break
-                ci -= 1
-                continue
+        while 0 <= ci < nc:
             rest = untried[ci]
             if not rest:
                 ci -= 1
@@ -326,22 +312,7 @@ class MonotoneWalk:
                 for j, table in bounds[ci]:
                     mask &= table[values[j]]
                 untried[ci] = mask
-        return out
-
-
-def monotone_value_tuples(Q, P, budget=None, classes=None, allowed=None,
-                          first_only=False):
-    """All monotone maps Q -> P as value-index tuples, in canonical order.
-
-    ``classes`` as in MonotoneWalk; ``allowed[i]`` restricts the values
-    element i may take.  Raises SizeLimitExceeded when more than ``budget``
-    maps exist.
-    """
-    masks = None
-    if allowed is not None:
-        values = range(len(P.elements))
-        masks = [sum(1 << v for v in values if v in a) for a in allowed]
-    return MonotoneWalk(Q, P, classes).tuples(masks, budget, first_only)
+        return tuple(values) if ci == nc else None
 
 
 # -- chains, order complex, face poset --------------------------------------

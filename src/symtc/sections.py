@@ -8,8 +8,10 @@ first fence; the other branches are forced by equivariance), which form an
 alternating zigzag in the poset of Stab(1)-invariant monotone maps ending
 at the projection.  Small m values (0, 1, 2) are checked by targeted
 constructions first; the sweep decides the rest.  m = 1 asks for one
-invariant map below the projection, a masked walk; m = 2 tries the constants
-and, only while there are at most 2,000, all invariant maps.
+invariant map below the projection, a masked walk; m = 2 tries only the
+constant maps, each with one masked walk for a common upper bound with the
+projection.  Any other invariant map at m = 2 is left to the sweep, which
+is complete by the class-move argument below.
 ``cc_by_sections`` decides the pieces smallest first and skips each piece
 above a bad one.
 
@@ -38,7 +40,7 @@ once per side.  The budget bounds the maps reached, the union of the two
 layers, and is checked as each map is added.
 
 The hit is the lowest invariant map of A_m by its class values (the order
-``posets.MonotoneWalk`` enumerates in), and the layers h^1..h^{m-1} are
+``posets.MonotoneWalk`` walks in), and the layers h^1..h^{m-1} are
 taken greedily, each the lowest map of the right layer comparable with the
 one before.
 """
@@ -47,13 +49,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .actions import orbit_partition, positions, reduction, symmetric_group
-from .errors import BudgetExceeded, DisconnectedPoset, SizeLimitExceeded
-from .posets import (
-    MonotoneWalk,
-    monotone_value_tuples,
-    multi_fence,
-    power_poset,
-)
+from .errors import DisconnectedPoset, SizeLimitExceeded
+from .posets import MonotoneWalk, multi_fence, power_poset
 from .verify import projection_of_name
 from .witnesses import SectionWitness
 
@@ -85,7 +82,6 @@ def section_search(Q, P, n, depth, budget=50_000):
         group, positions(group, Q.elements, depth))
     start = tuple(ti[rho[0][x]] for x in Q.elements)
     walk = MonotoneWalk(Q, P, g_classes)
-    up = walk.up
 
     def found(layers, record):
         """A yes from the layer maps h^0..h^m, value tuples over Q; branch
@@ -121,36 +117,21 @@ def section_search(Q, P, n, depth, budget=50_000):
     for v in start:
         below &= walk.down[v]
     if below:
-        phi = [tuple([(below & -below).bit_length() - 1] * len(start))]
+        phi = tuple([(below & -below).bit_length() - 1] * len(start))
     else:
-        phi = MonotoneWalk(Q, P, sigma_classes).tuples(
-            [walk.down[v] for v in start], first_only=True
+        phi = MonotoneWalk(Q, P, sigma_classes).first(
+            [walk.down[v] for v in start]
         )
-    if phi:
-        return found([phi[0], start], {"m": 1, "stage": "small-m"})
+    if phi is not None:
+        return found([phi, start], {"m": 1, "stage": "small-m"})
 
-    # constants first; a full enumeration of invariant maps only within a
-    # small budget, the sweep decides anyway
-    invariants = [
-        tuple([v] * len(Q.elements)) for v in range(len(P.elements))
-    ]
-    constants = set(invariants)
-    try:
-        invariants += [
-            t for t in monotone_value_tuples(
-                Q, P, budget=2_000, classes=sigma_classes
-            ) if t not in constants
-        ]
-    except BudgetExceeded:
-        pass
-
-    # m = 2: an invariant map with a common upper bound with the projection
-    for phi in invariants:
-        mid = walk.tuples(
-            [up[a] & up[b] for a, b in zip(phi, start)], first_only=True
-        )
-        if mid:
-            return found([phi, mid[0], start], {"m": 2, "stage": "small-m"})
+    # m = 2: a constant map with a common upper bound with the projection;
+    # the sweep decides every other map
+    for v in range(len(P.elements)):
+        mid = walk.first([walk.up[v] & walk.up[b] for b in start])
+        if mid is not None:
+            phi = tuple([v] * len(start))
+            return found([phi, mid, start], {"m": 2, "stage": "small-m"})
 
     # the sweep, from the projection: A_0 = B_0 = {projection}
     sweep = _Sweep(Q, walk, sigma_classes, budget)
@@ -182,7 +163,7 @@ class _Sweep:
 
     A map is keyed by one int: its value on class c in the bit field at
     ``shifts[c]``, the first class highest, so keys order as the tuples of
-    class values do (the order ``MonotoneWalk`` enumerates).  ``lower`` and
+    class values do (the order ``MonotoneWalk`` walks in).  ``lower`` and
     ``upper`` give the single-class moves: class c goes to a value strictly
     below (above) its own, and not below (above) the value of any class
     ``fence[c]`` lists, those with an element below (above) one of its

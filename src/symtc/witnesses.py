@@ -273,8 +273,6 @@ class SectionWitness:
                 target=target,
                 paths=paths,
             )
-        except ParseError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed section witness: {exc}") from exc
 

@@ -1,6 +1,6 @@
 """The section route shares no code with the searchers.
 
-``sections.py`` and the enumerator it uses in ``posets.py`` must not reach
+``sections.py`` and the masked walk it uses in ``posets.py`` must not reach
 ``search``, ``complexity`` or ``covers`` through any chain of package
 imports, at module level or inside a function.  The checker in
 ``verify.py`` acts on names with its own table, not with ``act_name`` or

@@ -17,7 +17,6 @@ from symtc.posets import (
     FinitePoset,
     _componentwise,
     face_poset,
-    monotone_value_tuples,
     poset_from_relations,
     power_poset,
 )
@@ -119,8 +118,9 @@ def test_mapping_poset_against_pointwise_maps(source, target):
         tuple(f[x] for x in Q.elements)
         for f in brute_monotone_maps(Q.elements, Q.le, P.elements, P.le)
     ]
-    # the enumerator's maps under the componentwise order of their values
-    tuples = monotone_value_tuples(Q, P)
+    # the maps as value-index rows, canonically sorted, under the
+    # componentwise order of their values
+    tuples = sorted(tuple(P.index[v] for v in f) for f in maps)
     named = [tuple(P.elements[v] for v in t) for t in tuples]
     agrees(FinitePoset(named, _componentwise(P, tuples)), maps, {
         (f, g) for f in maps for g in maps

@@ -8,16 +8,15 @@ from symtc.errors import (
     BadArity,
     BudgetExceeded,
     CycleDetected,
-    SizeLimitExceeded,
     UnknownElement,
 )
 from symtc.io import poset_from_doc, poset_to_doc
 from symtc.posets import (
     FinitePoset,
+    MonotoneWalk,
     _componentwise,
     all_chains,
     face_poset,
-    monotone_value_tuples,
     multi_fence,
     order_complex,
     poset_from_relations,
@@ -80,35 +79,6 @@ def test_opens_closed_under_union_intersection(v_poset):
         for B in opens:
             assert v_poset.is_open(A | B)
             assert v_poset.is_open(A & B)
-
-
-def test_monotone_map_counts(chain2):
-    maps = monotone_value_tuples(chain2, chain2)
-    assert maps == [(0, 0), (0, 1), (1, 1)]
-    point = poset_from_relations("x", [])
-    assert len(monotone_value_tuples(point, chain2)) == 2
-    anti = poset_from_relations("uv", [])
-    assert len(monotone_value_tuples(anti, chain2)) == 4
-
-
-def test_monotone_stream_canonical_and_complete(v_poset, chain2):
-    got = [
-        tuple(chain2.elements[v] for v in vals)
-        for vals in monotone_value_tuples(v_poset, chain2)
-    ]
-    want = sorted(
-        tuple(m[x] for x in v_poset.elements)
-        for m in brute_monotone_maps(
-            v_poset.elements, v_poset.le, chain2.elements, chain2.le
-        )
-    )
-    assert got == want
-
-
-def test_size_limit():
-    anti = poset_from_relations("uvwx", [])
-    with pytest.raises(SizeLimitExceeded):
-        monotone_value_tuples(anti, anti, budget=5)
 
 
 def test_order_complex_chain(chain3):
@@ -190,7 +160,12 @@ def test_chain_walk_stops_at_budget():
 def test_mapping_poset_is_poset(chain2):
     """The monotone self-maps of a 2-chain under the pointwise order: a
     3-chain."""
-    maps = monotone_value_tuples(chain2, chain2)
+    maps = sorted(
+        tuple(chain2.index[f[x]] for x in chain2.elements)
+        for f in brute_monotone_maps(
+            chain2.elements, chain2.le, chain2.elements, chain2.le
+        )
+    )
     mp = FinitePoset(maps, _componentwise(chain2, maps))
     assert len(mp.elements) == 3
     bot, mid, top = (0, 0), (0, 1), (1, 1)
@@ -252,17 +227,23 @@ def test_connectivity(v_poset):
 
 
 def test_value_tuples_depth_is_not_recursion_depth():
-    """The enumerator walks one class after another without recursion, so a
-    source with more classes than the recursion limit allows frames works."""
+    """The walk fills one class after another without recursion, so a
+    source with more classes than the recursion limit allows frames works,
+    also when the last class sends it back up through all of them: on the
+    chain 299 < ... < 0 with 299 held at 1, every element takes 1."""
     anti = poset_from_relations(range(300), [])
+    chain = poset_from_relations(range(300), [(i + 1, i) for i in range(299)])
     two = poset_from_relations([0, 1], [(0, 1)])
+    flat, deep = MonotoneWalk(anti, two), MonotoneWalk(chain, two)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
-        first = monotone_value_tuples(anti, two, first_only=True)
+        first = flat.first([flat.full] * 300)
+        raised = deep.first([deep.full] * 299 + [0b10])
     finally:
         sys.setrecursionlimit(limit)
-    assert first == [(0,) * 300]
+    assert first == (0,) * 300
+    assert raised == (1,) * 300
 
 
 @st.composite
@@ -299,8 +280,8 @@ def enumeration_cases(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(enumeration_cases())
 def test_value_tuples_against_oracle(case):
-    """Class-constant allowed maps from the oracle, in lex order of the
-    class values; first_only gives the first and the budget is exact."""
+    """The walk's map is the oracle's lowest class-constant allowed map in
+    lex order of the class values, and None when there is no such map."""
     Q, P, classes, allowed = case
     order = classes or [[i] for i in range(len(Q.elements))]
     expected = []
@@ -315,14 +296,8 @@ def test_value_tuples_against_oracle(case):
         expected.append(t)
     expected.sort(key=lambda t: [t[cls[0]] for cls in order])
 
-    def run(**kw):
-        return monotone_value_tuples(
-            Q, P, classes=classes, allowed=allowed, **kw
-        )
-
-    assert run() == expected
-    assert run(first_only=True) == expected[:1]
-    assert run(budget=len(expected)) == expected
-    if expected:
-        with pytest.raises(SizeLimitExceeded):
-            run(budget=len(expected) - 1)
+    walk = MonotoneWalk(Q, P, classes)
+    masks = [walk.full] * len(Q.elements)
+    if allowed is not None:
+        masks = [sum(1 << v for v in a) for a in allowed]
+    assert walk.first(masks) == (expected[0] if expected else None)

@@ -32,7 +32,6 @@ from symtc.posets import (
     MonotoneMap,
     all_chains,
     face_poset,
-    monotone_value_tuples,
     order_complex,
     poset_from_relations,
     sd_poset,
@@ -40,7 +39,7 @@ from symtc.posets import (
 from symtc.search import sym_comb_homotopic, sym_contiguous
 from symtc.util import ckey, csorted, name_of
 
-from helpers import brute_chains, brute_monotone_maps
+from helpers import brute_chains
 
 # -- strategies --------------------------------------------------------------
 
@@ -283,19 +282,6 @@ def test_open_union_intersection(P, seed):
         for B in opens:
             assert P.is_open(A | B)
             assert P.is_open(A & B)
-
-
-@given(small_posets())
-@settings(max_examples=25, deadline=None)
-def test_monotone_stream_unique_and_monotone(P):
-    small = poset_from_relations([0, 1], [(0, 1)])
-    got = monotone_value_tuples(P, small, budget=5_000)
-    assert len(got) == len(set(got))
-    assert got == sorted(got)
-    assert set(got) == {
-        tuple(small.index[f[x]] for x in P.elements)
-        for f in brute_monotone_maps(P.elements, P.le, small.elements, small.le)
-    }
 
 
 @given(small_posets())

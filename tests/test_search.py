@@ -297,8 +297,6 @@ def test_single_point_moves_connect_comparable_pairs():
     f <= g pointwise, raising f at a maximal disagreement point, one point
     at a time, reaches g through monotone maps.  Exhaustive over all posets
     with <= 4 elements."""
-    from symtc.posets import monotone_value_tuples
-
     from helpers import posets_up_to_iso
 
     def is_monotone(P, vals):
@@ -310,7 +308,10 @@ def test_single_point_moves_connect_comparable_pairs():
 
     for size, rel in posets_up_to_iso(4, connected_only=False):
         P = poset_from_relations(range(size), list(rel))
-        maps = monotone_value_tuples(P, P)
+        maps = [
+            tuple(P.index[f[x]] for x in P.elements)
+            for f in brute_monotone_maps(P.elements, P.le, P.elements, P.le)
+        ]
         idx = {e: i for i, e in enumerate(P.elements)}
         for f in maps:
             for g in maps:

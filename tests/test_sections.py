@@ -347,9 +347,10 @@ def _square_pieces(draw):
 @given(_square_pieces())
 def test_sweep_against_brute_force_layers(case):
     """Status, m, stabilized_at and reached agree with layers built from
-    every monotone map and explicit cones; every yes validates.  Pieces of
-    at most 4-point posets have under 2,000 symmetric maps, so the small-m
-    stage sees all of them and answers exactly the m <= 2 cases."""
+    every monotone map and explicit cones; every yes validates.  On pieces
+    of at most 4-point posets the small-m stage answers exactly the m <= 2
+    cases: each is answered by m <= 1 or a constant map at m = 2 (all 483
+    yes pieces of the 505 at n = 2)."""
     P, Q = case
     status, m, reached = _oracle_sweep(Q, P)
     out = section_search(Q, P, 2, 0)
@@ -367,6 +368,21 @@ def test_sweep_against_brute_force_layers(case):
 
 
 FENCE5 = [(0, 2), (0, 4), (1, 2), (1, 3)]  # 3 > 1 < 2 > 0 < 4
+
+
+def test_sweep_answers_m2_past_the_constants():
+    """A piece of the 5-point fence with a section of length 2 through no
+    constant map: the small-m stage tries only constants at m = 2, so the
+    sweep finds it, with the brute-force layers' m and reached."""
+    P = poset_from_relations(range(5), FENCE5)
+    Q = power_poset(P, 2).restrict([
+        (0, 0), (0, 1), (0, 3), (0, 4), (1, 0), (3, 0), (4, 0),
+    ])
+    out = section_search(Q, P, 2, 0)
+    assert out.record == {"m": 2, "stage": "sweep", "reached": 317}
+    assert _oracle_sweep(Q, P) == ("yes", 2, 317)
+    rep = validate(out.witness)
+    assert rep.ok, rep.failures
 
 
 def test_sweep_answers_past_the_whole_space_budget():
